@@ -19,12 +19,10 @@ weakens but never invalidates a bound.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from mpmath import iv
@@ -354,123 +352,95 @@ def _normalize_conductor(n: int) -> int:
     return 1 if n in (1, 2) else n
 
 
-def _euler_block(n: int, s: float, block: Sequence[int]):
-    one = iv.mpf(1)
-    s_iv = iv.mpf(s)
-    acc = one
-    for p in block:
-        pk = p
-        while n % pk == 0 and n % (pk * p) == 0:
-            pk *= p
-        n_p = n
-        while n_p % p == 0:
-            n_p //= p
-        f = _mult_order(p, n_p)
-        g = _euler_phi(n_p) // f
-        if g == 0:
-            continue
-        acc *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
-    return acc
+def _cyclotomic_splitting(n: int, p: int) -> tuple[int, int]:
+    n_p = n
+    while n_p % p == 0:
+        n_p //= p
+    f = _mult_order(p, n_p)
+    return f, _euler_phi(n_p) // f
 
 
-def _iv_endpoints(x) -> tuple[float, float]:
-    lo = math.nextafter(float(x.a), -math.inf)
-    hi = math.nextafter(float(x.b), math.inf)
-    return lo, hi
+def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
+    # the Kronecker symbol (disc/p) is 0 (ramified), 1 (split) or -1 (inert)
+    if disc % p == 0:
+        return 1, 1
+    if p == 2:
+        split = disc % 8 == 1
+    else:
+        split = pow(disc, (p - 1) // 2, p) == 1
+    return (1, 2) if split else (2, 1)
+
+
+def _euler_interval(
+    splitting: Callable[[int], tuple[int, int]],
+    d: int,
+    s: float,
+    P: int,
+    conductor: int | str,
+) -> ZetaInterval:
+    """Truncated Euler product of a degree-d field, tail bound included.
+
+    splitting(p) = (f, g) means that g primes of norm p^f lie above p.  The
+    tail bound is proved in dedekind_zeta; endpoints are rounded outward.
+    """
+    if not s > 1:
+        raise ValueError(f"need s > 1, got s = {s}")
+    old_prec = iv.prec
+    iv.prec = 80
+    try:
+        one = iv.mpf(1)
+        s_iv = iv.mpf(s)
+        partial = one
+        for p in _primes_upto(P):
+            f, g = splitting(p)
+            partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
+        # the integral bound on sum_{n>P} n^(-s) needs an integer P >= 1
+        p_iv = iv.mpf(max(P, 1))
+        high = partial * (one + p_iv ** (one - s_iv) / (s_iv - one)) ** d
+        lo = math.nextafter(float(partial.a), -math.inf)
+        hi = math.nextafter(float(high.b), math.inf)
+    finally:
+        iv.prec = old_prec
+    return ZetaInterval(s=float(s), conductor=conductor, P=int(P), value_low=lo, value_high=hi)
 
 
 def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
     """Truncated Euler product for the degree-phi(n) cyclotomic field.
 
-    Primes up to P contribute the factor (1 - p^(-s f))^(-phi(n_p)/f) where
-    n_p is the prime-to-p part of the conductor and f the order of p mod n_p.
-    The tail of omitted primes is controlled by the explicit bound
-    log(high/partial) <= d P^(1-s) / ((s-1)(1 - P^(-s))), so the returned
-    interval contains the true value.  Conductors 2 mod 4 normalize to their
-    odd part; interval arithmetic is outward-rounded throughout.
+    Splitting rule: above a prime p lie g = phi(n_p)/f primes of norm p^f,
+    where n_p is the prime-to-p part of the conductor and f the order of p
+    mod n_p.  The primes up to P contribute (1 - p^(-s f))^(-g) each.
+
+    Tail bound: the primes above P contribute at most
+    (1 + P^(1-s)/(s-1))^d with d = phi(n), so the interval contains the
+    true value.  Proof, for any field of degree d:
+      1. a prime p has at most d primes above it, each of norm >= p, so its
+         local factor is <= (1 - p^(-s))^(-d);
+      2. hence the product over p > P is <= (sum of n^(-s) over the n whose
+         prime factors all exceed P)^d <= (1 + sum_{n>P} n^(-s))^d
+         <= (1 + integral_P^oo x^(-s) dx)^d;
+      3. since log(1 + x) <= x, this is never looser than the bound
+         exp(d P^(1-s) / ((s-1)(1 - P^(-s)))).
+
+    Conductors 2 mod 4 normalize to their odd part; interval arithmetic is
+    outward-rounded throughout.
     """
-    if not s > 1:
-        raise ValueError(f"need s > 1, got s = {s}")
     n = _normalize_conductor(n)
-    d = _euler_phi(n)
-    primes = _primes_upto(P)
-    blocks = [primes[i : i + 64] for i in range(0, len(primes), 64)]
-    old_prec = iv.prec
-    iv.prec = 80
-    try:
-        threads = int(os.environ.get("LATMOMENT_THREADS", "1") or "1")
-        if threads > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda b: _euler_block(n, s, b), blocks))
-        else:
-            parts = [_euler_block(n, s, b) for b in blocks]
-        partial = iv.mpf(1)
-        for part in parts:
-            partial *= part
-        one = iv.mpf(1)
-        s_iv = iv.mpf(s)
-        p_iv = iv.mpf(max(P, 2))
-        tail_log = (iv.mpf(d) * p_iv ** (one - s_iv)) / (
-            (s_iv - one) * (one - p_iv ** (-s_iv))
-        )
-        high = partial * iv.exp(tail_log)
-        lo, _ = _iv_endpoints(partial)
-        _, hi = _iv_endpoints(high)
-    finally:
-        iv.prec = old_prec
-    return ZetaInterval(s=float(s), conductor=n, P=int(P), value_low=lo, value_high=hi)
-
-
-def _quadratic_ideal_counts(F: NumberField, X: int) -> np.ndarray:
-    # with basis {1, w} and w^2 = e w + f, primitive ideals of norm a
-    # correspond to roots of b^2 + e b - f modulo a; ideal counts follow by
-    # summing primitive counts over square divisors.
-    e = -F.min_poly[1]
-    f = -F.min_poly[0]
-    prim = np.zeros(X + 1, dtype=np.int64)
-    prim[1] = 1
-    for a in range(2, X + 1):
-        b = np.arange(a, dtype=np.int64)
-        prim[a] = int(np.count_nonzero((b * b + e * b - f) % a == 0))
-    counts = np.zeros(X + 1, dtype=np.int64)
-    for c in range(1, math.isqrt(X) + 1):
-        cc = c * c
-        top = X // cc
-        counts[cc * np.arange(1, top + 1)] += prim[1 : top + 1]
-    return counts
-
-
-def _zeta_quadratic_interval(F: NumberField, s: float, X: int) -> ZetaInterval:
-    # direct truncated ideal sum; the tail uses that the number of ideals of
-    # norm N in a maximal quadratic order is at most the divisor count, so
-    # sum_{N>X} <= 2 zeta(s) sum_{a>sqrt X} a^{-s}.
-    if not s > 1:
-        raise ValueError(f"need s > 1, got s = {s}")
-    X = max(int(X), 16)
-    counts = _quadratic_ideal_counts(F, X)
-    ns = np.arange(X + 1, dtype=float)
-    ns[0] = 1.0
-    partial = float(np.dot(counts[1:].astype(float), ns[1:] ** (-s)))
-    zq_hi = dedekind_zeta(1, s, max(1000, min(X, 10000))).value_high
-    root = math.sqrt(X)
-    tail = 2.0 * zq_hi * root ** (1.0 - s) * (1.0 / (s - 1.0) + 1.0 / root)
-    slop = 1e-12 * partial * math.log2(X + 2)
-    return ZetaInterval(
-        s=float(s),
-        conductor=F.descriptor,
-        P=X,
-        value_low=partial - slop,
-        value_high=partial + slop + tail,
-    )
+    return _euler_interval(lambda p: _cyclotomic_splitting(n, p), _euler_phi(n), s, P, n)
 
 
 def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval:
-    """Zeta enclosure dispatched on the field kind.
+    """Zeta enclosure of any supported field as one truncated Euler product.
 
-    Rational and cyclotomic fields (and the two quadratic fields that are
-    also cyclotomic) use the conductor Euler product; other quadratic fields
-    use the truncated ideal sum with its integral tail bound, reusing P as
-    the norm cutoff.
+    Splitting rule: rational and cyclotomic fields (and Q(i), Q(sqrt -3),
+    which are also cyclotomic) use the conductor rule of dedekind_zeta.
+    Over another Q(sqrt D) the Kronecker symbol (disc/p) of the field
+    discriminant decides: p splits into two primes of norm p when it is 1,
+    stays inert as one prime of norm p^2 when it is -1, and ramifies into
+    one prime of norm p when it is 0.
+
+    The primes above P contribute at most (1 + P^(1-s)/(s-1))^d for a
+    field of degree d, as proved in dedekind_zeta.
     """
     if F.kind == "rational":
         return dedekind_zeta(1, s, P)
@@ -481,7 +451,9 @@ def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval
             return dedekind_zeta(4, s, P)
         if F.D == -3:
             return dedekind_zeta(3, s, P)
-        return _zeta_quadratic_interval(F, s, max(P, 2000))
+        return _euler_interval(
+            lambda p: _quadratic_splitting(F.disc, p), 2, s, P, F.descriptor
+        )
     raise ValueError(f"no zeta backend for field kind {F.kind!r}")
 
 

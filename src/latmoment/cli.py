@@ -6,11 +6,10 @@ verification suite, and the empirical oracles.  Tables emit CSV (header
 comment `# latmoment-csv v1`) or JSON (with a `schema` field); verification
 reports are always JSON.  Identical configuration and seed produce
 byte-identical output.  Exit status: 0 success, 2 precondition violation
-(the computed threshold is printed), 3 verification failure.
+(the computed threshold is printed) or invalid configuration, 3
+verification failure.
 
-A flat key=value config file supplies defaults; explicit flags win.  The
-environment variable LATMOMENT_THREADS caps worker threads in the zeta
-backend.
+A flat key=value config file supplies defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def _load_config(path: str | None) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise click.ClickException(f"config line without '=': {raw.strip()!r}")
+                raise click.UsageError(f"config line without '=': {raw.strip()!r}")
             key, val = line.split("=", 1)
             cfg[key.strip()] = val.strip()
     return cfg
@@ -134,7 +133,7 @@ def _runconfig(cfg: dict, *, descriptor=None, t=None, n=None, V=None, k=None,
 
 def _need(value, name: str):
     if value is None:
-        raise click.ClickException(f"missing required parameter: {name}")
+        raise click.UsageError(f"missing required parameter: {name}")
     return value
 
 
@@ -149,7 +148,7 @@ def _parse_element(F: NumberField, text: str) -> FieldElement:
     parts = [p.strip() for p in text.split(",")]
     coords = [Fraction(p) for p in parts if p != ""]
     if len(coords) > F.degree:
-        raise click.ClickException(
+        raise click.UsageError(
             f"{len(coords)} coordinates for a degree-{F.degree} field"
         )
     coords += [Fraction(0)] * (F.degree - len(coords))
@@ -218,7 +217,7 @@ def _hypothesis(F: NumberField, c0: float | None, c1: float | None) -> HeightHyp
     if c0 is None and c1 is None:
         return default_hypothesis(F)
     if c0 is None:
-        raise click.ClickException("c1 override requires c0")
+        raise click.UsageError("c1 override requires c0")
     return HeightHypothesis(c0, c1 if c1 is not None else c0, "user")
 
 
@@ -470,7 +469,7 @@ def t0_table_cmd(k_text, m_text, c0, rank_ratio, shifted, config_path, fmt, outp
     ms = ([int(x) for x in m_text.split(",") if x.strip()]
           if m_text else list(range(1, len(ks) + 1)))
     if len(ms) != len(ks):
-        raise click.ClickException("M list and k list must have equal length")
+        raise click.UsageError("M list and k list must have equal length")
     hyp = HeightHypothesis(c0, c0 / 2.0, "user")
     rows = []
     for M, k in zip(ms, ks):
@@ -517,7 +516,7 @@ def empirical_cmd(descriptor, kind, t, n, vol, prime, alphas, samples, seed,
     seed = rc.seed if rc.seed is not None else 0
     if kind == "mc-ratio":
         if not descriptor or not alphas:
-            raise click.ClickException("mc-ratio needs a descriptor and --alpha")
+            raise click.UsageError("mc-ratio needs a descriptor and --alpha")
         F = make_field(descriptor)
         elems = [_parse_element(F, a) for a in alphas]
         est = mc_intersection_ratio(F, t, elems, samples=samples, seed=seed)

@@ -302,16 +302,6 @@ def _bounded_denominator_elements(F: NumberField, cutoff: int):
                 yield F.element((Fraction(p, c), Fraction(q, c)))
 
 
-def _auto_k(F: NumberField, t: float) -> int:
-    for k in range(2, 40):
-        try:
-            ideal_sum_bound(F, default_hypothesis(F), t, 1, k)
-            return k
-        except ThresholdError:
-            continue
-    raise ThresholdError(t, f"no splitting parameter admits t = {t}")
-
-
 def truncated_second_moment_rhs(
     F: NumberField, t: int, cutoff: int, P: int = 600
 ) -> TruncationReport:
@@ -321,12 +311,20 @@ def truncated_second_moment_rhs(
     with numerator and denominator coordinates bounded by cutoff.  The
     torsion units alone contribute exactly omega, so the partial sum must
     land in [omega, omega (1 + relative ideal-sum bound)]; the verdict
-    records which side fails, if any.
+    records which side fails, if any.  The bound uses the first splitting
+    parameter k in 2..39 that admits t.
     """
     if cutoff < 2:
         raise ValueError("need cutoff >= 2")
-    k = _auto_k(F, float(t))
-    rel = ideal_sum_bound(F, default_hypothesis(F), float(t), 1, k, P).bound_value
+    hyp = default_hypothesis(F)
+    for k in range(2, 40):
+        try:
+            rel = ideal_sum_bound(F, hyp, float(t), 1, k, P).bound_value
+            break
+        except ThresholdError:
+            continue
+    else:
+        raise ThresholdError(t, f"no splitting parameter admits t = {t}")
     omega = float(F.omega_K)
     total = 0.0
     terms = 0
@@ -352,6 +350,27 @@ def truncated_second_moment_rhs(
         upper_target=upper,
         verdict=verdict,
     )
+
+
+def _quadratic_ideal_counts(F: NumberField, X: int) -> np.ndarray:
+    """Ideal counts by norm 0..X in a quadratic field, in O(X^2).
+
+    With basis {1, w} and w^2 = e w + f, primitive ideals of norm a are the
+    roots of b^2 + e b - f mod a; summing over square divisors adds the rest.
+    """
+    e = -F.min_poly[1]
+    f = -F.min_poly[0]
+    prim = np.zeros(X + 1, dtype=np.int64)
+    prim[1] = 1
+    for a in range(2, X + 1):
+        b = np.arange(a, dtype=np.int64)
+        prim[a] = int(np.count_nonzero((b * b + e * b - f) % a == 0))
+    counts = np.zeros(X + 1, dtype=np.int64)
+    for c in range(1, math.isqrt(X) + 1):
+        cc = c * c
+        top = X // cc
+        counts[cc * np.arange(1, top + 1)] += prim[1 : top + 1]
+    return counts
 
 
 # ---------------------------------------------------------------------------

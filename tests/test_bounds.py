@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from latmoment.bounds import (
     HeightHypothesis,
     ThresholdError,
     ZetaInterval,
-    _quadratic_ideal_counts,
+    _quadratic_splitting,
     _simplex_project,
     a2m_bound,
     alpha_M,
@@ -37,6 +38,7 @@ from latmoment.bounds import (
 )
 from latmoment.moments import MomentQuery
 from latmoment.numberfield import fundamental_unit, make_field
+from latmoment.oracle import _quadratic_ideal_counts
 from latmoment.heights import rred_matrix, weil_height
 
 Q = make_field("Q")
@@ -281,20 +283,20 @@ def test_zeta_domain():
         dedekind_zeta(0, 2.0)
 
 
+def test_zeta_without_primes_is_the_tail_bound():
+    # P = 1 takes no prime, so the interval is [1, s/(s-1)], which must
+    # still contain zeta(s), however close to 1 it is
+    for s in (2.0, 40.0):
+        z = dedekind_zeta(1, s, 1)
+        assert z.contains(float(mpmath.zeta(s)))
+
+
 def test_zeta_power_boundedness():
     z1 = dedekind_zeta(1, 2.0, 4000)
     for n in range(3, 13):
         z = dedekind_zeta(n, 2.0, 4000)
         d = len([a for a in range(1, n) if math.gcd(a, n) == 1])
         assert z.value_high <= z1.value_high**d * 1.001
-
-
-def test_zeta_thread_determinism(monkeypatch):
-    monkeypatch.delenv("LATMOMENT_THREADS", raising=False)
-    base = dedekind_zeta(5, 1.7, 3000)
-    monkeypatch.setenv("LATMOMENT_THREADS", "4")
-    threaded = dedekind_zeta(5, 1.7, 3000)
-    assert (base.value_low, base.value_high) == (threaded.value_low, threaded.value_high)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +307,19 @@ def test_quadratic_ideal_counts_gaussian():
     F = QI
     counts = _quadratic_ideal_counts(F, 10)
     assert list(counts[1:]) == [1, 1, 0, 1, 2, 0, 0, 1, 1, 2]
+
+
+def test_quadratic_splitting_matches_ideal_counts():
+    # an independent count of the ideals of norm p: g when p has degree
+    # f = 1 primes above it, none when p is inert
+    X = 2000
+    primes = [p for p in range(2, X + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for D in (2, 3, 5, 13, -5, -7):
+        F = make_field(f"Q(sqrt,{D})")
+        counts = _quadratic_ideal_counts(F, X)
+        for p in primes:
+            f, g = _quadratic_splitting(F.disc, p)
+            assert counts[p] == (g if f == 1 else 0), (D, p)
 
 
 def test_quadratic_zeta_sqrt5():
@@ -319,6 +334,14 @@ def test_quadratic_zeta_sqrt2():
     chi = {1: 1, 7: 1, 3: -1, 5: -1}
     L = sum(chi.get(n % 8, 0) / n**2 for n in range(1, 100000))
     assert z.contains(math.pi**2 / 6 * L)
+
+
+def test_quadratic_zeta_width_near_pole():
+    # zeta(s) L(s, (5/.)) close to s = 1, where the tail bound dominates
+    z = dedekind_zeta_field(Q5, 1.12, 600)
+    L = mpmath.zeta(1.12) * mpmath.dirichlet(1.12, [0, 1, -1, -1, 1])
+    assert z.contains(float(L))
+    assert z.width / z.value_low < 30
 
 
 def test_quadratic_dispatch_uses_euler_for_cyclotomic_quadratics():

@@ -143,6 +143,12 @@ def test_invalid_element_exits_2(runner):
     assert "invalid configuration" in r.stderr
 
 
+def test_missing_required_parameter_exits_2(runner):
+    r = runner.invoke(main, ["second-moment", "Q"])
+    assert r.exit_code == 2
+    assert "missing required parameter: t" in r.stderr
+
+
 def test_config_file_supplies_defaults_flags_win(runner, tmp_path):
     cfg = tmp_path / "lm.cfg"
     cfg.write_text("t = 6\nvolume = 2 # trailing comment\nformat = json\n\n# note\n")
