@@ -19,10 +19,11 @@ weakens but never invalidates a bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from mpmath import iv
@@ -371,8 +372,35 @@ def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
     return (1, 2) if split else (2, 1)
 
 
+# the memo holds one ZetaInterval per distinct Euler product; a bound
+# assembly requests a handful, a sweep over t a few thousand
+_EULER_CACHE_SIZE = 4096
+# primes whose whole tail weighs below 2^-100 cannot move an 80-bit product
+_CUTOFF_BITS = 100
+
+
+def _splitting(key: tuple[str, int], p: int) -> tuple[int, int]:
+    kind, param = key
+    if kind == "cyclotomic":
+        return _cyclotomic_splitting(param, p)
+    return _quadratic_splitting(param, p)
+
+
+def _precision_cutoff(s: float, P: int) -> int:
+    """Smallest Q >= 2 with Q^(1-s)/(s-1) <= 2^-100, capped at P.
+
+    Solved in log space, log Q >= (100 log 2 - log(s-1))/(s-1), so s close
+    to 1 cannot overflow; there the rule gives Q = P.
+    """
+    log_q = (_CUTOFF_BITS * _LOG2 - math.log(s - 1.0)) / (s - 1.0)
+    if not log_q < math.log(P):
+        return P
+    return min(P, max(2, math.ceil(math.exp(log_q))))
+
+
+@lru_cache(maxsize=_EULER_CACHE_SIZE)
 def _euler_interval(
-    splitting: Callable[[int], tuple[int, int]],
+    splitting: tuple[str, int],
     d: int,
     s: float,
     P: int,
@@ -380,28 +408,32 @@ def _euler_interval(
 ) -> ZetaInterval:
     """Truncated Euler product of a degree-d field, tail bound included.
 
-    splitting(p) = (f, g) means that g primes of norm p^f lie above p.  The
-    tail bound is proved in dedekind_zeta; endpoints are rounded outward.
+    splitting is ("cyclotomic", n) or ("quadratic", disc); _splitting(key, p)
+    = (f, g) means that g primes of norm p^f lie above p.  The product runs
+    over p <= Q = _precision_cutoff(s, P) and the tail bound, proved in
+    dedekind_zeta, covers p > Q; endpoints are rounded outward.  The
+    arguments are the memo key, so callers pass s as a float, P as an int.
     """
     if not s > 1:
         raise ValueError(f"need s > 1, got s = {s}")
+    if not P >= 1:
+        raise ValueError(f"need P >= 1, got P = {P}")
+    Q = _precision_cutoff(s, P)
     old_prec = iv.prec
     iv.prec = 80
     try:
         one = iv.mpf(1)
         s_iv = iv.mpf(s)
         partial = one
-        for p in _primes_upto(P):
-            f, g = splitting(p)
+        for p in _primes_upto(Q):
+            f, g = _splitting(splitting, p)
             partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
-        # the integral bound on sum_{n>P} n^(-s) needs an integer P >= 1
-        p_iv = iv.mpf(max(P, 1))
-        high = partial * (one + p_iv ** (one - s_iv) / (s_iv - one)) ** d
+        high = partial * (one + iv.mpf(Q) ** (one - s_iv) / (s_iv - one)) ** d
         lo = math.nextafter(float(partial.a), -math.inf)
         hi = math.nextafter(float(high.b), math.inf)
     finally:
         iv.prec = old_prec
-    return ZetaInterval(s=float(s), conductor=conductor, P=int(P), value_low=lo, value_high=hi)
+    return ZetaInterval(s=s, conductor=conductor, P=P, value_low=lo, value_high=hi)
 
 
 def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
@@ -409,24 +441,35 @@ def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
 
     Splitting rule: above a prime p lie g = phi(n_p)/f primes of norm p^f,
     where n_p is the prime-to-p part of the conductor and f the order of p
-    mod n_p.  The primes up to P contribute (1 - p^(-s f))^(-g) each.
+    mod n_p.  The primes up to Q contribute (1 - p^(-s f))^(-g) each.
 
-    Tail bound: the primes above P contribute at most
-    (1 + P^(1-s)/(s-1))^d with d = phi(n), so the interval contains the
-    true value.  Proof, for any field of degree d:
+    Cutoff: Q = min(P, the smallest integer Q >= 2 with
+    Q^(1-s)/(s-1) <= 2^-100).  The primes above such a Q change the 80-bit
+    product by less than a unit in the last place, so they are skipped;
+    close to s = 1 the rule gives Q = P.  P must be at least 1, and the
+    returned interval reports the caller's P.
+
+    Tail bound: the primes above Q contribute at most
+    (1 + Q^(1-s)/(s-1))^d with d = phi(n), so the interval contains the
+    true value.  Proof, for any field of degree d and any integer
+    1 <= Q <= P (the choice of Q affects tightness only):
       1. a prime p has at most d primes above it, each of norm >= p, so its
          local factor is <= (1 - p^(-s))^(-d);
-      2. hence the product over p > P is <= (sum of n^(-s) over the n whose
-         prime factors all exceed P)^d <= (1 + sum_{n>P} n^(-s))^d
-         <= (1 + integral_P^oo x^(-s) dx)^d;
+      2. hence the product over p > Q is <= (sum of n^(-s) over the n whose
+         prime factors all exceed Q)^d <= (1 + sum_{n>Q} n^(-s))^d
+         <= (1 + integral_Q^oo x^(-s) dx)^d;
       3. since log(1 + x) <= x, this is never looser than the bound
-         exp(d P^(1-s) / ((s-1)(1 - P^(-s)))).
+         exp(d Q^(1-s) / ((s-1)(1 - Q^(-s)))).
 
-    Conductors 2 mod 4 normalize to their odd part; interval arithmetic is
-    outward-rounded throughout.
+    Results are memoized per (splitting, s, P), so a bound assembly that
+    asks for the same factor twice computes one Euler product.  Conductors
+    2 mod 4 normalize to their odd part; interval arithmetic is
+    outward-rounded throughout, at 80 bits whatever the caller's iv.prec.
     """
     n = _normalize_conductor(n)
-    return _euler_interval(lambda p: _cyclotomic_splitting(n, p), _euler_phi(n), s, P, n)
+    return _euler_interval(
+        ("cyclotomic", n), _euler_phi(n), float(s), operator.index(P), n
+    )
 
 
 def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval:
@@ -439,8 +482,9 @@ def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval
     stays inert as one prime of norm p^2 when it is -1, and ramifies into
     one prime of norm p when it is 0.
 
-    The primes above P contribute at most (1 + P^(1-s)/(s-1))^d for a
-    field of degree d, as proved in dedekind_zeta.
+    The product stops at the precision cutoff Q <= P of dedekind_zeta, the
+    primes above Q contribute at most (1 + Q^(1-s)/(s-1))^d for a field of
+    degree d, as proved there, and results are memoized the same way.
     """
     if F.kind == "rational":
         return dedekind_zeta(1, s, P)
@@ -452,7 +496,7 @@ def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval
         if F.D == -3:
             return dedekind_zeta(3, s, P)
         return _euler_interval(
-            lambda p: _quadratic_splitting(F.disc, p), 2, s, P, F.descriptor
+            ("quadratic", F.disc), 2, float(s), operator.index(P), F.descriptor
         )
     raise ValueError(f"no zeta backend for field kind {F.kind!r}")
 

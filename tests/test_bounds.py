@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 import latmoment as lm
 from latmoment.bounds import (
@@ -13,6 +14,8 @@ from latmoment.bounds import (
     HeightHypothesis,
     ThresholdError,
     ZetaInterval,
+    _EULER_CACHE_SIZE,
+    _euler_interval,
     _quadratic_splitting,
     _simplex_project,
     a2m_bound,
@@ -289,6 +292,80 @@ def test_zeta_without_primes_is_the_tail_bound():
     for s in (2.0, 40.0):
         z = dedekind_zeta(1, s, 1)
         assert z.contains(float(mpmath.zeta(s)))
+
+
+def test_zeta_needs_a_positive_cutoff():
+    for P in (0, -5):
+        with pytest.raises(ValueError):
+            dedekind_zeta(5, 2.0, P)
+        with pytest.raises(ValueError):
+            dedekind_zeta_field(Q5, 2.0, P)
+
+
+def _splitting_by_hand(field, p):
+    # (f, g) of p in Q (n = 1), Q(zeta,5), Q(zeta,8) and Q(sqrt,5)
+    if field == 1:
+        return 1, 1
+    if field in (5, 8):
+        if field % p == 0:
+            return 1, 1
+        f = next(f for f in range(1, 5) if pow(p, f, field) == 1)
+        return f, 4 // f
+    if p == 5:
+        return 1, 1
+    return (1, 2) if p % 5 in (1, 4) else (2, 1)
+
+
+def _untruncated_euler_interval(field, d, s, P):
+    # every prime p <= P, with the tail bound applied at P
+    old = iv.prec
+    iv.prec = 80
+    try:
+        one, s_iv = iv.mpf(1), iv.mpf(s)
+        partial = one
+        for p in range(2, P + 1):
+            if all(p % q for q in range(2, math.isqrt(p) + 1)):
+                f, g = _splitting_by_hand(field, p)
+                partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
+        high = partial * (one + iv.mpf(P) ** (one - s_iv) / (s_iv - one)) ** d
+        lo = math.nextafter(float(partial.a), -math.inf)
+        hi = math.nextafter(float(high.b), math.inf)
+    finally:
+        iv.prec = old
+    return lo, hi
+
+
+def test_zeta_precision_cutoff_matches_the_full_product():
+    # primes past the cutoff cannot move the 80-bit product, so the low
+    # endpoint is unchanged and the tail bound at the cutoff is no looser
+    for s in (13.7, 40.0, 201.2, 847.5):
+        for P in (600, 10_000):
+            cases = [(n, len([a for a in range(1, n + 1) if math.gcd(a, n) == 1]),
+                      dedekind_zeta(n, s, P)) for n in (1, 5, 8)]
+            cases.append(("Q(sqrt,5)", 2, dedekind_zeta_field(Q5, s, P)))
+            for field, d, z in cases:
+                lo, hi = _untruncated_euler_interval(field, d, s, P)
+                assert z.value_low == lo, (field, s, P)
+                assert z.value_high <= hi, (field, s, P)
+                assert z.P == P
+
+
+def test_zeta_memo_keeps_80_bits_and_the_callers_precision():
+    _euler_interval.cache_clear()
+    old = iv.prec
+    try:
+        iv.prec = 20
+        at_20_bits = dedekind_zeta(5, 3.3, 700)
+        assert iv.prec == 20
+    finally:
+        iv.prec = old
+    _euler_interval.cache_clear()
+    at_default = dedekind_zeta(5, 3.3, 700)
+    assert at_20_bits == at_default
+    hits = _euler_interval.cache_info().hits
+    assert dedekind_zeta(5, 3.3, 700) == at_default
+    assert _euler_interval.cache_info().hits == hits + 1
+    assert _euler_interval.cache_info().maxsize == _EULER_CACHE_SIZE
 
 
 def test_zeta_power_boundedness():

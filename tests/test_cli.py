@@ -149,6 +149,12 @@ def test_missing_required_parameter_exits_2(runner):
     assert "missing required parameter: t" in r.stderr
 
 
+def test_zeta_without_a_positive_cutoff_exits_2(runner):
+    r = runner.invoke(main, ["zeta", "5", "--s", "2", "--p", "0"])
+    assert r.exit_code == 2
+    assert "invalid configuration" in r.stderr
+
+
 def test_config_file_supplies_defaults_flags_win(runner, tmp_path):
     cfg = tmp_path / "lm.cfg"
     cfg.write_text("t = 6\nvolume = 2 # trailing comment\nformat = json\n\n# note\n")
