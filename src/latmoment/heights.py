@@ -2,9 +2,10 @@
 
 Covers the logarithmic height of a single element, the sup-height of a
 tuple, l2 and l-infinity projective heights, the Pluecker embedding with
-its induced subspace height, the covolume of the row lattice O_K^m D, the
-integrality defect M(x), and truncated height zeta sums over rational
-projective space.
+its induced subspace height, the covolume of the row lattice O_K^m D from
+its exact Gram determinant (with the integrality index, the second route
+to the subspace height), the integrality defect M(x), and truncated
+height zeta sums over rational projective space.
 
 Real-valued heights here are floats built from 100-bit embeddings; their
 relative error is a few ulp, far below every tolerance used downstream.
@@ -27,12 +28,13 @@ from .numberfield import (
     FieldElement,
     NumberField,
     Rational,
-    _det_fraction,
+    _det,
     abs_norm,
     denominator_norm,
     enumerate_torsion,
     frak_D,
     ideal_from_generators,
+    row_reduce,
     trace_pairing_exact,
 )
 
@@ -149,29 +151,10 @@ def rred_matrix(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]
         [e if isinstance(e, FieldElement) else F.from_rational(e) for e in r]
         for r in rows
     ]
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [e * inv for e in mat[rank]]
-        for i in range(m):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [e - f * p for e, p in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    if rank < m:
+    red = row_reduce(mat)
+    if len(red) < len(mat):
         raise ValueError("matrix must have full row rank")
-    return RredMatrix(F, tuple(tuple(r) for r in mat))
+    return RredMatrix(F, tuple(tuple(r) for r in red))
 
 
 @dataclass(frozen=True)
@@ -229,45 +212,15 @@ def proj_height_linf(x: ProjPoint) -> float:
     return float(np.prod(np.max(np.abs(mat), axis=1))) / float(x.ideal_norm)
 
 
-def _field_det(F: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
-    """Exact determinant over the field, by fraction-free-ish elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = F.one
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return F.zero
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = a[k][k].inverse()
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-    return det
-
-
 def plucker(D: RredMatrix) -> ProjPoint:
     """Pluecker coordinates: the m x m minors over column subsets in
     lexicographic order.  The pivot-column minor is exactly 1."""
     F = D.field
-    m, n = D.m, D.n
-    coords = []
-    for subset in itertools.combinations(range(n), m):
-        sub = [[D.rows[i][j] for j in subset] for i in range(m)]
-        coords.append(_field_det(F, sub))
-    pt = ProjPoint(F, tuple(coords))
-    pivot_index = list(itertools.combinations(range(n), m)).index(D.pivot_columns)
-    assert pt.coords[pivot_index] == F.one
-    return pt
+    coords = tuple(
+        _det([[row[j] for j in subset] for row in D.rows], F.one)
+        for subset in itertools.combinations(range(D.n), D.m)
+    )
+    return ProjPoint(F, coords)
 
 
 def gr_height(D: RredMatrix) -> float:
@@ -278,47 +231,29 @@ def gr_height(D: RredMatrix) -> float:
 def det_lattice(D: RredMatrix) -> float:
     """Covolume of the lattice O_K^(1 x m) D inside K_R^(1 x n).
 
-    Evaluated by the closed form prod_sigma sqrt(sum over Pluecker
-    coordinates |sigma(p_J)|^2), and cross-checked against the exact Gram
-    determinant of the dm-dimensional ZZ-basis {b_k e_i D}; a relative
-    discrepancy above 1e-8 raises (internal self-oracle).  The t-copy
-    covolume is this value to the power t.
+    The square root of the exact Gram determinant of its dm-dimensional
+    ZZ-basis {b_k e_i D} under the trace pairing, divided by |disc|^m so
+    that O_K has unit covolume.  It is computed without the Pluecker
+    coordinates, so covolume times integrality index is a second route to
+    the subspace height.  The t-copy covolume is this value to the power t.
     """
     F = D.field
-    p = plucker(D)
-    mat = p.conj_matrix
-    closed = float(np.prod(np.sqrt(np.sum(np.abs(mat) ** 2, axis=1))))
-
-    vectors: list[list[FieldElement]] = []
-    for i in range(D.m):
-        for b in F.integral_basis:
-            vectors.append([b * e for e in D.rows[i]])
-    dm = len(vectors)
+    vectors = [[b * e for e in row] for row in D.rows for b in F.integral_basis]
     gram = [
-        [
-            sum(
-                (trace_pairing_exact(F, u[c], v[c]) for c in range(D.n)),
-                Fraction(0),
-            )
-            for v in vectors
-        ]
+        [sum((trace_pairing_exact(F, x, y) for x, y in zip(u, v)), Fraction(0)) for v in vectors]
         for u in vectors
     ]
-    det_exact = _det_fraction(gram)
-    covol = math.sqrt(float(det_exact) * float(F.abs_discriminant) ** (-D.m))
-    if abs(covol - closed) > 1e-8 * max(abs(closed), 1.0):
-        raise RuntimeError(
-            f"covolume self-check failed: closed form {closed} vs Gram {covol}"
-        )
-    return closed
+    return math.sqrt(_det(gram, Fraction(1)) / F.abs_discriminant ** D.m)
 
 
 @dataclass(frozen=True)
 class GrHeightFactors:
-    """The two independent routes to the subspace height, side by side."""
+    """The two independent routes to the subspace height, side by side: the
+    l2 height of the Pluecker point, and the covolume of O_K^m D from its
+    Gram determinant times the integrality index."""
 
     height: float         # l2 height of the Pluecker point
-    covolume: float       # det_lattice(D)
+    covolume: float       # det_lattice(D), by the Gram determinant
     index: int            # frak_D(D)
     product: float        # covolume * index
     norm_index_product: Fraction  # N(<Pluecker coords>) * frak_D(D); 1 for rref D

@@ -167,22 +167,11 @@ def count_Am(F: NumberField, n: int, m: int) -> int:
 def main_term(q: MomentQuery):
     """Poisson main term of the n-th moment: omega^n m_n(V / omega).
 
-    Evaluated both in that form and as sum_m S(n,m) omega^(n-m) V^m; the
-    two must agree (exactly for rational V).  Returns a Fraction for
-    rational V, a float otherwise.
+    Returns a Fraction for rational V, a float otherwise.
     """
     w = q.field.omega_K
-    exact = isinstance(q.V, (int, Fraction))
-    V = Fraction(q.V) if exact else float(q.V)
-    form_a = w**q.n * poisson_moment(q.n, V / w)
-    form_b = sum(
-        stirling2(q.n, m) * w ** (q.n - m) * V**m for m in range(1, q.n + 1)
-    )
-    if exact:
-        assert form_a == form_b
-        return form_a
-    assert abs(form_a - form_b) <= 1e-12 * max(abs(form_a), 1.0)
-    return form_a
+    V = Fraction(q.V) if isinstance(q.V, (int, Fraction)) else float(q.V)
+    return w**q.n * poisson_moment(q.n, V / w)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +247,11 @@ def two_ball_intersection(N: int, delta: float) -> float:
     distance delta, normalized by the ball volume:
 
         2 (V(N-1)/V(N)) integral_(delta/2)^1 (1 - rho^2)^((N-1)/2) drho
+        = I_(1 - delta^2/4)((N+1)/2, 1/2),
+
+    the regularized incomplete beta function (two caps of height
+    1 - delta/2; S. Li, "Concise formulas for the area and volume of a
+    hyperspherical cap", 2011), evaluated at 30 digits.
     """
     if N < 2:
         raise ValueError("dimension must be >= 2")
@@ -265,9 +259,9 @@ def two_ball_intersection(N: int, delta: float) -> float:
         raise ValueError("center distance must be nonnegative")
     if delta >= 2:
         return 0.0
-    expo = (N - 1) / 2
-    integral = adaptive_simpson(lambda r: (1 - r * r) ** expo, delta / 2, 1.0, 1e-10)
-    return 2 * (ball_volume(N - 1) / ball_volume(N)) * integral
+    with mp.workdps(30):
+        x = 1 - mp.mpf(delta) ** 2 / 4
+        return float(mp.betainc(mp.mpf(N + 1) / 2, 0.5, 0, x, regularized=True))
 
 
 def a1m_bound(F: NumberField, n: int, t: int) -> float:

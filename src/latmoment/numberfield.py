@@ -45,6 +45,7 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+@cache
 def _euler_phi(n: int) -> int:
     phi = 1
     for p, e in _factorize(n).items():
@@ -130,28 +131,25 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _det_fraction(mat: Sequence[Sequence[Fraction]]) -> Fraction:
+def _det(mat: Sequence[Sequence], one):
+    """Exact determinant by Gaussian elimination, over Q (one = Fraction(1))
+    or over a field K (one = K.one)."""
     a = [list(row) for row in mat]
     n = len(a)
-    det = _ONE
+    det = one
     for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return _ZERO
+            return one * 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
+        det = det * a[k][k]
+        inv = one / a[k][k]
         for i in range(k + 1, n):
             if a[i][k]:
                 f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
+                a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[k][k:])]
     return det
 
 
@@ -220,7 +218,8 @@ class NumberField:
             self.omega_K = 2
             self.descriptor = "Q"
         elif kind == "quadratic":
-            assert D is not None and D not in (0, 1) and _is_squarefree(D)
+            if D is None or D in (0, 1) or not _is_squarefree(D):
+                raise ValueError(f"quadratic fields need squarefree D not 0 or 1, got {D!r}")
             self.degree = 2
             if D % 4 == 1:
                 self.min_poly = (-((D - 1) // 4), -1, 1)
@@ -232,7 +231,8 @@ class NumberField:
             self.omega_K = 4 if D == -1 else 6 if D == -3 else 2
             self.descriptor = f"Q(sqrt,{D})"
         elif kind == "cyclotomic":
-            assert conductor is not None and conductor >= 3 and conductor % 4 != 2
+            if conductor is None or conductor < 3 or conductor % 4 == 2:
+                raise ValueError(f"need a conductor >= 3 and not 2 mod 4, got {conductor!r}")
             n = conductor
             self.min_poly = cyclotomic_polynomial(n)
             d = len(self.min_poly) - 1
@@ -690,7 +690,7 @@ def abs_norm(F: NumberField, x: FieldElement) -> Fraction:
     d = F.degree
     cols = [(x * b).coords for b in F.integral_basis]
     mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return abs(_det_fraction(mat))
+    return abs(_det(mat, _ONE))
 
 
 def trace_pairing_exact(F: NumberField, x: FieldElement, y: FieldElement) -> Fraction:
@@ -787,29 +787,26 @@ def _matrix_rows(D) -> list[list[FieldElement]]:
     return [list(r) for r in rows]
 
 
-def _rank_over_K(rows: list[list[FieldElement]]) -> int:
+def row_reduce(rows: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
+    """Reduced row echelon form over the field, zero rows dropped: pivots
+    are exactly 1 and every pivot column is cleared above and below."""
     mat = [list(r) for r in rows]
-    m, n = len(mat), len(mat[0])
     rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if mat[i][col]:
-                piv = i
-                break
+    for col in range(len(mat[0])):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         inv = mat[rank][col].inverse()
         mat[rank] = [e * inv for e in mat[rank]]
-        for i in range(rank + 1, m):
-            if mat[i][col]:
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [e - f * p for e, p in zip(mat[i], mat[rank])]
         rank += 1
-        if rank == m:
+        if rank == len(mat):
             break
-    return rank
+    return mat[:rank]
 
 
 def frak_D(F: NumberField, D) -> int:
@@ -823,7 +820,7 @@ def frak_D(F: NumberField, D) -> int:
     rows = _matrix_rows(D)
     m = len(rows)
     n = len(rows[0])
-    if _rank_over_K(rows) < m:
+    if len(row_reduce(rows)) < m:
         raise ValueError("matrix must have full row rank")
     d = F.degree
     cols = [j for j in range(n) if not all(rows[i][j].is_integral for i in range(m))]

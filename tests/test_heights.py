@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -300,6 +301,17 @@ def test_plucker_example():
     p = plucker(D)
     assert [c.as_rational() for c in p.coords] == [1, 1, -1]
     assert gr_height(D) == pytest.approx(math.sqrt(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,5)", "Q(zeta,5)"])
+def test_plucker_pivot_minor_is_one(desc):
+    F = make_field(desc)
+    rng = random.Random(97)
+    for _ in range(10):
+        m = rng.randint(1, 3)
+        D = _random_rred(F, rng, m, rng.randint(m, 5))
+        subsets = list(itertools.combinations(range(D.n), D.m))
+        assert plucker(D).coords[subsets.index(D.pivot_columns)] == F.one
 
 
 def test_plucker_length():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import latmoment as lm
 from latmoment.moments import (
@@ -134,6 +135,20 @@ def test_main_term_first_moment_is_volume():
     F = lm.make_field("Q(zeta,5)")
     for V in [Fraction(1), Fraction(37, 10), 2.25]:
         assert main_term(MomentQuery(F, 2, 1, V)) == V
+
+
+@pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(zeta,5)"])
+def test_main_term_matches_stirling_sum(desc):
+    # omega^n m_n(V/omega) against its expansion sum_m S(n,m) omega^(n-m) V^m
+    F = lm.make_field(desc)
+    w = F.omega_K
+    assert w in (2, 4, 6, 10)
+    for n in range(1, 9):
+        for V in [Fraction(1, 2), Fraction(1), Fraction(5, 2)]:
+            expansion = sum(stirling2(n, m) * w ** (n - m) * V**m for m in range(1, n + 1))
+            assert main_term(MomentQuery(F, 9, n, V)) == expansion
+        expansion = sum(stirling2(n, m) * w ** (n - m) * 2.5**m for m in range(1, n + 1))
+        assert main_term(MomentQuery(F, 9, n, 2.5)) == pytest.approx(expansion, rel=1e-12)
 
 
 @pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(zeta,5)"])
@@ -297,6 +312,29 @@ def test_two_ball_endpoints():
 
 def test_two_ball_closed_form_dim3():
     assert two_ball_intersection(3, 1.0) == pytest.approx(5 / 16, abs=1e-9)
+
+
+def _two_ball_quadrature(N, delta):
+    # 30-digit quadrature of the defining integral; the integrand is scaled
+    # to 1 at the lower limit so the quadrature's absolute tolerance is a
+    # relative one for tiny overlaps
+    with mp.workdps(30):
+        lo = mp.mpf(delta) / 2
+        e = mp.mpf(N - 1) / 2
+        scale = (1 - lo * lo) ** e
+        integral = mp.quad(lambda r: (1 - r * r) ** e / scale, [lo, 1]) * scale
+        ratio = mp.gamma(mp.mpf(N) / 2 + 1) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(N + 1) / 2))
+        return 2 * ratio * integral
+
+
+def test_two_ball_matches_quadrature():
+    # relative accuracy also on tiny overlaps such as (39, 1.9), about
+    # 7.9e-22, where any absolute tolerance would pass
+    for N in range(2, 40):
+        for delta in (0.0, 0.3, 0.7, 1.0, 1.5, 1.9, 1.99, 1.999):
+            ref = float(_two_ball_quadrature(N, delta))
+            got = two_ball_intersection(N, delta)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0), (N, delta)
 
 
 def test_two_ball_monotone_in_delta():

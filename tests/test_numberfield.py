@@ -6,15 +6,21 @@ force) and then fixed as literals.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latmoment
 from latmoment.numberfield import (
     FracIdeal,
+    NumberField,
+    _det,
     abs_norm,
     conjugates,
     cyclotomic_field,
@@ -28,6 +34,7 @@ from latmoment.numberfield import (
     make_field,
     quadratic_field,
     rational_field,
+    row_reduce,
     trace_pairing,
     trace_pairing_exact,
 )
@@ -77,6 +84,32 @@ def test_make_field_rejects():
         make_field("Z")
     with pytest.raises(ValueError):
         make_field("Q(zeta,0)")
+
+
+def test_field_constructor_rejects_invalid_parameters_under_O():
+    # the checks must survive python -O, which strips assert statements
+    code = (
+        "from latmoment.numberfield import NumberField\n"
+        "for kw in ({'kind': 'quadratic', 'D': 4}, {'kind': 'cyclotomic', 'conductor': 6}):\n"
+        "    try:\n"
+        "        NumberField(**kw)\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    src = os.path.dirname(os.path.dirname(latmoment.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError", "ValueError"]
+    with pytest.raises(ValueError):
+        NumberField("quadratic", D=4)
+    with pytest.raises(ValueError):
+        NumberField("cyclotomic", conductor=6)
 
 
 def test_conductor_two_mod_four_normalized():
@@ -549,3 +582,57 @@ def test_hnf_membership_consistency():
                 if q:
                     v = [a - q * b for a, b in zip(v, h[i])]
             assert not any(v)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+
+
+def test_det_over_Q_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(83)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        mat = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # make the last row a rational combination of the others
+            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
+            mat[-1] = [sum(ci * row[j] for ci, row in zip(c, mat)) for j in range(n)]
+        ours = _det(mat, Fraction(1))
+        theirs = sympy.Matrix([[sympy.Rational(q.numerator, q.denominator) for q in r] for r in mat]).det()
+        assert isinstance(ours, Fraction)
+        assert ours == Fraction(int(theirs.p), int(theirs.q))
+        singular += ours == 0
+    assert singular >= 5
+
+
+def _cofactor_det(F, mat):
+    if len(mat) == 1:
+        return mat[0][0]
+    total = F.zero
+    for j, a in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = a * _cofactor_det(F, minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_det_over_K_matches_cofactor_expansion():
+    F = make_field("Q(zeta,5)")
+    rng = random.Random(89)
+    for trial in range(20):
+        mat = [[_random_element(F, rng, scale=3, den=3) for _ in range(3)] for _ in range(3)]
+        if trial % 5 == 0:
+            mat[2] = [a * mat[0][0] + b for a, b in zip(mat[0], mat[1])]  # singular
+        ours = _det(mat, F.one)
+        assert ours == _cofactor_det(F, mat)
+        assert bool(ours) == (trial % 5 != 0)
+
+
+def test_row_reduce_drops_zero_rows():
+    F = make_field("Q(sqrt,-1)")
+    i = F.gen
+    rows = [[F.one, i, F.zero], [i, -F.one, F.zero], [F.zero, F.one, i]]  # row 2 = i * row 1
+    red = row_reduce(rows)
+    assert red == [[F.one, F.zero, F.one], [F.zero, F.one, i]]
