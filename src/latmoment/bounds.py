@@ -337,7 +337,8 @@ def _mult_order(p: int, n: int) -> int:
     if n == 1:
         return 1
     r = p % n
-    assert math.gcd(r, n) == 1
+    if math.gcd(r, n) != 1:
+        raise ValueError(f"{p} is not a unit modulo {n}")
     order, x = 1, r
     while x != 1:
         x = x * r % n
@@ -929,7 +930,8 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float, P: int = 600) -
         raise ThresholdError(27.0, "the stated constants need t >= 27")
     hyp = default_hypothesis(F)
     formula_eps = 0.5 * math.log(math.cosh(0.75 * hyp.c1))
-    assert formula_eps >= 1.0 / 400.0
+    if formula_eps < 1.0 / 400.0:
+        raise RuntimeError(f"the default c1 gives epsilon {formula_eps} < 1/400")
     t0 = 26.7
     scalar = 3.0 + 3.0 / (1.0 - math.exp(-d * (t - t0) / 1124.0))
     z1 = dedekind_zeta_field(F, 37.0 * t / 52.0, P)

@@ -29,13 +29,13 @@ from .numberfield import (
     NumberField,
     Rational,
     _det,
+    _det_int,
     abs_norm,
     denominator_norm,
     enumerate_torsion,
     frak_D,
     ideal_from_generators,
     row_reduce,
-    trace_pairing_exact,
 )
 
 __all__ = [
@@ -93,7 +93,7 @@ class ProjPoint:
         F = self.field
         cols = []
         for c in self.coords:
-            cols.append(F.embed_matrix @ np.array([float(q) for q in c.coords]))
+            cols.append(F.embed_matrix @ np.array(c.floats()))
         return np.array(cols).T
 
 
@@ -178,7 +178,7 @@ def weil_height(F: NumberField, alpha: FieldElement) -> float:
     """
     if not alpha:
         raise ValueError("height of zero is undefined")
-    vals = np.abs(F.embed_matrix @ np.array([float(c) for c in alpha.coords]))
+    vals = np.abs(F.embed_matrix @ np.array(alpha.floats()))
     arch = float(np.sum(np.log(np.maximum(vals, 1.0))))
     return (arch + math.log(denominator_norm(F, [alpha]))) / F.degree
 
@@ -189,7 +189,7 @@ def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:
     if not alphas:
         raise ValueError("empty tuple")
     mat = np.array(
-        [np.abs(F.embed_matrix @ np.array([float(c) for c in a.coords])) for a in alphas]
+        [np.abs(F.embed_matrix @ np.array(a.floats())) for a in alphas]
     )  # (N, d)
     per_embedding = np.maximum(mat.max(axis=0), 1.0)
     return float(np.sum(np.log(per_embedding))) / F.degree
@@ -236,14 +236,31 @@ def det_lattice(D: RredMatrix) -> float:
     that O_K has unit covolume.  It is computed without the Pluecker
     coordinates, so covolume times integrality index is a second route to
     the subspace height.  The t-copy covolume is this value to the power t.
+
+    In integers: with X the (dm x dn) coordinate matrix of the basis over
+    one common denominator L and T the integer trace form of the field,
+    the Gram matrix is X (I_n (x) T) X^T / L^2, symmetric, so one triangle
+    is filled and its determinant taken by Bareiss elimination.
     """
     F = D.field
-    vectors = [[b * e for e in row] for row in D.rows for b in F.integral_basis]
-    gram = [
-        [sum((trace_pairing_exact(F, x, y) for x, y in zip(u, v)), Fraction(0)) for v in vectors]
-        for u in vectors
+    d, m = F.degree, D.m
+    L = math.lcm(*(e.den for row in D.rows for e in row))
+    # X row (i, k): the coordinates of g^k e_i D, scaled by L
+    X = []
+    for row in D.rows:
+        blocks = [F._mul_rows([c * (L // e.den) for c in e.num]) for e in row]
+        X.extend([c for block in blocks for c in block[k]] for k in range(d))
+    T = F._trace_form
+    TX = [
+        [sum(T[r][s] * x[j + s] for s in range(d)) for j in range(0, len(x), d) for r in range(d)]
+        for x in X
     ]
-    return math.sqrt(_det(gram, Fraction(1)) / F.abs_discriminant ** D.m)
+    size = len(X)
+    gram = [[0] * size for _ in range(size)]
+    for u in range(size):
+        for v in range(u, size):
+            gram[u][v] = gram[v][u] = sum(a * b for a, b in zip(X[u], TX[v]))
+    return math.sqrt(_det_int(gram) / (L ** (2 * size) * F.abs_discriminant**m))
 
 
 @dataclass(frozen=True)
@@ -288,7 +305,8 @@ def M_invariant(x: ProjPoint) -> Fraction:
             return Fraction(0)
         prod *= abs_norm(F, c)
     out = prod / x.ideal_norm ** len(x.coords)
-    assert out.denominator == 1 and out >= 1
+    if out.denominator != 1 or out < 1:
+        raise RuntimeError(f"M(x) = {out} is not a positive integer")
     return out
 
 

@@ -1,14 +1,17 @@
 """Exact arithmetic for the supported base fields: the rationals, quadratic
 fields Q(sqrt D), and cyclotomic fields Q(zeta_n).
 
-Elements are coordinate vectors of exact rationals over a fixed integral
-basis (a power basis in all three cases), so norms, traces, ideal norms and
-lattice indices are computed without floating point.  Complex embeddings are
-held at 100 bits and rounded to complex128 for the numeric layers.
+Elements are integer numerator vectors over a fixed integral basis (a power
+basis in all three cases) with one positive common denominator, so norms,
+traces, ideal norms and lattice indices are computed in integer arithmetic
+without floating point (Cohen, GTM 138, sections 2.4 and 4.7).  Complex
+embeddings are held at 100 bits and rounded to complex128 for the numeric
+layers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -20,8 +23,6 @@ import mpmath
 import numpy as np
 
 _EMBED_BITS = 100
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Rational = int | Fraction
 
@@ -31,7 +32,8 @@ Rational = int | Fraction
 
 
 def _factorize(n: int) -> dict[int, int]:
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"need a positive integer, got {n}")
     out: dict[int, int] = {}
     m = n
     p = 2
@@ -59,9 +61,10 @@ def _is_squarefree(n: int) -> bool:
 
 def _poly_exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     """Exact division of integer polynomials, ascending coefficients, den monic."""
+    if den[-1] != 1:
+        raise RuntimeError("divisor polynomial must be monic")
     work = list(num)
     dd = len(den) - 1
-    assert den[-1] == 1
     out = [0] * (len(work) - dd)
     for i in range(len(out) - 1, -1, -1):
         c = work[i + dd]
@@ -69,7 +72,8 @@ def _poly_exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 work[i + j] -= c * dj
-    assert not any(work), "polynomial division was not exact"
+    if any(work):
+        raise RuntimeError("polynomial division was not exact")
     return out
 
 
@@ -85,25 +89,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _poly_exact_div(poly, cyclotomic_polynomial(d))
     return tuple(poly)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
 
 
 def _det_int(mat: Sequence[Sequence[int]]) -> int:
@@ -132,8 +117,8 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
 
 
 def _det(mat: Sequence[Sequence], one):
-    """Exact determinant by Gaussian elimination, over Q (one = Fraction(1))
-    or over a field K (one = K.one)."""
+    """Exact determinant by Gaussian elimination over a field: K (one =
+    K.one, used by plucker) or Q (one = Fraction(1))."""
     a = [list(row) for row in mat]
     n = len(a)
     det = one
@@ -190,6 +175,26 @@ def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     return out
 
 
+def _index_mod(q: int, rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """[ZZ^ncols : q ZZ^ncols + ZZ-span of the integer rows], for q >= 1.
+
+    The index is the gcd of the maximal minors of the rows stacked on q I.
+    In one column that is gcd(q, rows); in two it is the gcd of q times
+    gcd(q, all entries) with the 2 x 2 minors of the rows.  Beyond that it
+    is the product of the HNF pivots.
+    """
+    if ncols == 1:
+        return math.gcd(q, *(r[0] for r in rows))
+    if ncols == 2:
+        g = math.gcd(q, *(c for r in rows for c in r))
+        return math.gcd(q * g, *(a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(rows, 2)))
+    scaled = [[q if j == k else 0 for j in range(ncols)] for k in range(ncols)]
+    hnf = hnf_rows([*rows, *scaled], ncols)
+    if len(hnf) != ncols:
+        raise RuntimeError("lattice containing q ZZ^n is not full rank")
+    return math.prod(hnf[i][i] for i in range(ncols))
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -203,7 +208,9 @@ class NumberField:
     case g is an algebraic integer whose monic minimal polynomial has
     integer coefficients, so products of basis elements have integer
     coordinates.  Instances are immutable and cached; identity comparison
-    is field equality.
+    is field equality.  The construction invariants (degree, signature,
+    discriminant against the trace forms, torsion order, embeddings) are
+    checked by the test suite for every field it and the benchmark build.
     """
 
     def __init__(self, kind: str, *, D: int | None = None, conductor: int | None = None) -> None:
@@ -236,7 +243,6 @@ class NumberField:
             n = conductor
             self.min_poly = cyclotomic_polynomial(n)
             d = len(self.min_poly) - 1
-            assert d == _euler_phi(n)
             self.degree = d
             self.signature = (0, d // 2)
             num = n**d
@@ -249,10 +255,9 @@ class NumberField:
         else:
             raise ValueError(f"unsupported field kind: {kind!r}")
         r1, r2 = self.signature
-        assert r1 + 2 * r2 == self.degree
+        self._gen_pow_d = tuple(-c for c in self.min_poly[:-1])  # coordinates of g^d
         self.abs_discriminant = abs(self.disc)
         self.unit_rank = r1 + r2 - 1
-        self._check_invariants()
 
     def __repr__(self) -> str:
         return f"NumberField({self.descriptor!r})"
@@ -260,13 +265,25 @@ class NumberField:
     # -- basic elements
 
     def element(self, coords: Sequence[Rational]) -> FieldElement:
-        cs = tuple(Fraction(c) for c in coords)
+        cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        return FieldElement(self, cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def from_rational(self, q: Rational) -> FieldElement:
-        return FieldElement(self, (Fraction(q),) + (_ZERO,) * (self.degree - 1))
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
+
+    def _reduced(self, num: Sequence[int], den: int) -> FieldElement:
+        """The element num/den (den nonzero) in lowest terms."""
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return FieldElement(self, tuple(c // g for c in num), den // g)
+        return FieldElement(self, tuple(num), den)
 
     @cached_property
     def zero(self) -> FieldElement:
@@ -280,14 +297,13 @@ class NumberField:
     def gen(self) -> FieldElement:
         if self.degree == 1:
             return self.zero
-        return FieldElement(self, (_ZERO, _ONE) + (_ZERO,) * (self.degree - 2))
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     @cached_property
     def integral_basis(self) -> tuple[FieldElement, ...]:
         d = self.degree
         return tuple(
-            FieldElement(self, tuple(_ONE if j == k else _ZERO for j in range(d)))
-            for k in range(d)
+            FieldElement(self, tuple(1 if j == k else 0 for j in range(d)), 1) for k in range(d)
         )
 
     @cached_property
@@ -300,68 +316,48 @@ class NumberField:
 
     # -- multiplication structure
 
-    @cached_property
-    def _pow_red(self) -> tuple[tuple[int, ...], ...]:
-        """Integer coordinates of g^k for k = 0..2d-2."""
+    def _mul_int(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """Coordinates of the product of two integer coordinate vectors: a
+        convolution whose powers g^(2d-2) .. g^d are folded down by g^d."""
         d = self.degree
-        rows = [[1 if j == k else 0 for j in range(d)] for k in range(d)]
-        top = [-c for c in self.min_poly[:d]]
-        cur = rows[d - 1]
-        for _ in range(d, 2 * d - 1):
-            shifted = [0] + cur
-            over = shifted[d]
-            cur = [shifted[j] + over * top[j] for j in range(d)]
-            rows.append(cur)
-        return tuple(tuple(r) for r in rows)
-
-    def _mul_coords(self, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        d = self.degree
-        if d == 1:
-            return (a[0] * b[0],)
-        conv = [_ZERO] * (2 * d - 1)
+        top = self._gen_pow_d
+        conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
+                    conv[i + j] += ai * bj
+        for k in range(2 * d - 2, d - 1, -1):
             ck = conv[k]
             if ck:
-                red = self._pow_red[k]
-                for j in range(d):
-                    if red[j]:
-                        out[j] += ck * red[j]
-        return tuple(out)
+                for j, t in enumerate(top):
+                    conv[k - d + j] += ck * t
+        return tuple(conv[:d])
 
-    def _inv_coords(self, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        d = self.degree
-        if not any(a):
+    def _mul_rows(self, a: Sequence[int]) -> list[list[int]]:
+        """Row k holds the integer coordinates of a * g^k: the transpose of
+        the matrix of multiplication by a.  Each row is the one before times
+        g, a shift with the overflow reduced by g^d."""
+        top = self._gen_pow_d
+        v = list(a)
+        rows = [v]
+        for _ in range(1, self.degree):
+            over = v[-1]
+            v = [over * top[0]] + [x + over * t for x, t in zip(v, top[1:])]
+            rows.append(v)
+        return rows
+
+    def _inverse(self, x: FieldElement) -> FieldElement:
+        """x^-1 by Cramer's rule on the integer multiplication matrix M of
+        the numerator a = den * x: M y = den * e_0."""
+        if not x:
             raise ZeroDivisionError("field element is zero")
-        if d == 1:
-            return (1 / a[0],)
-        # extended Euclid in Q[x] against the minimal polynomial
-        f = [Fraction(c) for c in self.min_poly]
-        r0, r1 = f, _poly_trim(list(a))
-        s0, s1 = [_ZERO], [_ONE]
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            qs1 = [_ZERO] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] += qi * sj
-            new_s = [
-                (s0[i] if i < len(s0) else _ZERO) - (qs1[i] if i < len(qs1) else _ZERO)
-                for i in range(max(len(s0), len(qs1)))
-            ]
-            s0, s1 = s1, _poly_trim(new_s)
-        assert len(r1) == 1 and r1[0], "minimal polynomial must be irreducible"
-        inv_c = 1 / r1[0]
-        out = [c * inv_c for c in s1]
-        assert len(out) <= d
-        return tuple(out + [_ZERO] * (d - len(out)))
+        rows = self._mul_rows(x.num)
+        det = _det_int(rows)
+        if not det:
+            raise RuntimeError("multiplication matrix is singular; minimal polynomial is reducible")
+        e0 = [1] + [0] * (self.degree - 1)
+        num = [x.den * _det_int(rows[:k] + [e0] + rows[k + 1:]) for k in range(self.degree)]
+        return self._reduced(num, det)
 
     # -- traces, involution, embeddings
 
@@ -379,7 +375,7 @@ class NumberField:
 
     def trace(self, x: FieldElement) -> Fraction:
         p = self._power_traces
-        return sum((c * p[k] for k, c in enumerate(x.coords)), _ZERO)
+        return Fraction(sum(c * p[k] for k, c in enumerate(x.num)), x.den)
 
     @cached_property
     def _invol_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -392,29 +388,36 @@ class NumberField:
             cg = self.element((1, -1)) if self.D % 4 == 1 else self.element((0, -1))
         else:
             cg = self.gen ** (self.conductor - 1)
-        rows = [self.one.coords]
-        x = self.one
+        rows = [self.one]
         for _ in range(1, d):
-            x = x * cg
-            rows.append(x.coords)
-        out = []
-        for r in rows:
-            assert all(c.denominator == 1 for c in r)
-            out.append(tuple(int(c) for c in r))
-        return tuple(out)
+            rows.append(rows[-1] * cg)
+        if any(r.den != 1 for r in rows):
+            raise RuntimeError("conjugate powers of the generator must be integral")
+        return tuple(r.num for r in rows)
+
+    @cached_property
+    def _trace_form(self) -> tuple[tuple[int, ...], ...]:
+        """T[k][l] = Tr(g^k conj(g^l)): the integer Gram matrix of the
+        integral basis under the trace pairing; symmetric, det |disc|."""
+        d = self.degree
+        p = self._power_traces
+        conj = self._invol_rows
+        return tuple(
+            tuple(sum(conj[l][r] * p[k + r] for r in range(d)) for l in range(d))
+            for k in range(d)
+        )
 
     def involution(self, x: FieldElement) -> FieldElement:
         """Identity at real embeddings, complex conjugation at complex ones."""
         d = self.degree
         rows = self._invol_rows
-        out = [_ZERO] * d
-        for k, c in enumerate(x.coords):
+        out = [0] * d
+        for k, c in enumerate(x.num):
             if c:
                 row = rows[k]
                 for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return FieldElement(self, tuple(out))
+                    out[j] += c * row[j]
+        return self._reduced(out, x.den)
 
     @cached_property
     def embeddings_mp(self) -> tuple[mpmath.mpc, ...]:
@@ -481,33 +484,6 @@ class NumberField:
             return self.gen if self.conductor % 2 == 0 else -self.gen
         return self.from_rational(-1)
 
-    def _check_invariants(self) -> None:
-        d = self.degree
-        p = self._power_traces
-        gram = [[p[i + j] for j in range(d)] for i in range(d)]
-        assert _det_int(gram) == self.disc, "trace form disagrees with the discriminant"
-        conj = self._invol_rows
-        igram = [
-            [sum(conj[j][k] * p[i + k] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        assert _det_int(igram) == self.abs_discriminant, "involution Gram determinant is off"
-        assert self.omega_K % 2 == 0
-        if self.signature[0] > 0:
-            assert self.omega_K == 2
-        # embeddings must be roots of the minimal polynomial
-        f = self.min_poly
-        with mpmath.workprec(_EMBED_BITS):
-            for v in self.embeddings_mp:
-                val = mpmath.mpc(0)
-                scale = mpmath.mpf(0)
-                acc = mpmath.mpc(1)
-                for c in f:
-                    val += c * acc
-                    scale += abs(c) * abs(acc)
-                    acc *= v
-                assert abs(val) <= 1e-14 * max(scale, 1), "embedding residual too large"
-
 
 @cache
 def rational_field() -> NumberField:
@@ -560,10 +536,25 @@ def make_field(descriptor: str | NumberField) -> NumberField:
 # elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
+    """num/den over the integral basis: integer numerators, one positive
+    denominator, gcd(den, *num) = 1 (so zero is (0, ..., 0)/1).  The
+    constructor takes this reduced form as given; NumberField.element and
+    the arithmetic produce it."""
+
     field: NumberField
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as exact rationals."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def floats(self) -> list[float]:
+        """The coordinates, each the correctly rounded float of num/den."""
+        return [c / self.den for c in self.num]
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
@@ -575,24 +566,26 @@ class FieldElement:
         return None
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        a, b = self.den, o.den
+        return self.field._reduced([x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        a, b = self.den, o.den
+        return self.field._reduced([x * b - y * a for x, y in zip(self.num, o.num)], a * b)
 
     def __rsub__(self, other):
         return -self + other
@@ -600,21 +593,24 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return FieldElement(self.field, tuple(a * q for a in self.coords))
+            return self.field._reduced([a * q.numerator for a in self.num], self.den * q.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul_coords(self.coords, o.coords))
+        F = self.field
+        return F._reduced(F._mul_int(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field._inv_coords(self.coords))
+        return self.field._inverse(self)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return FieldElement(self.field, tuple(a / q for a in self.coords))
+            if not q:
+                raise ZeroDivisionError("division by zero")
+            return self.field._reduced([a * q.denominator for a in self.num], self.den * q.numerator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -644,12 +640,12 @@ class FieldElement:
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def as_rational(self) -> Fraction:
-        if any(self.coords[1:]):
+        if any(self.num[1:]):
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __str__(self) -> str:
         sym = self.field.basis_symbol
@@ -679,18 +675,12 @@ ElementTuple = tuple[FieldElement, ...]
 
 def conjugates(F: NumberField, x: FieldElement) -> np.ndarray:
     """All d complex embedding values of x, conjugate pairs adjacent."""
-    v = np.array([float(c) for c in x.coords])
-    return F.embed_matrix @ v
+    return F.embed_matrix @ np.array(x.floats())
 
 
 def abs_norm(F: NumberField, x: FieldElement) -> Fraction:
     """|N(x)| as an exact rational: |det| of the multiplication-by-x map."""
-    if not x:
-        return _ZERO
-    d = F.degree
-    cols = [(x * b).coords for b in F.integral_basis]
-    mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return abs(_det(mat, _ONE))
+    return Fraction(abs(_det_int(F._mul_rows(x.num))), x.den**F.degree)
 
 
 def trace_pairing_exact(F: NumberField, x: FieldElement, y: FieldElement) -> Fraction:
@@ -702,10 +692,20 @@ def trace_pairing(F: NumberField, x: FieldElement, y: FieldElement) -> float:
     """The normalized positive-definite pairing; O_K gets unit covolume.
 
     The scale factor |disc|^(-1/d) makes the Gram determinant of the
-    integral basis exactly 1 (checked exactly at field construction).
+    integral basis exactly 1 (the test suite checks det T = |disc|).
     """
     scale = F.abs_discriminant ** (-1.0 / F.degree)
     return scale * float(trace_pairing_exact(F, x, y))
+
+
+def _scaled_mul_rows(F: NumberField, xs: Sequence[FieldElement], den: int) -> list[list[int]]:
+    """The rows of den * (x * g^k) for every x and k; den must be a common
+    denominator of the xs."""
+    out = []
+    for x in xs:
+        s = den // x.den
+        out.extend(F._mul_rows([c * s for c in x.num] if s != 1 else x.num))
+    return out
 
 
 @dataclass(frozen=True)
@@ -719,24 +719,23 @@ class FracIdeal:
 
     @cached_property
     def norm(self) -> Fraction:
-        d = self.field.degree
-        prod = 1
-        for i in range(d):
-            prod *= self.hnf[i][i]
-        return Fraction(prod, self.den**d)
+        return Fraction(math.prod(self.hnf[i][i] for i in range(self.field.degree)),
+                        self.den**self.field.degree)
 
     def zz_basis(self) -> list[FieldElement]:
-        den = Fraction(1, self.den)
-        return [self.field.element([c * den for c in row]) for row in self.hnf]
+        return [self.field._reduced(row, self.den) for row in self.hnf]
 
     def contains(self, x: FieldElement) -> bool:
-        v = [c * self.den for c in x.coords]
-        for i in range(self.field.degree):
-            q = v[i] / self.hnf[i][i]
-            if q.denominator != 1:
+        v = [c * self.den for c in x.num]
+        if any(c % x.den for c in v):
+            return False
+        v = [c // x.den for c in v]
+        for i, row in enumerate(self.hnf):
+            q, r = divmod(v[i], row[i])
+            if r:
                 return False
-            for j in range(self.field.degree):
-                v[j] -= q * self.hnf[i][j]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
     def __mul__(self, other: FracIdeal) -> FracIdeal:
@@ -750,36 +749,32 @@ def ideal_from_generators(F: NumberField, xs: Sequence[FieldElement]) -> FracIde
     if not xs:
         raise ValueError("the zero ideal has no HNF representation here")
     d = F.degree
-    frac_rows: list[tuple[Fraction, ...]] = []
-    for x in xs:
-        for b in F.integral_basis:
-            frac_rows.append((b * x).coords)
-    den = 1
-    for row in frac_rows:
-        for c in row:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    int_rows = [[int(c * den) for c in row] for row in frac_rows]
-    rows = hnf_rows(int_rows, d)
-    assert len(rows) == d, "ideal lattice is not full rank"
-    g = den
-    for row in rows:
-        for c in row:
-            g = math.gcd(g, c)
-    den //= g
-    rows = [[c // g for c in row] for row in rows]
-    return FracIdeal(F, den, tuple(tuple(r) for r in rows))
+    den = math.lcm(*(x.den for x in xs))
+    rows = hnf_rows(_scaled_mul_rows(F, xs, den), d)
+    if len(rows) != d:
+        raise RuntimeError("ideal lattice is not full rank")
+    # the least common denominator makes the form canonical
+    g = math.gcd(den, *(c for row in rows for c in row))
+    return FracIdeal(F, den // g, tuple(tuple(c // g for c in row) for row in rows))
 
 
 def denominator_norm(F: NumberField, alphas: Sequence[FieldElement]) -> int:
     """D(alpha): the index of O_K inside the ideal generated by 1 and the
-    alpha_i; equals 1 exactly when every alpha_i is integral."""
+    alpha_i; equals 1 exactly when every alpha_i is integral.
+
+    With c a common denominator the ideal is (1/c)(c, c alpha_1, ...), so
+    D = c^d / [O_K : (c, c alpha_1, ...)], an index of integer lattices.
+    """
     alphas = list(alphas)
     if not any(alphas):
         raise ValueError("need at least one nonzero coordinate")
-    ideal = ideal_from_generators(F, [F.one, *alphas])
-    rec = 1 / ideal.norm
-    assert rec.denominator == 1, "ideal containing 1 must have norm 1/integer"
-    return int(rec)
+    c = math.lcm(*(a.den for a in alphas))
+    if c == 1:
+        return 1
+    out, rem = divmod(c**F.degree, _index_mod(c, _scaled_mul_rows(F, alphas, c), F.degree))
+    if rem:
+        raise RuntimeError("ideal containing 1 must have norm 1/integer")
+    return out
 
 
 def _matrix_rows(D) -> list[list[FieldElement]]:
@@ -815,7 +810,7 @@ def frak_D(F: NumberField, D) -> int:
     Computed exactly as an index of (d*m)-dimensional ZZ-lattices: the
     integrality constraints from the non-integral columns are reduced
     modulo their common denominator q and the image size is read off an
-    integer HNF.  Equals 1 when all entries are integral.
+    integer lattice index.  Equals 1 when all entries are integral.
     """
     rows = _matrix_rows(D)
     m = len(rows)
@@ -826,34 +821,18 @@ def frak_D(F: NumberField, D) -> int:
     cols = [j for j in range(n) if not all(rows[i][j].is_integral for i in range(m))]
     if not cols:
         return 1
-    # constraint matrix: entry rows indexed by the dm coordinates of C,
-    # columns by the d coordinates of each constrained product
-    frac_cols: list[list[Fraction]] = []
-    q = 1
-    for j in cols:
-        for i in range(m):
-            for b in F.integral_basis:
-                prod = (b * rows[i][j]).coords
-                for c in prod:
-                    q = q * c.denominator // math.gcd(q, c.denominator)
+    q = math.lcm(*(rows[i][j].den for i in range(m) for j in cols))
+    # rows indexed by the dm coordinates of C, columns by the d coordinates
+    # of each constrained product, scaled by q
     big: list[list[int]] = []
     for i in range(m):
-        for b in F.integral_basis:
-            row: list[int] = []
-            for j in cols:
-                prod = (b * rows[i][j]).coords
-                row.extend(int(c * q) for c in prod)
-            big.append(row)
+        blocks = [_scaled_mul_rows(F, [rows[i][j]], q) for j in cols]
+        for k in range(d):
+            big.append([c for block in blocks for c in block[k]])
     c_dim = d * len(cols)
-    for k in range(c_dim):
-        big.append([q if jj == k else 0 for jj in range(c_dim)])
-    hh = hnf_rows(big, c_dim)
-    assert len(hh) == c_dim
-    prod_diag = 1
-    for i in range(c_dim):
-        prod_diag *= hh[i][i]
-    index, rem = divmod(q**c_dim, prod_diag)
-    assert rem == 0
+    index, rem = divmod(q**c_dim, _index_mod(q, big, c_dim))
+    if rem:
+        raise RuntimeError("image lattice index must divide q^(dm)")
     return index
 
 
@@ -862,11 +841,11 @@ def enumerate_torsion(F: NumberField) -> list[FieldElement]:
     g = F.torsion_generator
     out = [F.one]
     x = g
-    while x != F.one:
+    while x != F.one and len(out) <= F.omega_K:
         out.append(x)
         x = x * g
-        assert len(out) <= F.omega_K
-    assert len(out) == F.omega_K, "torsion count disagrees with omega_K"
+    if len(out) != F.omega_K:
+        raise RuntimeError("torsion count disagrees with omega_K")
     return out
 
 
@@ -901,6 +880,7 @@ def fundamental_unit(F: NumberField) -> FieldElement:
                 return cand
         P = a * Q - P
         Q_next, rem = divmod(D - P * P, Q)
-        assert rem == 0
+        if rem:
+            raise RuntimeError("continued fraction step is not exact")
         Q = Q_next
     raise RuntimeError("continued fraction did not close; is D sane?")

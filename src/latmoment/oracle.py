@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -280,26 +279,27 @@ def dirichlet_intersection(F: NumberField, t: int, alpha: FieldElement) -> float
 
 
 def _bounded_denominator_elements(F: NumberField, cutoff: int):
-    # canonical representatives (p + q w)/c with gcd(p, q, c) = 1; each
-    # field element in the box appears exactly once
+    # canonical representatives (p + q w)/c with gcd(p, q, c) = 1, which is
+    # the reduced form FieldElement takes as given; each field element in
+    # the box appears exactly once
     if F.degree == 1:
         for c in range(1, cutoff + 1):
             for p in range(-cutoff, cutoff + 1):
-                if p == 0 or math.gcd(abs(p), c) != 1:
+                if p == 0 or math.gcd(p, c) != 1:
                     continue
-                yield F.element((Fraction(p, c),))
+                yield FieldElement(F, (p,), c)
         return
     if F.degree != 2:
         raise ValueError("denominator enumeration supports degree <= 2")
     for c in range(1, cutoff + 1):
         for p in range(-cutoff, cutoff + 1):
-            gpc = math.gcd(abs(p), c)
+            gpc = math.gcd(p, c)
             for q in range(-cutoff, cutoff + 1):
                 if p == 0 and q == 0:
                     continue
-                if math.gcd(gpc, abs(q)) != 1:
+                if math.gcd(gpc, q) != 1:
                     continue
-                yield F.element((Fraction(p, c), Fraction(q, c)))
+                yield FieldElement(F, (p, q), c)
 
 
 def truncated_second_moment_rhs(
@@ -570,7 +570,7 @@ def lower_bound_sum_check(
                 elems.append(up)
                 elems.append(un)
     elif family == "all":
-        elems = list(_bounded_denominator_elements(F, cutoff))
+        elems = _bounded_denominator_elements(F, cutoff)
     else:
         raise ValueError("family is 'units' or 'all'")
     d = F.degree

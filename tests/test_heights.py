@@ -26,6 +26,7 @@ from latmoment import (
     rred_matrix,
     weil_height,
 )
+from latmoment.numberfield import trace_pairing_exact
 
 ALL_FIELDS = [
     "Q",
@@ -347,6 +348,31 @@ def test_det_lattice_gaussian_example():
     assert f.index == 2
     assert f.covolume == pytest.approx(1.5, rel=1e-12)
     assert f.height == pytest.approx(3.0, rel=1e-12)
+
+
+def _det_lattice_by_pairings(D):
+    """The covolume from a Gram matrix of summed trace pairings and a sympy
+    determinant: an integer-free reference route for det_lattice."""
+    sympy = pytest.importorskip("sympy")
+    F = D.field
+    vectors = [[b * e for e in row] for row in D.rows for b in F.integral_basis]
+    gram = [
+        [sum((trace_pairing_exact(F, x, y) for x, y in zip(u, v)), Fraction(0)) for v in vectors]
+        for u in vectors
+    ]
+    det = sympy.Matrix([[sympy.Rational(q.numerator, q.denominator) for q in r] for r in gram]).det()
+    return math.sqrt(Fraction(int(det.p), int(det.q)) / F.abs_discriminant ** D.m)
+
+
+@pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,5)", "Q(zeta,5)"])
+def test_det_lattice_bit_identical_to_pairing_route(desc):
+    F = make_field(desc)
+    rng = random.Random(f"det-lattice/{desc}")
+    for _ in range(50):
+        m = rng.randint(1, 3)
+        n = rng.randint(m, 5)
+        D = _random_rred(F, rng, m, n)
+        assert det_lattice(D) == _det_lattice_by_pairings(D)
 
 
 @pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,5)", "Q(zeta,5)"])

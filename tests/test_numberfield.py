@@ -5,6 +5,7 @@ this file (exhaustive residue counts, float embedding products, Pell brute
 force) and then fixed as literals.
 """
 
+import itertools
 import math
 import os
 import random
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,9 @@ from latmoment.numberfield import (
     FracIdeal,
     NumberField,
     _det,
+    _det_int,
+    _euler_phi,
+    _poly_exact_div,
     abs_norm,
     conjugates,
     cyclotomic_field,
@@ -38,8 +43,19 @@ from latmoment.numberfield import (
     trace_pairing,
     trace_pairing_exact,
 )
+from latmoment.oracle import _bounded_denominator_elements
 
 ALL_FIELDS = ["Q", "Q(sqrt,-1)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,-3)", "Q(zeta,5)", "Q(zeta,8)"]
+
+# every field the test suite and perfbench/workloads.py build
+BUILT_FIELDS = [
+    "Q",
+    "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,-5)", "Q(sqrt,-7)",
+    "Q(sqrt,2)", "Q(sqrt,3)", "Q(sqrt,5)", "Q(sqrt,6)", "Q(sqrt,7)",
+    "Q(sqrt,10)", "Q(sqrt,13)", "Q(sqrt,61)",
+    "Q(zeta,3)", "Q(zeta,4)", "Q(zeta,5)", "Q(zeta,7)", "Q(zeta,8)",
+    "Q(zeta,9)", "Q(zeta,11)", "Q(zeta,12)", "Q(zeta,15)",
+]
 
 
 def _random_element(F, rng, scale=6, den=4):
@@ -86,6 +102,41 @@ def test_make_field_rejects():
         make_field("Q(zeta,0)")
 
 
+@pytest.mark.parametrize("desc", BUILT_FIELDS)
+def test_field_construction_invariants(desc):
+    F = make_field(desc)
+    d = F.degree
+    assert len(F.min_poly) == d + 1 and F.min_poly[-1] == 1
+    if F.kind == "cyclotomic":
+        assert d == _euler_phi(F.conductor)
+    r1, r2 = F.signature
+    assert r1 + 2 * r2 == d
+    p = F._power_traces
+    assert _det_int([[p[i + j] for j in range(d)] for i in range(d)]) == F.disc
+    # the involution Gram matrix is the trace form det_lattice builds on
+    T = F._trace_form
+    assert all(T[k][l] == T[l][k] for k in range(d) for l in range(d))
+    assert _det_int(T) == F.abs_discriminant
+    assert F.omega_K % 2 == 0
+    if r1 > 0:
+        assert F.omega_K == 2
+    # the embeddings are roots of the minimal polynomial
+    with mpmath.workprec(100):
+        for v in F.embeddings_mp:
+            val = sum(c * v**k for k, c in enumerate(F.min_poly))
+            scale = sum(abs(c) * abs(v) ** k for k, c in enumerate(F.min_poly))
+            assert abs(val) <= 1e-14 * max(scale, 1)
+
+
+def _run_under_O(code):
+    src = os.path.dirname(os.path.dirname(latmoment.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_field_constructor_rejects_invalid_parameters_under_O():
     # the checks must survive python -O, which strips assert statements
     code = (
@@ -98,12 +149,7 @@ def test_field_constructor_rejects_invalid_parameters_under_O():
         "    else:\n"
         "        print('accepted')\n"
     )
-    src = os.path.dirname(os.path.dirname(latmoment.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    out = _run_under_O(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["ValueError", "ValueError"]
     with pytest.raises(ValueError):
@@ -123,6 +169,23 @@ def test_conductor_two_mod_four_normalized():
 def test_cyclotomic_discriminants(n, disc):
     # construction cross-checks the closed form against the exact trace form
     assert cyclotomic_field(n).disc == disc
+
+
+def test_inexact_polynomial_division_raises_under_O():
+    code = (
+        "from latmoment.numberfield import _poly_exact_div\n"
+        "try:\n"
+        "    _poly_exact_div([1, 0, 1], [1, 1])\n"
+        "except RuntimeError:\n"
+        "    print('RuntimeError')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    out = _run_under_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["RuntimeError"]
+    with pytest.raises(RuntimeError):
+        _poly_exact_div([1, 0, 1], [1, 1])
 
 
 def test_cyclotomic_polynomial_values():
@@ -362,6 +425,71 @@ def test_denominator_norm_inequality(desc):
         for a in alphas:
             prod *= abs_norm(F, a)
         assert pow(D, len(alphas)) * prod >= 1
+
+
+def _times_gen_powers(f, a):
+    """Integer coordinates of g^k * a, k < d, for g a root of the monic f
+    (ascending coefficients) and a an integer coordinate vector."""
+    d = len(f) - 1
+    rows = []
+    v = list(a)
+    for _ in range(d):
+        rows.append(v)
+        v = [0] + v
+        top = v.pop()
+        v = [x - top * c for x, c in zip(v, f[:d])]
+    return rows
+
+
+_RESIDUES = {}
+
+
+def _denominator_norm_by_residues(F, alphas):
+    """D = c^d / #{x in O_K / c O_K : x (c alpha_i) = 0 mod c for every i},
+    c the lcm of the coordinate denominators: the residues counted form
+    I^-1 / c O_K for I = O_K + sum alpha_i O_K, of order c^d N(I)."""
+    d = F.degree
+    c = math.lcm(*(q.denominator for a in alphas for q in a.coords))
+    cols = []
+    for a in alphas:
+        ints = [int(q * c) for q in a.coords]
+        cols.extend(_times_gen_powers(F.min_poly, ints))
+    R = np.array(cols, dtype=np.int64).T  # (d, d * len(alphas)): x -> x * c alpha_i
+    key = (c, d)
+    if key not in _RESIDUES:
+        _RESIDUES[key] = np.array(list(itertools.product(range(c), repeat=d)), dtype=np.int64)
+    X = _RESIDUES[key]
+    count = int(np.count_nonzero(np.all((X @ R) % c == 0, axis=1)))
+    assert c**d % count == 0
+    return c**d // count
+
+
+@pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,2)", "Q(sqrt,5)"])
+def test_denominator_norm_matches_residue_count_on_the_box(desc):
+    F = make_field(desc)
+    checked = 0
+    for alpha in _bounded_denominator_elements(F, 6):
+        assert denominator_norm(F, [alpha]) == _denominator_norm_by_residues(F, [alpha])
+        checked += 1
+    assert checked > (300 if F.degree == 2 else 30)
+
+
+@pytest.mark.parametrize("desc", ["Q(zeta,5)", "Q(zeta,7)", "Q(zeta,8)"])
+def test_denominator_norm_matches_residue_count_on_tuples(desc):
+    F = make_field(desc)
+    rng = random.Random(desc)
+    sizes = []
+    for _ in range(200):
+        size = rng.randint(1, 2)
+        alphas = [
+            F.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(F.degree)])
+            for _ in range(size)
+        ]
+        if not any(alphas):
+            continue
+        assert denominator_norm(F, alphas) == _denominator_norm_by_residues(F, alphas)
+        sizes.append(size)
+    assert sizes.count(1) > 50 and sizes.count(2) > 50
 
 
 # ---------------------------------------------------------------------------
