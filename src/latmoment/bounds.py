@@ -35,7 +35,6 @@ from .numberfield import (
     NumberField,
     _euler_phi,
     abs_norm,
-    conjugates,
     denominator_norm,
 )
 
@@ -530,10 +529,10 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
     intersection in a product ellipsoid of relative volume
     prod_places (sum_i c_i |alpha_i|_place^2)^(-t e/2).  Uniform weights are
     refined by 200 projected-gradient steps on the log bound; every iterate
-    is itself a valid bound, so the returned minimum is sound regardless of
-    optimizer quality.  If weights are supplied they are normalized and
-    evaluated as-is.  Row-reduced matrices are accepted and contribute their
-    nonzero minor coordinates.
+    is a valid bound, so the minimum, rounded outward for float error, is
+    sound regardless of optimizer quality.  Supplied weights are normalized
+    and evaluated as-is.  Row-reduced matrices are accepted and contribute
+    their nonzero minor coordinates.
     """
     if isinstance(alphas, RredMatrix):
         alphas = [c for c in plucker(alphas).coords if c]
@@ -543,20 +542,30 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
     if any(not a for a in alphas):
         raise ValueError("zero entry in tuple")
     places = F.places
-    A = np.array(
-        [[abs(conjugates(F, a)[row]) ** 2 for row, _ in places] for a in alphas]
-    )
+    E = F.embed_matrix[[row for row, _ in places]]
+    X = np.array([a.floats() for a in alphas])
+    A = np.abs(X @ E.T) ** 2
     exps = np.array([t * e / 2.0 for _, e in places])
+    m = len(alphas)
+    # Outward rounding by eta: with u = 2^-53 and correctly rounded inputs,
+    # |sigma|^2 carries relative error rho <= 4 (d + 4) u sum_j |x_j E_j|/|sigma|;
+    # the sum over c, logs, weighted sum and exp add (m + 4) u per place,
+    # (P + 3) u sum_p e_p |log A_p| and 2 u, never more.
+    u = 2.0**-53
+    rho = 4 * (F.degree + 4) * u * (np.abs(X) @ np.abs(E).T) / np.sqrt(A)
+    eta = float(
+        (exps * (-np.log1p(-rho.max(axis=0)) + (m + 4) * u)).sum()
+        + (len(places) + 3) * u * (exps * np.abs(np.log(A)).max(axis=0)).sum()
+    )
 
     def log_bound(c: np.ndarray) -> float:
         return float(-(exps * np.log(A.T @ c)).sum())
 
     if weights is not None:
         c = np.asarray(weights, dtype=float)
-        if c.shape != (len(alphas),) or (c < 0).any() or c.sum() <= 0:
+        if c.shape != (m,) or (c < 0).any() or c.sum() <= 0:
             raise ValueError("weights must be nonnegative, one per element")
-        return math.exp(log_bound(c / c.sum()))
-    m = len(alphas)
+        return math.exp(log_bound(c / c.sum()) + eta) * (1 + 2 * u)
     c = np.full(m, 1.0 / m)
     best = log_bound(c)
     for j in range(200):
@@ -564,7 +573,7 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
         step = 0.25 * 0.97**j / (np.linalg.norm(grad) + 1e-12)
         c = _simplex_project(c - step * grad)
         best = min(best, log_bound(c))
-    return math.exp(best)
+    return math.exp(best + eta) * (1 + 2 * u)
 
 
 def volume_ratio_height_bound(F: NumberField, t: int, alphas, k: int | None = 2) -> float:

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import cache
-from typing import Callable
 
 from mpmath import mp
 
@@ -26,7 +25,6 @@ from .numberfield import NumberField, Rational
 __all__ = [
     "MomentQuery",
     "MomentReport",
-    "adaptive_simpson",
     "a1m_bound",
     "ball_volume",
     "count_Am",
@@ -217,29 +215,6 @@ def rogers_error(n: int, t: float) -> float:
             stacklevel=2,
         )
     return 2 * 3**k * (math.sqrt(3) / 2) ** t + 21 * 5**k * 0.5**t
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature with the usual 15x error heuristic."""
-
-    def rec(a, fa, m, fm, b, fb, whole, tol):
-        lm = (a + m) / 2
-        rm = (m + b) / 2
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6 * (fa + 4 * flm + fm)
-        right = (b - m) / 6 * (fm + 4 * frm + fb)
-        if abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15
-        return rec(a, fa, lm, flm, m, fm, left, tol / 2) + rec(
-            m, fm, rm, frm, b, fb, right, tol / 2
-        )
-
-    if a == b:
-        return 0.0
-    m = (a + b) / 2
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return rec(a, fa, m, fm, b, fb, whole, tol)
 
 
 def two_ball_intersection(N: int, delta: float) -> float:

@@ -1,10 +1,10 @@
 """Independent empirical checks for the bound machinery.
 
-Monte Carlo volume estimators, deterministic low-dimensional quadrature,
-brute-force sums over bounded denominators, exhaustive unit enumeration, and
-random-lattice sampling.  Nothing here reuses the inequalities it is meant to
-test: every oracle computes its quantity from first principles so agreement
-is evidence, not circularity.
+Monte Carlo volume estimators, closed-form Dirichlet volume ratios (float
+incomplete betas), brute-force sums over bounded denominators, exhaustive
+unit enumeration, and random-lattice sampling.  Nothing here reuses the
+inequalities it is meant to test: every oracle computes its quantity from
+first principles so agreement is evidence, not circularity.
 
 Determinism: every randomized routine derives its streams from
 numpy SeedSequence keyed by (seed, batch or sample index) and accumulates
@@ -14,6 +14,7 @@ of any batching or thread configuration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .bounds import (
     unit_count_bound,
 )
 from .heights import weil_height
-from .moments import adaptive_simpson, ball_volume
+from .moments import ball_volume
 from .numberfield import (
     FieldElement,
     NumberField,
@@ -95,12 +96,40 @@ def _place_blocks(F: NumberField, t: int) -> list[tuple[int, int, int]]:
     return blocks
 
 
-def _constraint_matrix(F: NumberField, alphas) -> np.ndarray:
-    rows = []
-    for a in alphas:
-        conj = conjugates(F, a)
-        rows.append([abs(conj[row]) ** 2 for row, _ in F.places])
-    return np.array(rows, dtype=float)
+def _mc_inputs(F: NumberField, t: int, alphas, samples: int) -> tuple[int, list]:
+    # the shared preconditions; returns the total real dimension and alphas
+    if samples < 10_000:
+        raise ValueError("need at least 10^4 samples")
+    N = t * F.degree
+    if N > 64:
+        raise ValueError(f"total real dimension {N} > 64")
+    alphas = list(alphas)
+    if not alphas or any(not a for a in alphas):
+        raise ValueError("need nonzero elements")
+    return N, alphas
+
+
+def _hit_rate(samples: int, seed: int, hits) -> McEstimate:
+    # hits(rng, b) counts the hits among b fresh samples drawn from rng
+    total = 0
+    done = 0
+    batch_idx = 0
+    while done < samples:
+        b = min(_BATCH, samples - done)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, batch_idx)))
+        total += hits(rng, b)
+        done += b
+        batch_idx += 1
+    p = total / samples
+    se = math.sqrt(p * (1.0 - p) / (samples - 1))
+    return McEstimate(mean=p, std_error=se, samples=samples, seed=seed)
+
+
+def _ball_points(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
+    g = rng.standard_normal((b, N))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g *= rng.random((b, 1)) ** (1.0 / N)
+    return g
 
 
 def mc_intersection_ratio(
@@ -117,35 +146,18 @@ def mc_intersection_ratio(
     sum_places |alpha|_place^2 r_place^2 <= 1.  Needs samples >= 10^4 and
     total dimension t*degree <= 64.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
-    N = t * F.degree
-    if N > 64:
-        raise ValueError(f"total real dimension {N} > 64")
-    alphas = list(alphas)
-    if not alphas or any(not a for a in alphas):
-        raise ValueError("need nonzero elements")
-    W = _constraint_matrix(F, alphas)
+    N, alphas = _mc_inputs(F, t, alphas, samples)
+    W = np.array([[abs(conjugates(F, a)[row]) ** 2 for row, _ in F.places] for a in alphas])
     blocks = _place_blocks(F, t)
-    hits = 0
-    done = 0
-    batch_idx = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, batch_idx)))
-        g = rng.standard_normal((b, N))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        g *= rng.random((b, 1)) ** (1.0 / N)
+
+    def hits(rng, b):
+        g = _ball_points(rng, b, N)
         r2 = np.empty((b, len(blocks)))
         for j, (_, off, width) in enumerate(blocks):
             r2[:, j] = (g[:, off : off + width] ** 2).sum(axis=1)
-        ok = (r2 @ W.T <= 1.0).all(axis=1)
-        hits += int(np.count_nonzero(ok))
-        done += b
-        batch_idx += 1
-    p = hits / samples
-    se = math.sqrt(p * (1.0 - p) / (samples - 1))
-    return McEstimate(mean=p, std_error=se, samples=samples, seed=seed)
+        return int(np.count_nonzero((r2 @ W.T <= 1.0).all(axis=1)))
+
+    return _hit_rate(samples, seed, hits)
 
 
 def mc_column_sum_ratio(
@@ -165,30 +177,12 @@ def mc_column_sum_ratio(
     so complex-place blocks combine with full complex multiplication.
     Same preconditions as mc_intersection_ratio.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
-    N = t * F.degree
-    if N > 64:
-        raise ValueError(f"total real dimension {N} > 64")
-    alphas = list(alphas)
-    if not alphas or any(not a for a in alphas):
-        raise ValueError("need nonzero elements")
+    N, alphas = _mc_inputs(F, t, alphas, samples)
+    scales = [[complex(conjugates(F, a)[row]) for row, _ in F.places] for a in alphas]
     blocks = _place_blocks(F, t)
-    scales = [
-        [complex(conjugates(F, a)[row]) for row, _ in F.places] for a in alphas
-    ]
-    hits = 0
-    done = 0
-    batch_idx = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, batch_idx)))
-        pts = []
-        for _ in alphas:
-            g = rng.standard_normal((b, N))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            g *= rng.random((b, 1)) ** (1.0 / N)
-            pts.append(g)
+
+    def hits(rng, b):
+        pts = [_ball_points(rng, b, N) for _ in alphas]
         r2 = np.zeros(b)
         for j, (_, off, width) in enumerate(blocks):
             if width == t:
@@ -202,104 +196,152 @@ def mc_column_sum_ratio(
                     block = g[:, off : off + t] + 1j * g[:, off + t : off + width]
                     y += scales[i][j] * block
                 r2 += (np.abs(y) ** 2).sum(axis=1)
-        hits += int(np.count_nonzero(r2 <= 1.0))
-        done += b
-        batch_idx += 1
-    p = hits / samples
-    se = math.sqrt(p * (1.0 - p) / (samples - 1))
-    return McEstimate(mean=p, std_error=se, samples=samples, seed=seed)
+        return int(np.count_nonzero(r2 <= 1.0))
+
+    return _hit_rate(samples, seed, hits)
+
+
+# The lower half of the 12-point Gauss-Legendre rule on [0, 1] as (node,
+# weight), correctly rounded from a 50-digit Newton iteration on P_12; the
+# upper half mirrors it.  The three-place ratio applies the rule on each
+# piece of the outer coordinate between kinks, where the integrand is smooth.
+_GL_HALF = (
+    (0.009219682876640375, 0.023587668193255914), (0.04794137181476257, 0.05346966299765921),
+    (0.11504866290284765, 0.08003916427167311), (0.2063410228566913, 0.10158371336153296),
+    (0.3160842505009099, 0.1167462682691774), (0.43738329574426554, 0.12457352290670139),
+)
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    # the continued fraction of DLMF 8.17.22 by the modified Lentz method,
+    # two partial numerators d_2m, d_2m+1 per step
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        a2m = a + 2 * m
+        num = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        h *= c * d
+        num = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        step = c * d
+        h *= step
+        if abs(step - 1.0) <= 1e-15:
+            return h
+    raise RuntimeError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
+
+
+def _betainc(a: float, b: float, x: float, y: float, log_scale: float = 0.0) -> float:
+    """exp(log_scale) I_x(a, b), the regularized incomplete beta function.
+
+    The caller passes y = 1 - x, computed without cancellation.  The
+    continued fraction runs in the tail below the mean, where it converges
+    fast; above it the result is exp(log_scale) (1 - I_y(b, a)).  The scale
+    enters the exponent, so a large factor times a tiny tail stays finite.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return math.exp(log_scale)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_scale) * (1.0 - _betainc(b, a, y, x))
+    log_front = (
+        log_scale + a * math.log(x) + b * math.log(y)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    return math.exp(log_front) * _beta_cf(a, b, x) / a
+
+
+def _dirichlet_ratio(w: tuple[float, ...], a: tuple[float, ...]) -> float:
+    """Mass of {sum w_i u_i <= 1} under the Dirichlet law (a_1, .., a_k, 1).
+
+    It is prod w^-a if every w >= 1 and 1 if every w <= 1.  Two places with
+    w_1 > 1 > w_2 bound u_2 by two lines crossing at u* = (1 - w_2)/(w_1 - w_2),
+    which gives I_u*(a_1, a_2 + 1) + prod w^-a I_y(a_2 + 1, a_1) with
+    y = w_2 (w_1 - 1)/(w_1 - w_2).  Three places integrate the two-place mass
+    of the last two places, at weights w_j (1 - u)/(1 - w_1 u), against the
+    marginal of u_1, between the kinks u = (1 - w_j)/(w_1 - w_j).
+    """
+    log_norm = -sum(ai * math.log(wi) for wi, ai in zip(w, a))
+    if min(w) >= 1.0:
+        return math.exp(log_norm)
+    if max(w) <= 1.0:
+        return 1.0
+    if len(w) == 2:
+        (w1, w2), (a1, a2) = (w, a) if w[0] > w[1] else (w[::-1], a[::-1])
+        span = w1 - w2
+        return _betainc(a1, a2 + 1.0, (1.0 - w2) / span, (w1 - 1.0) / span) + _betainc(
+            a2 + 1.0, a1, w2 * (w1 - 1.0) / span, w1 * (1.0 - w2) / span, log_norm
+        )
+    w1, w2, w3 = w
+    a1, a2, a3 = a
+    top = min(1.0, 1.0 / w1)
+    kinks = [(1.0 - wj) / (w1 - wj) for wj in (w2, w3) if wj != w1]
+    cuts = sorted({0.0, top, *(u for u in kinks if 0.0 < u < top)})
+    log_beta = math.lgamma(a1) + math.lgamma(a2 + a3 + 1.0) - math.lgamma(a1 + a2 + a3 + 1.0)
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        h = hi - lo
+        for x, g in _GL_HALF:
+            for u in (lo + h * x, hi - h * x):
+                s = (1.0 - u) / (1.0 - w1 * u)
+                marginal = math.exp((a1 - 1.0) * math.log(u) + (a2 + a3) * math.log1p(-u) - log_beta)
+                total += h * g * marginal * _dirichlet_ratio((w2 * s, w3 * s), (a2, a3))
+    return total
+
+
+def _one_place_norm(F: NumberField, num: tuple[int, ...]) -> int:
+    # |N(num)| as an integer form: p over Q; p^2 + e p q - f q^2 for the
+    # basis {1, w} with w^2 = e w + f, positive on an imaginary quadratic field
+    if F.degree == 1:
+        return abs(num[0])
+    p, q = num
+    return p * p - F.min_poly[1] * p * q + F.min_poly[0] * q * q
 
 
 def dirichlet_intersection(F: NumberField, t: int, alpha: FieldElement) -> float:
     """Deterministic vol(B cap alpha^-1 B)/vol(B) for up to three places.
 
-    For a uniform ball point the per-place squared block norms follow a
-    Dirichlet law with exponents t e/2 and a unit slack coordinate, so the
-    ratio is an integral over a simplex slice.  The innermost coordinate
-    integrates in closed form; outer coordinates use adaptive quadrature,
-    run twice: an absolute-tolerance pilot pass, then a pass at a tolerance
-    proportional to the pilot value, so tiny integrals are still resolved
-    to small relative error instead of stalling at the first recursion
-    level.  One-place fields reduce to min(1, 1/w)^(t e/2).
+    The per-place squared block norms u_i of a uniform ball point follow a
+    Dirichlet law with exponents t e_i/2 and a unit slack coordinate, so
+    the ratio is the mass of {sum w_i u_i <= 1} with w_i = |sigma_i(alpha)|^2
+    (_dirichlet_ratio), whatever the order of the places.  One place gives
+    min(1, den^d/|N(num)|)^t from the exact integer norm of the numerator.
     """
     if not alpha:
         raise ValueError("alpha must be nonzero")
     if t < 2:
         raise ValueError("need t >= 2")
     places = F.places
-    conj = conjugates(F, alpha)
-    w = [abs(conj[row]) ** 2 for row, _ in places]
-    a = [t * e / 2.0 for _, e in places]
     if len(places) == 1:
-        return min(1.0, 1.0 / w[0]) ** a[0]
-    lognorm = sum(math.lgamma(x) for x in a) - math.lgamma(sum(a) + 1.0)
-    norm = math.exp(lognorm)
-    if len(places) == 2:
-
-        def outer(u1: float) -> float:
-            c = min(1.0 - u1, (1.0 - w[0] * u1) / w[1])
-            if c <= 0:
-                return 0.0
-            return u1 ** (a[0] - 1.0) * c ** a[1] / a[1]
-
-        top = min(1.0, 1.0 / w[0])
-        raw = adaptive_simpson(outer, 0.0, top, 1e-10)
-        raw = adaptive_simpson(outer, 0.0, top, max(1e-16, 1e-8 * abs(raw)))
-        return raw / norm
-    if len(places) == 3:
-
-        def mid(u1: float, u2: float) -> float:
-            c = min(1.0 - u1 - u2, (1.0 - w[0] * u1 - w[1] * u2) / w[2])
-            if c <= 0:
-                return 0.0
-            return u2 ** (a[1] - 1.0) * c ** a[2] / a[2]
-
-        def make_outer(inner_tol: float):
-            def outer(u1: float) -> float:
-                top2 = min(1.0 - u1, (1.0 - w[0] * u1) / w[1])
-                if top2 <= 0:
-                    return 0.0
-                return u1 ** (a[0] - 1.0) * adaptive_simpson(
-                    lambda u2: mid(u1, u2), 0.0, top2, inner_tol
-                )
-
-            return outer
-
-        top = min(1.0, 1.0 / w[0])
-        raw = adaptive_simpson(make_outer(1e-11), 0.0, top, 1e-9)
-        scale = abs(raw)
-        inner_tol = max(1e-17, 1e-9 * scale / max(top, 1e-6))
-        raw = adaptive_simpson(
-            make_outer(inner_tol), 0.0, top, max(1e-15, 1e-7 * scale)
-        )
-        return raw / norm
-    raise ValueError(
-        "more than three archimedean places: use mc_intersection_ratio instead"
-    )
+        return min(1.0, alpha.den**F.degree / _one_place_norm(F, alpha.num)) ** t
+    if len(places) > 3:
+        raise ValueError("more than three archimedean places: use mc_intersection_ratio instead")
+    conj = conjugates(F, alpha)
+    w = tuple(float(abs(conj[row])) ** 2 for row, _ in places)
+    return _dirichlet_ratio(w, tuple(t * e / 2.0 for _, e in places))
 
 
 def _bounded_denominator_elements(F: NumberField, cutoff: int):
     # canonical representatives (p + q w)/c with gcd(p, q, c) = 1, which is
     # the reduced form FieldElement takes as given; each field element in
     # the box appears exactly once
-    if F.degree == 1:
-        for c in range(1, cutoff + 1):
-            for p in range(-cutoff, cutoff + 1):
-                if p == 0 or math.gcd(p, c) != 1:
-                    continue
-                yield FieldElement(F, (p,), c)
-        return
-    if F.degree != 2:
+    if F.degree > 2:
         raise ValueError("denominator enumeration supports degree <= 2")
+    box = range(-cutoff, cutoff + 1)
     for c in range(1, cutoff + 1):
-        for p in range(-cutoff, cutoff + 1):
-            gpc = math.gcd(p, c)
-            for q in range(-cutoff, cutoff + 1):
-                if p == 0 and q == 0:
-                    continue
-                if math.gcd(gpc, q) != 1:
-                    continue
-                yield FieldElement(F, (p, q), c)
+        for num in itertools.product(box, repeat=F.degree):
+            if any(num) and math.gcd(c, *num) == 1:
+                yield FieldElement(F, num, c)
 
 
 def truncated_second_moment_rhs(
@@ -329,27 +371,17 @@ def truncated_second_moment_rhs(
     total = 0.0
     terms = 0
     for alpha in _bounded_denominator_elements(F, cutoff):
-        dn = denominator_norm(F, [alpha])
-        ratio = dirichlet_intersection(F, t, alpha)
-        total += float(dn) ** (-float(t)) * ratio
+        total += float(denominator_norm(F, [alpha])) ** -t * dirichlet_intersection(F, t, alpha)
         terms += 1
-    lower = omega
     upper = omega * (1.0 + rel)
-    if total < lower - 1e-9:
+    if total < omega - 1e-9:
         verdict = "below-main-term"
     elif total > upper:
         verdict = "exceeds-bound"
     else:
         verdict = "consistent"
-    return TruncationReport(
-        t=float(t),
-        cutoff=cutoff,
-        terms=terms,
-        partial_sum=total,
-        lower_target=lower,
-        upper_target=upper,
-        verdict=verdict,
-    )
+    return TruncationReport(t=float(t), cutoff=cutoff, terms=terms, partial_sum=total,
+                            lower_target=omega, upper_target=upper, verdict=verdict)
 
 
 def _quadratic_ideal_counts(F: NumberField, X: int) -> np.ndarray:
@@ -490,11 +522,7 @@ def unit_enumeration_check(F: NumberField, B: float) -> tuple[int, float]:
     count = 0
     kmax = int(B / h_eps + 1e-9) + 1
     for k in range(-kmax, kmax + 1):
-        u = F.one
-        base = eps if k >= 0 else eps.inverse()
-        for _ in range(abs(k)):
-            u = u * base
-        if weil_height(F, u) <= B + 1e-9:
+        if weil_height(F, eps**k) <= B + 1e-9:
             count += len(torsion)
     hyp = HeightHypothesis(h_eps, h_eps)
     bound = unit_count_bound(F, hyp, B)
@@ -522,9 +550,7 @@ def mahler_sequence(n_max: int) -> list[float]:
     out = []
     for n in range(5, n_max + 1):
         coeffs = np.zeros(n + 1)
-        coeffs[0] = 1.0
-        coeffs[-2] = -1.0
-        coeffs[-1] = 1.0
+        coeffs[[0, -2, -1]] = 1.0, -1.0, 1.0
         roots = np.roots(coeffs)
         for _ in range(2):
             val = roots**n - roots + 1.0
@@ -558,17 +584,8 @@ def lower_bound_sum_check(
         if F.unit_rank != 1:
             raise ValueError("unit family needs a rank-one field")
         eps = fundamental_unit(F)
-        elems = []
-        for tor in enumerate_torsion(F):
-            u = tor
-            elems.append(u)
-            up = u
-            un = u
-            for _ in range(cutoff):
-                up = up * eps
-                un = un * eps.inverse()
-                elems.append(up)
-                elems.append(un)
+        powers = [0] + [s * k for k in range(1, cutoff + 1) for s in (1, -1)]
+        elems = [tor * eps**k for tor in enumerate_torsion(F) for k in powers]
     elif family == "all":
         elems = _bounded_denominator_elements(F, cutoff)
     else:

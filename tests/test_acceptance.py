@@ -215,6 +215,7 @@ def test_criterion_06_bound_soundness_sweep():
                 return x
 
     fails = []
+    vacuous = 0
     for case in range(100):
         F = pool[rng.randrange(len(pool))]
         t = rng.randint(2, min(8, 32 // F.degree))
@@ -226,9 +227,9 @@ def test_criterion_06_bound_soundness_sweep():
         bound_c = column_height_ratio_bound(F, t, alphas)
 
         if size == 1:
-            # quadrature resolution stands in for the statistical floor
+            # the closed-form value is accurate to about 1e-14 relative
             est = dirichlet_intersection(F, t, alphas[0])
-            floor = est * (1 - 1e-4) - 1e-12
+            floor = est * (1 - 1e-9)
             col_floor = floor
         else:
             mc = mc_intersection_ratio(F, t, alphas, samples=100_000, seed=case)
@@ -243,11 +244,15 @@ def test_criterion_06_bound_soundness_sweep():
         ):
             if b < fl:
                 fails.append((case, name, F.descriptor, t, b, fl))
+            vacuous += fl <= 0
 
     assert fails == []
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
-    print(f"criterion 6: 100 cases, 300 bound checks, 0 violations, {elapsed:.1f}s")
+    print(
+        f"criterion 6: 100 cases, 300 bound checks, 0 violations, "
+        f"{vacuous} vacuous (floor <= 0), {elapsed:.1f}s"
+    )
 
 
 def test_criterion_07_empirical_moment_sandwich():

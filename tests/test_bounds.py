@@ -40,7 +40,7 @@ from latmoment.bounds import (
     voutier_hypothesis,
 )
 from latmoment.moments import MomentQuery
-from latmoment.numberfield import fundamental_unit, make_field
+from latmoment.numberfield import abs_norm, fundamental_unit, make_field
 from latmoment.oracle import _quadratic_ideal_counts
 from latmoment.heights import rred_matrix, weil_height
 
@@ -454,6 +454,21 @@ def test_ellipsoid_weights_normalize():
 
 def test_ellipsoid_single_unit_is_one():
     assert ellipsoid_intersection_bound(QI, 3, (QI.one,)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("descriptor", ["Q", "Q(sqrt,-1)", "Q(sqrt,5)", "Q(zeta,8)", "Q(zeta,7)"])
+def test_ellipsoid_single_element_never_below_exact_value(descriptor):
+    # one element with every |sigma| >= 1 makes the bound tight: it equals
+    # |N(alpha)|^-t exactly, so the float result must not round below it;
+    # roots of unity make it tight at 1
+    F = make_field(descriptor)
+    for t in (2, 3, 7):
+        for a in (F.from_rational(2), F.from_rational(Fraction(7, 3)), F.one + F.one + F.gen):
+            v = ellipsoid_intersection_bound(F, t, (a,))
+            assert Fraction(v) >= 1 / abs_norm(F, a) ** t
+            assert v == pytest.approx(float(abs_norm(F, a)) ** -t, rel=1e-12)
+        v = ellipsoid_intersection_bound(F, t, (F.torsion_generator,))
+        assert 1.0 <= v <= 1.0 + 1e-12
 
 
 def test_ellipsoid_matrix_input():

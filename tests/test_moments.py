@@ -11,7 +11,6 @@ from latmoment.moments import (
     MomentQuery,
     MomentReport,
     a1m_bound,
-    adaptive_simpson,
     ball_volume,
     count_Am,
     main_term,
@@ -362,12 +361,6 @@ def test_two_ball_monte_carlo():
     z = np.array([1.0, 0.0, 0.0])
     p = float(np.mean(np.linalg.norm(x - z, axis=1) <= 1.0))
     assert abs(p - 5 / 16) < 0.005
-
-
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(math.sin, 0, math.pi, 1e-10) == pytest.approx(2.0, abs=1e-9)
-    assert adaptive_simpson(lambda x: x * x, 0, 3, 1e-12) == pytest.approx(9.0, abs=1e-10)
-    assert adaptive_simpson(math.exp, 1, 1, 1e-10) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,9 @@ import pytest
 import latmoment as lm
 from latmoment.oracle import (
     McEstimate,
+    _GL_HALF,
+    _betainc,
+    _dirichlet_ratio,
     TruncationReport,
     dirichlet_intersection,
     lower_bound_sum_check,
@@ -19,7 +24,7 @@ from latmoment.oracle import (
     verification_report,
 )
 from latmoment.moments import MomentQuery, main_term
-from latmoment.numberfield import fundamental_unit, make_field
+from latmoment.numberfield import abs_norm, conjugates, fundamental_unit, make_field
 from latmoment.heights import weil_height
 
 Q = make_field("Q")
@@ -113,26 +118,174 @@ def test_column_sum_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet quadrature
+# incomplete beta kernel
+
+
+def _binomial_tail(a: int, b: int, x: Fraction) -> Fraction:
+    # I_x(a, b) for integers a, b >= 1 is P(Binomial(a + b - 1, x) >= a)
+    n = a + b - 1
+    return sum(math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(a, n + 1))
+
+
+def test_betainc_integer_parameters_match_binomial_sums():
+    # dyadic x, so x and 1 - x are exact floats; each case is checked as
+    # I_x(a, b) and as its complement I_(1-x)(b, a), which covers both tails
+    pairs = [(1, 1), (1, 31), (31, 1), (2, 3), (5, 6), (30, 31), (31, 30), (2, 60), (60, 2), (45, 45)]
+    xs = [Fraction(1, 2**k) for k in (8, 16, 28)]
+    xs += [Fraction(k, 8) for k in (1, 3, 4, 5, 7)]
+    xs += [1 - Fraction(1, 2**k) for k in (8, 16, 28)]
+    smallest = 1.0
+    for a, b in pairs:
+        for x in xs:
+            exact = _binomial_tail(a, b, x)
+            for p, q, u, want in ((a, b, x, exact), (b, a, 1 - x, 1 - exact)):
+                if want < Fraction(1, 10**300):
+                    continue
+                got = _betainc(p, q, float(u), float(1 - u))
+                assert got == pytest.approx(float(want), rel=1e-12, abs=0), (p, q, u)
+                smallest = min(smallest, float(want))
+    assert smallest < 1e-280
+
+
+def test_betainc_half_integer_matches_quadrature():
+    # 40-digit quadrature of the integrand scaled to 1 at the upper limit,
+    # so a tiny integral is resolved to relative, not absolute, accuracy
+    from mpmath import mp
+
+    with mp.workdps(40):
+        for a in (1.5, 5.5, 30.5):
+            for b in (1.0, 2.5, 31.5):
+                for x in (2.0**-30, 1 / 64, 1 / 4, 1 / 2, 3 / 4, 63 / 64):
+                    y = 1.0 - x
+                    X, Y = mp.mpf(x), mp.mpf(y)
+                    scaled = mp.quad(
+                        lambda s: (s / X) ** (a - 1) * ((1 - s) / Y) ** (b - 1), [0, X]
+                    )
+                    want = scaled * X ** (a - 1) * Y ** (b - 1) / mp.beta(a, b)
+                    assert _betainc(a, b, x, y) == pytest.approx(
+                        float(want), rel=1e-12, abs=0
+                    ), (a, b, x)
+
+
+def test_betainc_log_scale_and_endpoints():
+    # the scale enters the exponent: e^700 times a tail near e^-720 is finite
+    tail = _betainc(30.0, 31.0, 2.0**-28, 1 - 2.0**-28)
+    scaled = _betainc(30.0, 31.0, 2.0**-28, 1 - 2.0**-28, 700.0)
+    assert scaled == pytest.approx(tail * math.exp(700.0), rel=1e-12, abs=0)
+    assert _betainc(3.0, 4.0, 0.0, 1.0) == 0.0
+    assert _betainc(3.0, 4.0, 1.0, 0.0) == 1.0
+
+
+def test_gauss_legendre_half_rule():
+    # the written-out nodes and weights against numpy's rule, and exactness
+    # on monomials up to degree 23 (the mirrored half supplies 1 - x)
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(12)
+    lower = sorted(zip((1 + x) / 2, w / 2))[:6]
+    for (node, weight), (ref_node, ref_weight) in zip(_GL_HALF, lower):
+        assert node == pytest.approx(ref_node, rel=1e-14, abs=0)
+        assert weight == pytest.approx(ref_weight, rel=1e-14, abs=0)
+    for k in range(24):
+        total = sum(g * (u**k + (1 - u) ** k) for u, g in _GL_HALF)
+        assert total == pytest.approx(1 / (k + 1), rel=1e-14, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Dirichlet ratio
 
 
 def test_dirichlet_closed_forms():
-    assert dirichlet_intersection(Q, 4, Q.from_rational(2)) == pytest.approx(2.0**-4)
-    assert dirichlet_intersection(Q, 6, Q.from_rational(3)) == pytest.approx(3.0**-6)
+    assert dirichlet_intersection(Q, 4, Q.from_rational(2)) == pytest.approx(2.0**-4, rel=1e-12, abs=0)
+    assert dirichlet_intersection(Q, 6, Q.from_rational(3)) == pytest.approx(3.0**-6, rel=1e-12, abs=0)
     a = QI.one + QI.gen
-    assert dirichlet_intersection(QI, 4, a) == pytest.approx(2.0**-4, rel=1e-9)
+    assert dirichlet_intersection(QI, 4, a) == pytest.approx(2.0**-4, rel=1e-12, abs=0)
 
 
 def test_dirichlet_unit_gives_one():
-    assert dirichlet_intersection(Q, 4, Q.one) == pytest.approx(1.0)
-    assert dirichlet_intersection(QI, 4, QI.gen) == pytest.approx(1.0)
+    assert dirichlet_intersection(Q, 4, Q.one) == 1.0
+    assert dirichlet_intersection(QI, 4, QI.gen) == 1.0
 
 
 def test_dirichlet_torsion_invariance():
     a = QI.one + QI.gen
-    assert dirichlet_intersection(QI, 4, QI.gen * a) == pytest.approx(
-        dirichlet_intersection(QI, 4, a), rel=1e-9
-    )
+    assert dirichlet_intersection(QI, 4, QI.gen * a) == dirichlet_intersection(QI, 4, a)
+
+
+def test_dirichlet_known_fault_inputs():
+    # the inputs where adaptive quadrature missed the closed form by up to 34%
+    for descriptor, coords, t, want in (
+        ("Q(sqrt,5)", (2, 0), 20, 2.0**-40),
+        ("Q(zeta,5)", (-3, 0, Fraction(-3, 2), 1), 8, None),
+        ("Q(zeta,7)", (3, -3, Fraction(1, 2), Fraction(1, 2), -1, -2), 3, None),
+        ("Q(sqrt,2)", (1, 0), 40, 1.0),
+        ("Q(sqrt,5)", (1, 0), 60, 1.0),
+    ):
+        F = make_field(descriptor)
+        a = F.element(coords)
+        if want is None:
+            # every place weight is >= 1 here, so the ratio is N(alpha)^-t
+            assert min(abs(conjugates(F, a))) > 1.0
+            want = float(abs_norm(F, a)) ** -t
+        assert dirichlet_intersection(F, t, a) == pytest.approx(want, rel=1e-12, abs=0), descriptor
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(zeta,3)", "Q(sqrt,2)", "Q(sqrt,5)",
+     "Q(zeta,5)", "Q(zeta,8)", "Q(zeta,12)", "Q(zeta,7)", "Q(zeta,9)"],
+)
+def test_dirichlet_closed_forms_every_place_count(descriptor):
+    # alpha^-1 B lies in B when every |sigma(alpha)| >= 1, and contains B
+    # when every |sigma(alpha)| <= 1; elements within 1e-9 of a switch are
+    # left to the roots-of-unity check below
+    F = make_field(descriptor)
+    rng = random.Random(descriptor)
+    seen = {"above": 0, "below": 0}
+    for i in range(60):
+        if i % 2:
+            coords = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(F.degree)]
+        else:
+            # |sigma(alpha)| <= degree/(degree + 1) < 1 at every place
+            coords = [Fraction(rng.randint(-1, 1), F.degree + 1) for _ in range(F.degree)]
+        a = F.element(coords)
+        if not a:
+            continue
+        mods = abs(conjugates(F, a))
+        t = rng.randint(2, 40 // F.degree)
+        if min(mods) > 1.0 + 1e-9:
+            seen["above"] += 1
+            want = float(abs_norm(F, a)) ** -t
+        elif max(mods) < 1.0 - 1e-9:
+            seen["below"] += 1
+            want = 1.0
+        else:
+            continue
+        assert dirichlet_intersection(F, t, a) == pytest.approx(want, rel=1e-12, abs=0), (a, t)
+    assert min(seen.values()) > 0, seen
+    # roots of unity have every weight 1 up to rounding in the embedding
+    for t in (2, 7):
+        assert dirichlet_intersection(F, t, F.torsion_generator) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def _galois_conjugate(F, a, k):
+    # the image of a under zeta -> zeta^k, which permutes the places
+    return sum((c * F.gen ** (j * k) for j, c in enumerate(a.coords)), F.zero)
+
+
+def test_dirichlet_three_places_permutation_invariant():
+    # the outer coordinate is the first place, so each order of the places is
+    # a different integration; all must agree
+    for w in ((3.25, 1.56, 0.198), (0.5, 2.0, 0.9), (1.7, 0.05, 4.0)):
+        for t in (2, 5):
+            values = [_dirichlet_ratio(p, (float(t),) * 3) for p in itertools.permutations(w)]
+            assert max(values) == pytest.approx(min(values), rel=1e-12, abs=0)
+    for F in (Z7, make_field("Q(zeta,9)")):
+        a = F.one + F.gen
+        for t in (2, 4):
+            values = [dirichlet_intersection(F, t, _galois_conjugate(F, a, k))
+                      for k in range(1, F.conductor) if math.gcd(k, F.conductor) == 1]
+            assert max(values) == pytest.approx(min(values), rel=1e-12, abs=0)
 
 
 def test_dirichlet_two_places_vs_mc():
@@ -143,9 +296,10 @@ def test_dirichlet_two_places_vs_mc():
 
 
 def test_dirichlet_three_places_vs_mc():
+    # weights 3.25, 1.56 and 0.198: no closed form applies
     a = Z7.one + Z7.gen
     det = dirichlet_intersection(Z7, 2, a)
-    est = mc_intersection_ratio(Z7, 2, [a], samples=100000, seed=5)
+    est = mc_intersection_ratio(Z7, 2, [a], samples=400_000, seed=5)
     assert abs(det - est.mean) <= 4 * est.std_error
 
 
@@ -191,6 +345,15 @@ def test_truncated_gaussian_consistent():
     rep = truncated_second_moment_rhs(QI, 4, 8)
     assert rep.verdict == "consistent"
     assert rep.partial_sum >= 4.0
+
+
+def test_truncated_real_quadratic_high_t_consistent():
+    # the alpha = 1 term alone is 1 and the torsion terms give omega = 2; the
+    # quadrature read it as 0.822 and returned "below-main-term"
+    Q5 = make_field("Q(sqrt,5)")
+    rep = truncated_second_moment_rhs(Q5, 60, 3)
+    assert rep.verdict == "consistent"
+    assert rep.partial_sum >= float(Q5.omega_K)
 
 
 def test_truncated_preconditions():
