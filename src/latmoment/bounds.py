@@ -2,9 +2,9 @@
 
 Everything here is an inequality with every constant computed: admissibility
 thresholds for the number of module copies t, certified convexity exponents,
-unit-count boxes, volume-ratio bounds driven by heights, truncated Dedekind
-zeta values as rigorous intervals, and the assembled two-sided moment
-brackets.  Operations that need t above a threshold raise ThresholdError
+unit-count boxes, volume-ratio bounds driven by heights, Dedekind zeta
+values as rigorous intervals from Dirichlet L-functions, and the assembled
+two-sided moment brackets.  Operations that need t above a threshold raise ThresholdError
 carrying the computed threshold, so callers (and the command line front end)
 can report it.
 
@@ -26,14 +26,14 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from mpmath import iv
+from mpmath import bernfrac, iv
 
 from .heights import RredMatrix, h_infty, plucker
 from .moments import MomentReport, a1m_bound, main_term
 from .numberfield import (
     FieldElement,
     NumberField,
-    _euler_phi,
+    _factorize,
     abs_norm,
     denominator_norm,
 )
@@ -269,7 +269,8 @@ class ZetaInterval:
 
     s is the evaluation point, or a tuple of points for composite factors;
     conductor identifies the field (an integer conductor or a descriptor
-    string); P is the truncation parameter that produced the enclosure.
+    string); P is the caller's truncation parameter, validated (P >= 1) and
+    reported, which no longer changes the enclosure.
     """
 
     s: float | tuple
@@ -318,31 +319,38 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# truncated Dedekind zeta intervals
+# Dedekind zeta intervals from Dirichlet L-functions
+
+# every enclosure is computed in mpmath.iv at this precision, whatever the
+# caller's iv.prec, and only its final endpoints are rounded to floats
+_ZETA_PREC = 80
+# a tail below 2^-100 cannot move an 80-bit value
+_CUTOFF_BITS = 100
+# L(s, chi) mod q sums n <= N q directly and the rest by Euler-Maclaurin
+# with 12 terms: at N = 16 the first omitted term is below 1e-26 near s = 1
+_EM_SHIFT = 16
+_EM_TERMS = 12
+# the memo holds one endpoint pair per (field, s); a bound assembly requests
+# a handful, a sweep over t a few thousand
+_ZETA_CACHE_SIZE = 4096
 
 
-def _primes_upto(P: int) -> list[int]:
-    if P < 2:
-        return []
-    sieve = bytearray([1]) * (P + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(P) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, P + 1) if sieve[p]]
+def _enclose(compute) -> tuple[float, float]:
+    """The iv interval compute() returns at 80 bits, as outward floats.
 
-
-def _mult_order(p: int, n: int) -> int:
-    if n == 1:
-        return 1
-    r = p % n
-    if math.gcd(r, n) != 1:
-        raise ValueError(f"{p} is not a unit modulo {n}")
-    order, x = 1, r
-    while x != 1:
-        x = x * r % n
-        order += 1
-    return order
+    float() of an endpoint lies within one float of it (mpmath rounds
+    toward zero), so moving it one float further out makes the pair
+    contain the interval, and its width is never 0; the caller's iv.prec
+    is restored.
+    """
+    old_prec = iv.prec
+    iv.prec = _ZETA_PREC
+    try:
+        x = compute()
+        return (math.nextafter(float(x.a), -math.inf),
+                math.nextafter(float(x.b), math.inf))
+    finally:
+        iv.prec = old_prec
 
 
 def _normalize_conductor(n: int) -> int:
@@ -351,14 +359,6 @@ def _normalize_conductor(n: int) -> int:
     if n % 4 == 2:
         n //= 2
     return 1 if n in (1, 2) else n
-
-
-def _cyclotomic_splitting(n: int, p: int) -> tuple[int, int]:
-    n_p = n
-    while n_p % p == 0:
-        n_p //= p
-    f = _mult_order(p, n_p)
-    return f, _euler_phi(n_p) // f
 
 
 def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
@@ -370,20 +370,6 @@ def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
     else:
         split = pow(disc, (p - 1) // 2, p) == 1
     return (1, 2) if split else (2, 1)
-
-
-# the memo holds one ZetaInterval per distinct Euler product; a bound
-# assembly requests a handful, a sweep over t a few thousand
-_EULER_CACHE_SIZE = 4096
-# primes whose whole tail weighs below 2^-100 cannot move an 80-bit product
-_CUTOFF_BITS = 100
-
-
-def _splitting(key: tuple[str, int], p: int) -> tuple[int, int]:
-    kind, param = key
-    if kind == "cyclotomic":
-        return _cyclotomic_splitting(param, p)
-    return _quadratic_splitting(param, p)
 
 
 def _precision_cutoff(s: float, P: int) -> int:
@@ -398,107 +384,269 @@ def _precision_cutoff(s: float, P: int) -> int:
     return min(P, max(2, math.ceil(math.exp(log_q))))
 
 
-@lru_cache(maxsize=_EULER_CACHE_SIZE)
-def _euler_interval(
-    splitting: tuple[str, int],
-    d: int,
-    s: float,
-    P: int,
-    conductor: int | str,
-) -> ZetaInterval:
-    """Truncated Euler product of a degree-d field, tail bound included.
+def _prime_power_phases(p: int, k: int) -> list[dict[int, Fraction]]:
+    """Primitive characters modulo p^k as {unit a: phase of chi(a)}.
 
-    splitting is ("cyclotomic", n) or ("quadratic", disc); _splitting(key, p)
-    = (f, g) means that g primes of norm p^f lie above p.  The product runs
-    over p <= Q = _precision_cutoff(s, P) and the tail bound, proved in
-    dedekind_zeta, covers p > Q; endpoints are rounded outward.  The
-    arguments are the memo key, so callers pass s as a float, P as an int.
+    chi(a) = e^(2 pi i phase).  For odd p, (Z/p^k)^* is cyclic with a
+    generator g, and chi(g) = e^(2 pi i j/phi) is primitive when j != 0
+    (k = 1) or p does not divide j (k >= 2).  Modulo 4 the one primitive
+    character is -1 on 3; modulo 2^k, k >= 3, a = +-5^e and chi(5) =
+    e^(2 pi i j/2^(k-2)) is primitive when j is odd, with either sign on -1.
     """
+    q = p**k
+    if p == 2:
+        if k < 3:
+            return [{1: Fraction(0), 3: Fraction(1, 2)}] if k == 2 else []
+        m = q // 4
+        logs, x = {}, 1
+        for e in range(m):
+            logs[x], logs[q - x] = (0, e), (1, e)
+            x = x * 5 % q
+        return [
+            {a: (Fraction(sign * eps, 2) + Fraction(j * e, m)) % 1
+             for a, (sign, e) in logs.items()}
+            for eps in (0, 1)
+            for j in range(1, m, 2)
+        ]
+    phi = q - q // p
+    for g in range(2, q):
+        logs, x = {}, 1
+        for e in range(phi):
+            logs[x] = e
+            x = x * g % q
+        if len(logs) == phi:
+            break
+    return [
+        {a: Fraction(j * e, phi) % 1 for a, e in logs.items()}
+        for j in range(1, phi)
+        if k == 1 or j % p
+    ]
+
+
+def _primitive_phases(f: int) -> list[tuple]:
+    """Phase tuples (one entry per residue mod f, None off the units) of
+    the primitive characters of conductor f, products of prime-power ones."""
+    moduli, combos = [], [()]
+    for p, k in _factorize(f).items():
+        moduli.append(p**k)
+        combos = [c + (chi,) for c in combos for chi in _prime_power_phases(p, k)]
+    return [
+        tuple(
+            sum((chi[a % q] for q, chi in zip(moduli, c)), Fraction(0)) % 1
+            if math.gcd(a, f) == 1
+            else None
+            for a in range(f)
+        )
+        for c in combos
+    ]
+
+
+def _kronecker_phases(disc: int) -> tuple:
+    """Phases of the character (disc/.) modulo |disc|, from the splitting
+    rule at each prime, extended multiplicatively."""
+    q = abs(disc)
+    out = []
+    for a in range(q):
+        if math.gcd(a, q) != 1:
+            out.append(None)
+            continue
+        inert = sum(e for p, e in _factorize(a).items() if _quadratic_splitting(disc, p)[0] == 2)
+        out.append(Fraction(inert % 2, 2))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _characters(key: tuple[str, int]) -> tuple[tuple[int, tuple], ...]:
+    """(conductor q, phases mod q) of the primitive characters whose
+    L-functions multiply to the field's zeta function, one per conjugate
+    pair.
+
+    ("cyclotomic", n): every character mod n, reduced to its primitive
+    character; these are the primitive characters of each conductor
+    f | n.  ("quadratic", disc): the trivial character and (disc/.).  A
+    character is real when it equals its conjugate; of a complex pair the
+    member with the smaller phase tuple stands for both.
+    """
+    kind, n = key
+    if kind == "quadratic":
+        chars = [(1, (Fraction(0),)), (abs(n), _kronecker_phases(n))]
+    else:
+        chars = [(f, ph) for f in range(1, n + 1) if n % f == 0 for ph in _primitive_phases(f)]
+    return tuple(
+        (q, ph) for q, ph in chars if ph <= tuple(None if x is None else -x % 1 for x in ph)
+    )
+
+
+def _inverse_powers(s, size: int) -> list:
+    """[n^-s for n = 0..size] as intervals (entry 0 unused): one power at
+    each prime, the product of two smaller entries elsewhere."""
+    out = [None, iv.mpf(1)]
+    for n in range(2, size + 1):
+        p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+        out.append(iv.mpf(n) ** (-s) if p == n else out[p] * out[n // p])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_ratios() -> tuple[Fraction, ...]:
+    # B_2j/(2j)! for j = 1..EM_TERMS + 1
+    out = []
+    for j in range(1, _EM_TERMS + 2):
+        num, den = bernfrac(2 * j)
+        out.append(Fraction(num, den * math.factorial(2 * j)))
+    return tuple(out)
+
+
+def _residue_sums(powers, s, q: int, X: int) -> tuple[dict, object]:
+    """Sums of n^-s over n = a mod q, n >= 1, one per unit a in 1..q, and
+    the interval that every sum_a chi(a) (sum for a) misses L(s, chi) by.
+
+    When X = N q is within the precision cutoff, the terms n <= X are
+    summed directly and the rest, sum_k (y + k q)^-s with y = X + a, by
+    Euler-Maclaurin: f(k) = (y + k q)^-s has
+        sum_{k>=0} f(k) = y^(1-s)/(q(s-1)) + y^-s/2
+                          + sum_{j=1}^{M} B_2j/(2j)! (s)_(2j-1) q^(2j-1) y^(-s-2j+1) + R,
+    and since every even derivative of f is positive, R lies between 0
+    and the first omitted term (j = M + 1).  With the product factored as
+    s q y^(-s-1) w_j (q/y)^(2j-2), w_j = B_2j/(2j)! prod_{i<j} (s+2i-1)(s+2i),
+    the sum over j is a Horner polynomial in (q/y)^2, and the sums are
+    exact up to rounding (the returned interval is 0).  Past the cutoff
+    only n <= X is summed and the interval is [-T, T], since
+    |sum_{n>X} chi(n) n^-s| <= int_X^oo x^-s dx = T <= 2^-100.
+    """
+    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    sums = {a: sum(powers[a:X + 1:q], iv.mpf(0)) for a in units}
+    if X < _EM_SHIFT * q:
+        T = (iv.mpf(X) ** (1 - s) / (s - 1)).b
+        return sums, iv.mpf([-T, T])
+    weights, w = [], iv.mpf(1)
+    for j, b in enumerate(_bernoulli_ratios()):
+        weights.append(w * iv.mpf(b.numerator) / b.denominator)
+        w *= (s + 2 * j + 1) * (s + 2 * j + 2)
+    weights[-1] *= iv.mpf([0, 1])
+    half = iv.mpf(0.5)
+    for a in units:
+        y = X + a
+        r = iv.mpf(q * q) / (y * y)
+        poly = weights[-1]
+        for w in reversed(weights[:-1]):
+            poly = poly * r + w
+        sums[a] += powers[y] * (iv.mpf(y) / (q * (s - 1)) + half + s * q / y * poly)
+    return sums, iv.mpf(0)
+
+
+def _dirichlet_product(characters, s_float: float):
+    """zeta_K(s) as the product of L(s, chi) over the characters (complex
+    ones as |L|^2), an iv interval at the current precision.
+
+    Every L(s, chi) = 1 + delta starts with the exact term 1, so the sums
+    leave n = 1 out and the product accumulates zeta_K(s) - 1; the 1 is
+    added once at the end.  A value just above a float (zeta_K(40) =
+    1 + 2^-40 + 2^-80 + ... for Q(i)) then stays above it, where summing
+    near 1 would round every partial sum and cross it.
+    """
+    s = iv.mpf(s_float)
+    limits = {q: _precision_cutoff(s_float, _EM_SHIFT * q) for q, _ in characters}
+    size = max(X + q if X == _EM_SHIFT * q else X for q, X in limits.items())
+    powers = _inverse_powers(s, size)
+    powers[1] = iv.mpf(0)
+    sums = {q: _residue_sums(powers, s, q, X) for q, X in limits.items()}
+    excess = iv.mpf(0)
+    for q, phases in characters:
+        by_residue, tail = sums[q]
+        re = im = tail
+        real = all(x in (0, Fraction(1, 2)) for x in phases if x is not None)
+        for a, h in by_residue.items():
+            ph = phases[a % q]
+            if real:
+                re = re - h if ph else re + h
+            else:
+                angle = 2 * iv.pi * ph.numerator / ph.denominator
+                re += iv.cos(angle) * h
+                im += iv.sin(angle) * h
+        # L = 1 + re (+ i im); |L|^2 = 1 + 2 re + re^2 + im^2
+        delta = re if real else 2 * re + re**2 + im**2
+        excess += delta + excess * delta
+    # zeta_K(s) >= 1: the unit ideal contributes 1 and every term is positive
+    return 1 + iv.mpf([max(excess.a, 0), excess.b])
+
+
+@lru_cache(maxsize=_ZETA_CACHE_SIZE)
+def _zeta_endpoints(key: tuple[str, int], s: float) -> tuple[float, float]:
+    return _enclose(lambda: _dirichlet_product(_characters(key), s))
+
+
+def _zeta_key(target: int | NumberField) -> tuple[tuple[str, int], int | str]:
+    """The memo key, ("cyclotomic", n) or ("quadratic", disc), and the
+    reported conductor of a conductor n or a field.
+
+    Rational and cyclotomic fields, Q(i) and Q(sqrt -3) are cyclotomic of
+    conductor 1, n, 4 and 3; conductors 2 mod 4 normalize to their odd
+    part.  Another Q(sqrt D) is keyed by its discriminant.
+    """
+    if not isinstance(target, NumberField):
+        n = _normalize_conductor(target)
+        return ("cyclotomic", n), n
+    F = target
+    if F.kind == "quadratic" and F.D not in (-1, -3):
+        return ("quadratic", F.disc), F.descriptor
+    if F.kind == "quadratic":
+        return _zeta_key(4 if F.D == -1 else 3)
+    if F.kind in ("rational", "cyclotomic"):
+        return _zeta_key(F.conductor or 1)
+    raise ValueError(f"no zeta backend for field kind {F.kind!r}")
+
+
+def _zeta_interval(target: int | NumberField, s: float, P: int) -> ZetaInterval:
+    key, conductor = _zeta_key(target)
+    s, P = float(s), operator.index(P)
     if not s > 1:
         raise ValueError(f"need s > 1, got s = {s}")
     if not P >= 1:
         raise ValueError(f"need P >= 1, got P = {P}")
-    Q = _precision_cutoff(s, P)
-    old_prec = iv.prec
-    iv.prec = 80
-    try:
-        one = iv.mpf(1)
-        s_iv = iv.mpf(s)
-        partial = one
-        for p in _primes_upto(Q):
-            f, g = _splitting(splitting, p)
-            partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
-        high = partial * (one + iv.mpf(Q) ** (one - s_iv) / (s_iv - one)) ** d
-        lo = math.nextafter(float(partial.a), -math.inf)
-        hi = math.nextafter(float(high.b), math.inf)
-    finally:
-        iv.prec = old_prec
+    lo, hi = _zeta_endpoints(key, s)
     return ZetaInterval(s=s, conductor=conductor, P=P, value_low=lo, value_high=hi)
 
 
 def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
-    """Truncated Euler product for the degree-phi(n) cyclotomic field.
+    """Enclosure of the zeta function of the cyclotomic field Q(zeta_n).
 
-    Splitting rule: above a prime p lie g = phi(n_p)/f primes of norm p^f,
-    where n_p is the prime-to-p part of the conductor and f the order of p
-    mod n_p.  The primes up to Q contribute (1 - p^(-s f))^(-g) each.
+    zeta_K(s) is the product of L(s, chi) over the characters chi mod n,
+    each replaced by its primitive character, which is the same as every
+    primitive character of every conductor f | n (Washington, Introduction
+    to Cyclotomic Fields, Thm 4.3); a conjugate pair contributes |L|^2.
 
-    Cutoff: Q = min(P, the smallest integer Q >= 2 with
-    Q^(1-s)/(s-1) <= 2^-100).  The primes above such a Q change the 80-bit
-    product by less than a unit in the last place, so they are skipped;
-    close to s = 1 the rule gives Q = P.  P must be at least 1, and the
-    returned interval reports the caller's P.
+    Each L(s, chi) with chi of conductor q is the direct sum over n <= X
+    plus a tail.  When X = 16 q is within the precision cutoff (the
+    smallest X with X^(1-s)/(s-1) <= 2^-100), the tail is
+    sum_a chi(a) sum_{k>=0} (X + a + k q)^-s with every inner sum taken by
+    12 Euler-Maclaurin terms and a remainder certified between 0 and the
+    first omitted term (all even derivatives of the summand are
+    positive; Johansson, arXiv:1309.2877).  Past the cutoff X is the
+    cutoff, and the tail is the interval [-T, T], T = X^(1-s)/(s-1)
+    <= 2^-100.  The powers n^-s are computed at primes, extended
+    multiplicatively and shared across the characters.
 
-    Tail bound: the primes above Q contribute at most
-    (1 + Q^(1-s)/(s-1))^d with d = phi(n), so the interval contains the
-    true value.  Proof, for any field of degree d and any integer
-    1 <= Q <= P (the choice of Q affects tightness only):
-      1. a prime p has at most d primes above it, each of norm >= p, so its
-         local factor is <= (1 - p^(-s))^(-d);
-      2. hence the product over p > Q is <= (sum of n^(-s) over the n whose
-         prime factors all exceed Q)^d <= (1 + sum_{n>Q} n^(-s))^d
-         <= (1 + integral_Q^oo x^(-s) dx)^d;
-      3. since log(1 + x) <= x, this is never looser than the bound
-         exp(d Q^(1-s) / ((s-1)(1 - Q^(-s)))).
-
-    Results are memoized per (splitting, s, P), so a bound assembly that
-    asks for the same factor twice computes one Euler product.  Conductors
-    2 mod 4 normalize to their odd part; interval arithmetic is
-    outward-rounded throughout, at 80 bits whatever the caller's iv.prec.
+    Interval arithmetic runs in mpmath.iv at 80 bits whatever the caller's
+    iv.prec, and the float endpoints are rounded outward, so the width is
+    never 0.  P (at least 1) is validated and reported in the result but no
+    longer changes the enclosure; results are memoized per (n, s).
+    Conductors 2 mod 4 normalize to their odd part.
     """
-    n = _normalize_conductor(n)
-    return _euler_interval(
-        ("cyclotomic", n), _euler_phi(n), float(s), operator.index(P), n
-    )
+    return _zeta_interval(n, s, P)
 
 
 def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval:
-    """Zeta enclosure of any supported field as one truncated Euler product.
+    """Zeta enclosure of any supported field, as in dedekind_zeta.
 
-    Splitting rule: rational and cyclotomic fields (and Q(i), Q(sqrt -3),
-    which are also cyclotomic) use the conductor rule of dedekind_zeta.
-    Over another Q(sqrt D) the Kronecker symbol (disc/p) of the field
-    discriminant decides: p splits into two primes of norm p when it is 1,
-    stays inert as one prime of norm p^2 when it is -1, and ramifies into
-    one prime of norm p when it is 0.
-
-    The product stops at the precision cutoff Q <= P of dedekind_zeta, the
-    primes above Q contribute at most (1 + Q^(1-s)/(s-1))^d for a field of
-    degree d, as proved there, and results are memoized the same way.
+    Rational and cyclotomic fields (and Q(i), Q(sqrt -3), which are also
+    cyclotomic) use the characters of their conductor.  Another Q(sqrt D)
+    has zeta(s) L(s, chi) with chi = (disc/.) of the field discriminant,
+    built from the splitting rule: chi(p) is 1 when p splits, -1 when it
+    stays inert and 0 when it ramifies.  P is validated and reported but no
+    longer changes the enclosure, and results are memoized the same way.
     """
-    if F.kind == "rational":
-        return dedekind_zeta(1, s, P)
-    if F.kind == "cyclotomic":
-        return dedekind_zeta(F.conductor, s, P)
-    if F.kind == "quadratic":
-        if F.D == -1:
-            return dedekind_zeta(4, s, P)
-        if F.D == -3:
-            return dedekind_zeta(3, s, P)
-        return _euler_interval(
-            ("quadratic", F.disc), 2, float(s), operator.index(P), F.descriptor
-        )
-    raise ValueError(f"no zeta backend for field kind {F.kind!r}")
+    return _zeta_interval(F, s, P)
 
 
 # ---------------------------------------------------------------------------
@@ -750,24 +898,23 @@ def _composite_zeta(
     parts: Sequence[tuple[float, float]],
     P: int,
 ) -> tuple[ZetaInterval, float, float]:
-    """Product of zeta powers sum_i zeta_F(s_i)^{e_i} as one interval.
+    """Product of zeta powers prod_i zeta_F(s_i)^{e_i} as one interval.
 
-    Negative exponents divide (using the opposite endpoint, keeping the
-    enclosure valid).
+    The powers (negative exponents divide) are composed in iv at 80 bits
+    from the factor intervals and the endpoints rounded outward, so the
+    result contains every product of values inside the factors.
     """
-    lo = hi = 1.0
-    args = []
-    for s_i, e_i in parts:
-        z = dedekind_zeta_field(F, s_i, P)
-        args.append(s_i)
-        if e_i >= 0:
-            lo *= z.value_low**e_i
-            hi *= z.value_high**e_i
-        else:
-            lo *= z.value_high**e_i
-            hi *= z.value_low**e_i
+    zetas = [dedekind_zeta_field(F, s_i, P) for s_i, _ in parts]
+
+    def product():
+        out = iv.mpf(1)
+        for z, (_, e_i) in zip(zetas, parts):
+            out *= iv.mpf([z.value_low, z.value_high]) ** e_i
+        return out
+
+    lo, hi = _enclose(product)
     zres = ZetaInterval(
-        s=tuple(args),
+        s=tuple(s_i for s_i, _ in parts),
         conductor=F.descriptor if F.conductor is None else F.conductor,
         P=P,
         value_low=lo,
@@ -926,7 +1073,8 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float, P: int = 600) -
     For conductor fields of degree d >= 2 and t >= 27: threshold 267/10,
     epsilon = 1/400, and C = (3 + 3/(1 - e^(-d(t - 267/10)/1124)))
     zeta(37t/52) zeta(t/25).  The scalar in front of the zeta product stays
-    below 5625.  The general second-moment epsilon formula under the family
+    below 5625; C_low and C_high are its product with the two zeta
+    intervals, composed in iv at 80 bits and rounded outward.  The general second-moment epsilon formula under the family
     defaults evaluates to (1/2) log cosh(3 c1/4) ~ 0.0025253 >= 1/400, which
     is checked here before the rounded constants are returned.
     """
@@ -945,12 +1093,17 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float, P: int = 600) -
     scalar = 3.0 + 3.0 / (1.0 - math.exp(-d * (t - t0) / 1124.0))
     z1 = dedekind_zeta_field(F, 37.0 * t / 52.0, P)
     z2 = dedekind_zeta_field(F, t / 25.0, P)
+    C_low, C_high = _enclose(
+        lambda: iv.mpf(scalar)
+        * iv.mpf([z1.value_low, z1.value_high])
+        * iv.mpf([z2.value_low, z2.value_high])
+    )
     return {
         "t0": t0,
         "epsilon": 1.0 / 400.0,
         "scalar": scalar,
-        "C_low": scalar * z1.value_low * z2.value_low,
-        "C_high": scalar * z1.value_high * z2.value_high,
+        "C_low": C_low,
+        "C_high": C_high,
         "zeta1": z1,
         "zeta2": z2,
         "epsilon_formula": formula_eps,
@@ -1067,7 +1220,7 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
 
     options (all optional): k (splitting parameter for the rank-one tail,
     default 4), C (leading constant, default 1 and flagged unresolved via
-    constants["C_unresolved"]), P (zeta truncation), mode ("general",
+    constants["C_unresolved"]), P (zeta truncation, reported only), mode ("general",
     "fixed-field" or "cyclotomic"), rank_ratio (sup of unit rank over degree
     across the intended family; defaults to this field's own ratio).
 

@@ -338,7 +338,9 @@ def poisson_cmd(n: int, lam: str, config_path, fmt, output) -> None:
 @main.command("zeta")
 @click.argument("target")
 @click.option("--s", type=float, required=True)
-@click.option("--p", "--P", "P", type=int, default=None)
+@click.option("--p", "--P", "P", type=int, default=None,
+              help="zeta truncation P >= 1 (default 1000); validated and "
+                   "reported, it no longer changes the enclosure")
 @_with_common
 @_guard
 def zeta_cmd(target: str, s: float, P, config_path, fmt, output) -> None:
@@ -362,7 +364,9 @@ def zeta_cmd(target: str, s: float, P, config_path, fmt, output) -> None:
 @click.option("--t", type=float, default=None)
 @click.option("--volume", "vol", default=None)
 @click.option("--k", type=int, default=None)
-@click.option("--zeta-p", "P", type=int, default=None)
+@click.option("--zeta-p", "P", type=int, default=None,
+              help="zeta truncation P >= 1 (default 600); validated and "
+                   "reported, it no longer changes the enclosure")
 @click.option("--c0", type=float, default=None)
 @click.option("--c1", type=float, default=None)
 @_with_common
@@ -398,7 +402,9 @@ def second_moment_cmd(descriptor, t, vol, k, P, c0, c1, config_path, fmt, output
 @click.option("--k", type=int, default=None)
 @click.option("--constant", "c_const", type=float, default=None,
               help="leading constant; omitted means unresolved, evaluated at 1")
-@click.option("--zeta-p", "P", type=int, default=None)
+@click.option("--zeta-p", "P", type=int, default=None,
+              help="zeta truncation P >= 1 (default 600); validated and "
+                   "reported, it no longer changes the enclosure")
 @click.option("--mode", type=click.Choice(["general", "fixed-field", "cyclotomic"]),
               default=None)
 @click.option("--rank-ratio", type=float, default=None)

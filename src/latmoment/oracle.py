@@ -2,7 +2,8 @@
 
 Monte Carlo volume estimators, closed-form Dirichlet volume ratios (float
 incomplete betas), brute-force sums over bounded denominators, exhaustive
-unit enumeration, and random-lattice sampling.  Nothing here reuses the
+unit enumeration, random-lattice sampling, and the truncated Euler product
+of the Dedekind zeta function.  Nothing here reuses the
 inequalities it is meant to test: every oracle computes its quantity from
 first principles so agreement is evidence, not circularity.
 
@@ -16,13 +17,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from mpmath import iv
 
 from .bounds import (
     HeightHypothesis,
     ThresholdError,
+    ZetaInterval,
+    _precision_cutoff,
+    _quadratic_splitting,
+    _zeta_key,
     default_hypothesis,
     ideal_sum_bound,
     unit_count_bound,
@@ -32,6 +40,7 @@ from .moments import ball_volume
 from .numberfield import (
     FieldElement,
     NumberField,
+    _euler_phi,
     conjugates,
     denominator_norm,
     enumerate_torsion,
@@ -44,6 +53,7 @@ __all__ = [
     "mc_intersection_ratio",
     "mc_column_sum_ratio",
     "dirichlet_intersection",
+    "euler_zeta",
     "truncated_second_moment_rhs",
     "random_lattice_moments",
     "unit_enumeration_check",
@@ -403,6 +413,126 @@ def _quadratic_ideal_counts(F: NumberField, X: int) -> np.ndarray:
         top = X // cc
         counts[cc * np.arange(1, top + 1)] += prim[1 : top + 1]
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Euler-product zeta reference
+
+# the memo holds one ZetaInterval per distinct Euler product
+_EULER_CACHE_SIZE = 4096
+
+
+def _primes_upto(P: int) -> list[int]:
+    if P < 2:
+        return []
+    sieve = bytearray([1]) * (P + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(P) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(2, P + 1) if sieve[p]]
+
+
+def _mult_order(p: int, n: int) -> int:
+    if n == 1:
+        return 1
+    r = p % n
+    if math.gcd(r, n) != 1:
+        raise ValueError(f"{p} is not a unit modulo {n}")
+    order, x = 1, r
+    while x != 1:
+        x = x * r % n
+        order += 1
+    return order
+
+
+def _cyclotomic_splitting(n: int, p: int) -> tuple[int, int]:
+    n_p = n
+    while n_p % p == 0:
+        n_p //= p
+    f = _mult_order(p, n_p)
+    return f, _euler_phi(n_p) // f
+
+
+def _splitting(key: tuple[str, int], p: int) -> tuple[int, int]:
+    kind, param = key
+    if kind == "cyclotomic":
+        return _cyclotomic_splitting(param, p)
+    return _quadratic_splitting(param, p)
+
+
+@lru_cache(maxsize=_EULER_CACHE_SIZE)
+def _euler_interval(
+    splitting: tuple[str, int],
+    d: int,
+    s: float,
+    P: int,
+    conductor: int | str,
+) -> ZetaInterval:
+    """Truncated Euler product of a degree-d field, tail bound included.
+
+    splitting is ("cyclotomic", n) or ("quadratic", disc); _splitting(key, p)
+    = (f, g) means that g primes of norm p^f lie above p.  The product runs
+    over p <= Q = _precision_cutoff(s, P) and the tail bound, proved in
+    euler_zeta, covers p > Q; endpoints are rounded outward.  The
+    arguments are the memo key, so callers pass s as a float, P as an int.
+    """
+    if not s > 1:
+        raise ValueError(f"need s > 1, got s = {s}")
+    if not P >= 1:
+        raise ValueError(f"need P >= 1, got P = {P}")
+    Q = _precision_cutoff(s, P)
+    old_prec = iv.prec
+    iv.prec = 80
+    try:
+        one = iv.mpf(1)
+        s_iv = iv.mpf(s)
+        partial = one
+        for p in _primes_upto(Q):
+            f, g = _splitting(splitting, p)
+            partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
+        high = partial * (one + iv.mpf(Q) ** (one - s_iv) / (s_iv - one)) ** d
+        lo = math.nextafter(float(partial.a), -math.inf)
+        hi = math.nextafter(float(high.b), math.inf)
+    finally:
+        iv.prec = old_prec
+    return ZetaInterval(s=s, conductor=conductor, P=P, value_low=lo, value_high=hi)
+
+
+def euler_zeta(target: int | NumberField, s: float, P: int = 1000) -> ZetaInterval:
+    """Truncated Euler product of a field's zeta function, the reference
+    that dedekind_zeta and dedekind_zeta_field are tested against.
+
+    target is a cyclotomic conductor or a supported field.  Splitting rule:
+    in Q(zeta_n), above a prime p lie g = phi(n_p)/f primes of norm p^f,
+    where n_p is the prime-to-p part of n and f the order of p mod n_p; in
+    another Q(sqrt D) the Kronecker symbol (disc/p) decides (split, inert
+    or ramified).  The primes up to Q contribute (1 - p^(-s f))^(-g) each.
+
+    Cutoff: Q = min(P, the smallest integer Q >= 2 with
+    Q^(1-s)/(s-1) <= 2^-100).  The primes above such a Q change the 80-bit
+    product by less than a unit in the last place, so they are skipped;
+    close to s = 1 the rule gives Q = P.  P must be at least 1, and the
+    returned interval reports the caller's P.
+
+    Tail bound: the primes above Q contribute at most
+    (1 + Q^(1-s)/(s-1))^d for a field of degree d, so the interval
+    contains the true value.  Proof, for any integer 1 <= Q <= P (the
+    choice of Q affects tightness only):
+      1. a prime p has at most d primes above it, each of norm >= p, so its
+         local factor is <= (1 - p^(-s))^(-d);
+      2. hence the product over p > Q is <= (sum of n^(-s) over the n whose
+         prime factors all exceed Q)^d <= (1 + sum_{n>Q} n^(-s))^d
+         <= (1 + integral_Q^oo x^(-s) dx)^d;
+      3. since log(1 + x) <= x, this is never looser than the bound
+         exp(d Q^(1-s) / ((s-1)(1 - Q^(-s)))).
+
+    Results are memoized per (field, s, P); interval arithmetic is
+    outward-rounded throughout, at 80 bits whatever the caller's iv.prec.
+    """
+    key, conductor = _zeta_key(target)
+    d = 2 if key[0] == "quadratic" else _euler_phi(key[1])
+    return _euler_interval(key, d, float(s), operator.index(P), conductor)
 
 
 # ---------------------------------------------------------------------------

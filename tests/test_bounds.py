@@ -14,10 +14,10 @@ from latmoment.bounds import (
     HeightHypothesis,
     ThresholdError,
     ZetaInterval,
-    _EULER_CACHE_SIZE,
-    _euler_interval,
-    _quadratic_splitting,
+    _ZETA_CACHE_SIZE,
+    _composite_zeta,
     _simplex_project,
+    _zeta_endpoints,
     a2m_bound,
     alpha_M,
     ball_intersection_sum_terms,
@@ -41,7 +41,13 @@ from latmoment.bounds import (
 )
 from latmoment.moments import MomentQuery
 from latmoment.numberfield import abs_norm, fundamental_unit, make_field
-from latmoment.oracle import _quadratic_ideal_counts
+from latmoment.oracle import (
+    _EULER_CACHE_SIZE,
+    _euler_interval,
+    _quadratic_ideal_counts,
+    _splitting,
+    euler_zeta,
+)
 from latmoment.heights import rred_matrix, weil_height
 
 Q = make_field("Q")
@@ -258,9 +264,9 @@ def test_zeta_rational_contains_basel():
 def test_zeta_gaussian_value():
     z = dedekind_zeta(4, 2.0, 10000)
     assert z.width < 1e-3
-    # pi^2/6 * Catalan-series L(2, chi_4)
-    L = sum((-1) ** k / (2 * k + 1) ** 2 for k in range(200000))
-    assert z.contains(math.pi**2 / 6 * L)
+    # pi^2/6 * Catalan's constant, L(2, chi_4), at 30 digits
+    with mpmath.workdps(30):
+        assert z.contains(float(mpmath.zeta(2) * mpmath.catalan))
 
 
 def test_zeta_conductor_normalization():
@@ -272,8 +278,8 @@ def test_zeta_conductor_normalization():
 
 def test_zeta_nesting_in_P():
     for n in (1, 5, 8):
-        wide = dedekind_zeta(n, 1.5, 200)
-        tight = dedekind_zeta(n, 1.5, 2000)
+        wide = euler_zeta(n, 1.5, 200)
+        tight = euler_zeta(n, 1.5, 2000)
         assert wide.value_low - 1e-12 <= tight.value_low
         assert tight.value_high <= wide.value_high + 1e-12
         assert tight.width < wide.width
@@ -290,7 +296,7 @@ def test_zeta_without_primes_is_the_tail_bound():
     # P = 1 takes no prime, so the interval is [1, s/(s-1)], which must
     # still contain zeta(s), however close to 1 it is
     for s in (2.0, 40.0):
-        z = dedekind_zeta(1, s, 1)
+        z = euler_zeta(1, s, 1)
         assert z.contains(float(mpmath.zeta(s)))
 
 
@@ -341,8 +347,8 @@ def test_zeta_precision_cutoff_matches_the_full_product():
     for s in (13.7, 40.0, 201.2, 847.5):
         for P in (600, 10_000):
             cases = [(n, len([a for a in range(1, n + 1) if math.gcd(a, n) == 1]),
-                      dedekind_zeta(n, s, P)) for n in (1, 5, 8)]
-            cases.append(("Q(sqrt,5)", 2, dedekind_zeta_field(Q5, s, P)))
+                      euler_zeta(n, s, P)) for n in (1, 5, 8)]
+            cases.append(("Q(sqrt,5)", 2, euler_zeta(Q5, s, P)))
             for field, d, z in cases:
                 lo, hi = _untruncated_euler_interval(field, d, s, P)
                 assert z.value_low == lo, (field, s, P)
@@ -355,15 +361,15 @@ def test_zeta_memo_keeps_80_bits_and_the_callers_precision():
     old = iv.prec
     try:
         iv.prec = 20
-        at_20_bits = dedekind_zeta(5, 3.3, 700)
+        at_20_bits = euler_zeta(5, 3.3, 700)
         assert iv.prec == 20
     finally:
         iv.prec = old
     _euler_interval.cache_clear()
-    at_default = dedekind_zeta(5, 3.3, 700)
+    at_default = euler_zeta(5, 3.3, 700)
     assert at_20_bits == at_default
     hits = _euler_interval.cache_info().hits
-    assert dedekind_zeta(5, 3.3, 700) == at_default
+    assert euler_zeta(5, 3.3, 700) == at_default
     assert _euler_interval.cache_info().hits == hits + 1
     assert _euler_interval.cache_info().maxsize == _EULER_CACHE_SIZE
 
@@ -374,6 +380,150 @@ def test_zeta_power_boundedness():
         z = dedekind_zeta(n, 2.0, 4000)
         d = len([a for a in range(1, n) if math.gcd(a, n) == 1])
         assert z.value_high <= z1.value_high**d * 1.001
+
+
+# ---------------------------------------------------------------------------
+# the L-function backend
+
+ZETA_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16)
+ZETA_QUADRATIC_D = (2, 3, 5, 6, 7, 13, -2, -5, -7, -15)
+ZETA_S = (1.02, 1.1, 1.25, 1.5, 2.0, 3.7, 13.7, 40.0, 201.2, 847.5, 7642.0)
+
+
+def test_zeta_backend_is_ulp_tight_inside_the_euler_reference():
+    targets = [(dedekind_zeta, n) for n in ZETA_CONDUCTORS]
+    targets += [(dedekind_zeta_field, make_field(f"Q(sqrt,{D})")) for D in ZETA_QUADRATIC_D]
+    for zeta, target in targets:
+        for s in ZETA_S:
+            z = zeta(target, s)
+            ref = euler_zeta(target, s, 10_000)
+            assert ref.value_low <= z.value_low <= z.value_high <= ref.value_high, (target, s)
+            assert 0 < z.width / z.value_low <= 1e-12, (target, s)
+
+
+def _characters_by_search(n):
+    # every character mod n as {unit: k}, chi(unit) = e^(2 pi i k/m), found
+    # by trying all values on a greedy generating set and keeping the ones
+    # that extend consistently over the Cayley graph
+    units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+    m = math.lcm(*(next(e for e in range(1, n + 1) if pow(a, e, n) == 1 % n) for a in units))
+    gens, span = [], {1 % n}
+    for a in units:
+        if a % n not in span:
+            gens.append(a % n)
+            while True:
+                grown = span | {x * g % n for x in span for g in gens}
+                if grown == span:
+                    break
+                span = grown
+    chars = []
+    for values in np.ndindex(*([m] * len(gens))):
+        phase, todo, ok = {1 % n: 0}, [1 % n], True
+        while todo and ok:
+            x = todo.pop()
+            for g, v in zip(gens, values):
+                y, k = x * g % n, (phase[x] + v) % m
+                if y not in phase:
+                    phase[y] = k
+                    todo.append(y)
+                elif phase[y] != k:
+                    ok = False
+        if ok:
+            chars.append(phase)
+    assert len(chars) == len(units)
+    return chars, m
+
+
+def _zeta_by_dirichlet(n, s):
+    # zeta(s) prod L(s, chi*) over the characters chi mod n, each reduced to
+    # its primitive character chi* of the smallest modulus f it factors through
+    chars, m = _characters_by_search(n)
+    value = mpmath.mpf(1)
+    for phase in chars:
+        f = next(f for f in range(1, n + 1) if n % f == 0
+                 and all(k == 0 for a, k in phase.items() if (a - 1) % f == 0))
+        if f == 1:
+            value *= mpmath.zeta(s)
+            continue
+        table = []
+        for b in range(f):
+            a = next((a for a in phase if math.gcd(b, f) == 1 and (a - b) % f == 0), None)
+            table.append(0 if a is None else mpmath.expjpi(mpmath.mpf(2 * phase[a]) / m))
+        value *= mpmath.dirichlet(s, table)
+    return value.real
+
+
+def test_zeta_backend_composite_conductors_match_dirichlet_l_products():
+    with mpmath.workdps(30):
+        for n in (8, 9, 12, 15, 16):
+            for s in ZETA_S:
+                want = _zeta_by_dirichlet(n, mpmath.mpf(s))
+                z = dedekind_zeta(n, s)
+                assert z.value_low <= want <= z.value_high, (n, s)
+
+
+def test_zeta_backend_ignores_P_in_its_memo():
+    _zeta_endpoints.cache_clear()
+    a = dedekind_zeta(5, 2.0, 600)
+    b = dedekind_zeta(5, 2.0, 10_000)
+    assert (a.value_low, a.value_high) == (b.value_low, b.value_high)
+    assert (a.P, b.P) == (600, 10_000)
+    info = _zeta_endpoints.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize == _ZETA_CACHE_SIZE
+
+
+def test_zeta_backend_keeps_80_bits_and_the_callers_precision():
+    _zeta_endpoints.cache_clear()
+    at_default = dedekind_zeta(7, 1.3)
+    _zeta_endpoints.cache_clear()
+    old_prec, old_dps = iv.prec, mpmath.mp.dps
+    try:
+        iv.prec, mpmath.mp.dps = 20, 7
+        at_low_precision = dedekind_zeta_field(make_field("Q(zeta,7)"), 1.3)
+        assert (iv.prec, mpmath.mp.dps) == (20, 7)
+    finally:
+        iv.prec, mpmath.mp.dps = old_prec, old_dps
+    assert (at_low_precision.value_low, at_low_precision.value_high) == (
+        at_default.value_low, at_default.value_high)
+
+
+def _factor_products(factors):
+    # the 80-bit products of the factor endpoints that a composed interval
+    # must contain: the lows (highs for negative exponents) and the highs
+    old = iv.prec
+    iv.prec = 80
+    try:
+        lo = hi = iv.mpf(1)
+        for low, high, e in factors:
+            a, b = (low, high) if e >= 0 else (high, low)
+            lo *= iv.mpf(a) ** e
+            hi *= iv.mpf(b) ** e
+        return lo.a, hi.b
+    finally:
+        iv.prec = old
+
+
+def test_composed_zeta_factors_round_outward():
+    for F in (Q, QI, Q5, Z5, make_field("Q(zeta,7)")):
+        for t in range(27, 67, 2):
+            parts = [(t * 0.5, 1.0), (t / 9.0, 2.25), (0.75 * t, -1.0), (t / 13.0, 3.0)]
+            z, lo, hi = _composite_zeta(F, parts, 600)
+            factors = []
+            for s_i, e_i in parts:
+                zi = dedekind_zeta_field(F, s_i)
+                factors.append((zi.value_low, zi.value_high, e_i))
+            want_lo, want_hi = _factor_products(factors)
+            assert lo <= want_lo and want_hi <= hi, (F.descriptor, t)
+            assert (z.value_low, z.value_high) == (lo, hi)
+            if F.degree >= 2:
+                c = cyclotomic_second_moment_constants(F, float(t))
+                want_lo, want_hi = _factor_products([
+                    (c["scalar"], c["scalar"], 1.0),
+                    (c["zeta1"].value_low, c["zeta1"].value_high, 1.0),
+                    (c["zeta2"].value_low, c["zeta2"].value_high, 1.0),
+                ])
+                assert c["C_low"] <= want_lo and want_hi <= c["C_high"], (F.descriptor, t)
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +545,24 @@ def test_quadratic_splitting_matches_ideal_counts():
         F = make_field(f"Q(sqrt,{D})")
         counts = _quadratic_ideal_counts(F, X)
         for p in primes:
-            f, g = _quadratic_splitting(F.disc, p)
+            f, g = _splitting(("quadratic", F.disc), p)
             assert counts[p] == (g if f == 1 else 0), (D, p)
 
 
 def test_quadratic_zeta_sqrt5():
     z = dedekind_zeta_field(Q5, 2.0, 3000)
     chi = {1: 1, 4: 1, 2: -1, 3: -1}
-    L = sum(chi.get(n % 5, 0) / n**2 for n in range(1, 100000))
-    assert z.contains(math.pi**2 / 6 * L)
+    with mpmath.workdps(30):
+        L = mpmath.dirichlet(2, [chi.get(n, 0) for n in range(5)])
+        assert z.contains(float(mpmath.zeta(2) * L))
 
 
 def test_quadratic_zeta_sqrt2():
     z = dedekind_zeta_field(Q2, 2.0, 3000)
     chi = {1: 1, 7: 1, 3: -1, 5: -1}
-    L = sum(chi.get(n % 8, 0) / n**2 for n in range(1, 100000))
-    assert z.contains(math.pi**2 / 6 * L)
+    with mpmath.workdps(30):
+        L = mpmath.dirichlet(2, [chi.get(n, 0) for n in range(8)])
+        assert z.contains(float(mpmath.zeta(2) * L))
 
 
 def test_quadratic_zeta_width_near_pole():
