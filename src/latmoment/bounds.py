@@ -600,8 +600,8 @@ def _zeta_key(target: int | NumberField) -> tuple[tuple[str, int], int | str]:
 def _zeta_interval(target: int | NumberField, s: float, P: int) -> ZetaInterval:
     key, conductor = _zeta_key(target)
     s, P = float(s), operator.index(P)
-    if not s > 1:
-        raise ValueError(f"need s > 1, got s = {s}")
+    if not 1 < s < math.inf:
+        raise ValueError(f"need finite s > 1, got s = {s}")
     if not P >= 1:
         raise ValueError(f"need P >= 1, got P = {P}")
     lo, hi = _zeta_endpoints(key, s)

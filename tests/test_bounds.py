@@ -288,6 +288,9 @@ def test_zeta_nesting_in_P():
 def test_zeta_domain():
     with pytest.raises(ValueError):
         dedekind_zeta(5, 1.0)
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dedekind_zeta(5, s)
     with pytest.raises(ValueError):
         dedekind_zeta(0, 2.0)
 
