@@ -646,6 +646,9 @@ def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval
     stays inert and 0 when it ramifies.  P is validated and reported but no
     longer changes the enclosure, and results are memoized the same way.
     """
+    key, _ = _zeta_key(F)
+    if key[0] == "cyclotomic":
+        return dedekind_zeta(key[1], s, P)
     return _zeta_interval(F, s, P)
 
 
