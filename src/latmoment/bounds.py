@@ -384,27 +384,27 @@ def _precision_cutoff(s: float, P: int) -> int:
     return min(P, max(2, math.ceil(math.exp(log_q))))
 
 
-def _prime_power_phases(p: int, k: int) -> list[dict[int, Fraction]]:
-    """Primitive characters modulo p^k as {unit a: phase of chi(a)}.
+def _prime_power_phases(p: int, k: int) -> tuple[int, list[dict[int, int]]]:
+    """Primitive characters modulo p^k as (m, [{unit a: x}]), where
+    chi(a) = e^(2 pi i x/m).
 
-    chi(a) = e^(2 pi i phase).  For odd p, (Z/p^k)^* is cyclic with a
-    generator g, and chi(g) = e^(2 pi i j/phi) is primitive when j != 0
-    (k = 1) or p does not divide j (k >= 2).  Modulo 4 the one primitive
-    character is -1 on 3; modulo 2^k, k >= 3, a = +-5^e and chi(5) =
-    e^(2 pi i j/2^(k-2)) is primitive when j is odd, with either sign on -1.
+    For odd p, (Z/p^k)^* is cyclic with a generator g, and chi(g) =
+    e^(2 pi i j/phi) is primitive when j != 0 (k = 1) or p does not divide
+    j (k >= 2).  Modulo 4 the one primitive character is -1 on 3; modulo
+    2^k, k >= 3, a = +-5^e and chi(5) = e^(2 pi i j/2^(k-2)) is primitive
+    when j is odd, with either sign on -1.
     """
     q = p**k
     if p == 2:
         if k < 3:
-            return [{1: Fraction(0), 3: Fraction(1, 2)}] if k == 2 else []
+            return 2, [{1: 0, 3: 1}] if k == 2 else []
         m = q // 4
         logs, x = {}, 1
         for e in range(m):
             logs[x], logs[q - x] = (0, e), (1, e)
             x = x * 5 % q
-        return [
-            {a: (Fraction(sign * eps, 2) + Fraction(j * e, m)) % 1
-             for a, (sign, e) in logs.items()}
+        return m, [
+            {a: (sign * eps * m // 2 + j * e) % m for a, (sign, e) in logs.items()}
             for eps in (0, 1)
             for j in range(1, m, 2)
         ]
@@ -416,34 +416,38 @@ def _prime_power_phases(p: int, k: int) -> list[dict[int, Fraction]]:
             x = x * g % q
         if len(logs) == phi:
             break
-    return [
-        {a: Fraction(j * e, phi) % 1 for a, e in logs.items()}
+    return phi, [
+        {a: j * e % phi for a, e in logs.items()}
         for j in range(1, phi)
         if k == 1 or j % p
     ]
 
 
-def _primitive_phases(f: int) -> list[tuple]:
-    """Phase tuples (one entry per residue mod f, None off the units) of
-    the primitive characters of conductor f, products of prime-power ones."""
-    moduli, combos = [], [()]
+def _primitive_phases(f: int) -> list[tuple[int, tuple]]:
+    """(m, phases) of the primitive characters of conductor f, products of
+    prime-power ones: chi(a) = e^(2 pi i phases[a]/m), one entry per
+    residue mod f and None off the units."""
+    parts, combos, m = [], [()], 1
     for p, k in _factorize(f).items():
-        moduli.append(p**k)
-        combos = [c + (chi,) for c in combos for chi in _prime_power_phases(p, k)]
+        order, chars = _prime_power_phases(p, k)
+        parts.append((p**k, order))
+        m = math.lcm(m, order)
+        combos = [c + (chi,) for c in combos for chi in chars]
+    units = [math.gcd(a, f) == 1 for a in range(f)]
     return [
-        tuple(
-            sum((chi[a % q] for q, chi in zip(moduli, c)), Fraction(0)) % 1
-            if math.gcd(a, f) == 1
+        (m, tuple(
+            sum(chi[a % q] * (m // order) for (q, order), chi in zip(parts, c)) % m
+            if units[a]
             else None
             for a in range(f)
-        )
+        ))
         for c in combos
     ]
 
 
 def _kronecker_phases(disc: int) -> tuple:
-    """Phases of the character (disc/.) modulo |disc|, from the splitting
-    rule at each prime, extended multiplicatively."""
+    """Phases over 2 of the character (disc/.) modulo |disc|, from the
+    splitting rule at each prime, extended multiplicatively."""
     q = abs(disc)
     out = []
     for a in range(q):
@@ -451,15 +455,15 @@ def _kronecker_phases(disc: int) -> tuple:
             out.append(None)
             continue
         inert = sum(e for p, e in _factorize(a).items() if _quadratic_splitting(disc, p)[0] == 2)
-        out.append(Fraction(inert % 2, 2))
+        out.append(inert % 2)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _characters(key: tuple[str, int]) -> tuple[tuple[int, tuple], ...]:
-    """(conductor q, phases mod q) of the primitive characters whose
+def _characters(key: tuple[str, int]) -> tuple[tuple[int, int, tuple], ...]:
+    """(conductor q, m, phases mod q) of the primitive characters whose
     L-functions multiply to the field's zeta function, one per conjugate
-    pair.
+    pair; chi(a) = e^(2 pi i phases[a]/m).
 
     ("cyclotomic", n): every character mod n, reduced to its primitive
     character; these are the primitive characters of each conductor
@@ -469,20 +473,28 @@ def _characters(key: tuple[str, int]) -> tuple[tuple[int, tuple], ...]:
     """
     kind, n = key
     if kind == "quadratic":
-        chars = [(1, (Fraction(0),)), (abs(n), _kronecker_phases(n))]
+        chars = [(1, 1, (0,)), (abs(n), 2, _kronecker_phases(n))]
     else:
-        chars = [(f, ph) for f in range(1, n + 1) if n % f == 0 for ph in _primitive_phases(f)]
+        chars = [(f, m, ph) for f in range(1, n + 1) if n % f == 0
+                 for m, ph in _primitive_phases(f)]
     return tuple(
-        (q, ph) for q, ph in chars if ph <= tuple(None if x is None else -x % 1 for x in ph)
+        (q, m, ph) for q, m, ph in chars
+        if ph <= tuple(None if x is None else -x % m for x in ph)
     )
 
 
 def _inverse_powers(s, size: int) -> list:
     """[n^-s for n = 0..size] as intervals (entry 0 unused): one power at
-    each prime, the product of two smaller entries elsewhere."""
+    each prime, the product of two smaller entries elsewhere (the least
+    prime factor comes from a sieve)."""
+    least = list(range(size + 1))
+    for p in range(2, math.isqrt(size) + 1):
+        if least[p] == p:
+            for m in range(p * p, size + 1, p):
+                least[m] = min(least[m], p)
     out = [None, iv.mpf(1)]
     for n in range(2, size + 1):
-        p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+        p = least[n]
         out.append(iv.mpf(n) ** (-s) if p == n else out[p] * out[n // p])
     return out
 
@@ -540,33 +552,44 @@ def _dirichlet_product(characters, s_float: float):
     ones as |L|^2), an iv interval at the current precision.
 
     Every L(s, chi) = 1 + delta starts with the exact term 1, so the sums
-    leave n = 1 out and the product accumulates zeta_K(s) - 1; the 1 is
-    added once at the end.  A value just above a float (zeta_K(40) =
-    1 + 2^-40 + 2^-80 + ... for Q(i)) then stays above it, where summing
-    near 1 would round every partial sum and cross it.
+    leave n = 1 out and the product accumulates E = zeta_K(s) - 1 as
+    E (1 + delta) + delta; the 1 is added once at the end.  A value just
+    above a float (zeta_K(40) = 1 + 2^-40 + 2^-80 + ... for Q(i)) then
+    stays above it, where summing near 1 would round every partial sum and
+    cross it.  E appears once per step, so a factor delta near -1 does not
+    widen it (E + E delta would, by 1 + |delta| per character).  The
+    residue sums are added per phase first, so each distinct root of
+    unity costs one cos and one sin per call.
     """
     s = iv.mpf(s_float)
-    limits = {q: _precision_cutoff(s_float, _EM_SHIFT * q) for q, _ in characters}
+    limits = {q: _precision_cutoff(s_float, _EM_SHIFT * q) for q, _, _ in characters}
     size = max(X + q if X == _EM_SHIFT * q else X for q, X in limits.items())
     powers = _inverse_powers(s, size)
     powers[1] = iv.mpf(0)
     sums = {q: _residue_sums(powers, s, q, X) for q, X in limits.items()}
+    # e^(2 pi i turn) by the turn, exact at multiples of 1/4
+    roots = {Fraction(k, 4): (iv.mpf(c), iv.mpf(d))
+             for k, (c, d) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1)))}
     excess = iv.mpf(0)
-    for q, phases in characters:
+    for q, m, phases in characters:
         by_residue, tail = sums[q]
-        re = im = tail
-        real = all(x in (0, Fraction(1, 2)) for x in phases if x is not None)
+        by_phase = {}
         for a, h in by_residue.items():
-            ph = phases[a % q]
-            if real:
-                re = re - h if ph else re + h
-            else:
-                angle = 2 * iv.pi * ph.numerator / ph.denominator
-                re += iv.cos(angle) * h
-                im += iv.sin(angle) * h
-        # L = 1 + re (+ i im); |L|^2 = 1 + 2 re + re^2 + im^2
-        delta = re if real else 2 * re + re**2 + im**2
-        excess += delta + excess * delta
+            x = phases[a % q]
+            by_phase[x] = by_phase[x] + h if x in by_phase else h
+        re = im = tail
+        for x, h in by_phase.items():
+            turn = Fraction(x, m)
+            if turn not in roots:
+                angle = 2 * iv.pi * turn.numerator / turn.denominator
+                roots[turn] = (iv.cos(angle), iv.sin(angle))
+            c, d = roots[turn]
+            re += c * h
+            im += d * h
+        # L = 1 + re (+ i im); |L|^2 = 1 + re (2 + re) + im^2
+        real = all(2 * x % m == 0 for x in by_phase)
+        delta = re if real else re * (2 + re) + im**2
+        excess = excess * (1 + delta) + delta
     # zeta_K(s) >= 1: the unit ideal contributes 1 and every term is positive
     return 1 + iv.mpf([max(excess.a, 0), excess.b])
 
@@ -646,9 +669,6 @@ def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval
     stays inert and 0 when it ramifies.  P is validated and reported but no
     longer changes the enclosure, and results are memoized the same way.
     """
-    key, _ = _zeta_key(F)
-    if key[0] == "cyclotomic":
-        return dedekind_zeta(key[1], s, P)
     return _zeta_interval(F, s, P)
 
 

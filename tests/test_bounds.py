@@ -404,6 +404,16 @@ def test_zeta_backend_is_ulp_tight_inside_the_euler_reference():
             assert 0 < z.width / z.value_low <= 1e-12, (target, s)
 
 
+def test_zeta_backend_stays_tight_over_many_characters():
+    # 100 conjugate pairs of conductor up to 500, many with |L|^2 far from
+    # 1: accumulating E + E delta instead of E (1 + delta) widened this
+    # interval to a relative 7e-9
+    z = dedekind_zeta(500, 1.5)
+    ref = euler_zeta(500, 1.5, 10_000)
+    assert ref.value_low <= z.value_low <= z.value_high <= ref.value_high
+    assert 0 < z.width / z.value_low <= 1e-12
+
+
 def _characters_by_search(n):
     # every character mod n as {unit: k}, chi(unit) = e^(2 pi i k/m), found
     # by trying all values on a greedy generating set and keeping the ones

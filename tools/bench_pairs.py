@@ -18,7 +18,7 @@ peak_rss_mb includes compiling the package whenever bytecode is not cached
 workload also runs twice more per side with bytecode written under a
 temporary PYTHONPYCACHEPREFIX, and the second run's peak is recorded.
 
-Tier-1 runs --tier1-runs times per side, alternating, with
+Tier-1 runs TIER1_RUNS (3) times per side, alternating, with
 `pytest --durations=0`; the file records the wall time of each run, their
 median, the passed count and the call time of each acceptance criterion
 (from the median run).  The machine's CPU, core count, platform and
@@ -43,13 +43,12 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "--durations=0", "-p", "no:cacheprovider"]
 CRITERION = re.compile(r"^([\d.]+)s call\s+tests/test_acceptance\.py::(test_criterion_\w+)", re.M)
 PASSED = re.compile(r"(\d+) passed")
+TIER1_RUNS = 3
 
 
 def parse_seeds(text: str) -> list[int]:
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+    lo, hi = (int(x) for x in text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: int, env: dict) -> dict:
@@ -134,14 +133,14 @@ def tier1_run(root: Path) -> dict:
     }
 
 
-def tier1(roots: dict[str, Path], repeats: int) -> dict:
+def tier1(roots: dict[str, Path]) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(repeats):
+    for i in range(TIER1_RUNS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             runs[side].append(tier1_run(roots[side]))
             print(f"tier-1 {side}: {runs[side][-1]['wall_s']} s", file=sys.stderr)
     out = {"command": " ".join(["PYTHONPATH=src python"] + TIER1[1:]),
-           "order": f"{repeats} alternating runs per side, parent first on odd runs"}
+           "order": f"{TIER1_RUNS} alternating runs per side, parent first on odd runs"}
     for side, rs in runs.items():
         walls = [r["wall_s"] for r in rs]
         mid = sorted(rs, key=lambda r: r["wall_s"])[len(rs) // 2]
@@ -168,18 +167,14 @@ def main() -> None:
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--seeds", type=parse_seeds, required=True,
-                    help="seeds as LO-HI or a comma list; at least 10")
+                    help="seeds as LO-HI; at least 10")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_<pr>.json to write")
-    ap.add_argument("--workload", action="append",
-                    help="run only this workload (repeatable); default every workload")
-    ap.add_argument("--tier1-runs", type=int, default=3)
     args = ap.parse_args()
     if len(args.seeds) < 10:
         ap.error("a claim needs at least 10 pairs")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    names = args.workload or [w["name"] for w in bench["workloads"]]
     report = {
         "machine": machine(),
         "benchmark": {
@@ -190,14 +185,13 @@ def main() -> None:
         },
         "peak_rss_cached_bytecode_mb": {},
     }
-    for name in names:
+    for name in (w["name"] for w in bench["workloads"]):
         report["benchmark"]["workloads"][name] = workload_pairs(
             roots, name, args.seeds, seconds, bench["end_to_end"])
         if name != "cli-runs":
             report["peak_rss_cached_bytecode_mb"][name] = cached_bytecode_rss(
                 roots, name, args.seeds[0], seconds)
-    if args.tier1_runs > 0:
-        report["tier1"] = tier1(roots, args.tier1_runs)
+    report["tier1"] = tier1(roots)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
