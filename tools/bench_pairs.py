@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, summarized as BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --seeds 801-810 --out BENCH_8.json
+        --seeds 901-910 --out BENCH_8.json
 
 --parent and --change are two checkouts of the repository, for example a
 `git clone` of the parent commit beside the working tree.  For every
