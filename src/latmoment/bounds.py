@@ -269,13 +269,11 @@ class ZetaInterval:
 
     s is the evaluation point, or a tuple of points for composite factors;
     conductor identifies the field (an integer conductor or a descriptor
-    string); P is the caller's truncation parameter, validated (P >= 1) and
-    reported, which no longer changes the enclosure.
+    string).
     """
 
     s: float | tuple
     conductor: int | str
-    P: int
     value_low: float
     value_high: float
 
@@ -620,15 +618,20 @@ def _zeta_key(target: int | NumberField) -> tuple[tuple[str, int], int | str]:
     raise ValueError(f"no zeta backend for field kind {F.kind!r}")
 
 
-def _zeta_interval(target: int | NumberField, s: float, P: int) -> ZetaInterval:
+def _check_pinned_P(P: int) -> None:
+    """Reject a truncation P below 1.  The entry points that still take P
+    keep it for the benchmark's call shape only; it changes nothing."""
+    if not operator.index(P) >= 1:
+        raise ValueError(f"need P >= 1, got P = {P}")
+
+
+def _zeta_interval(target: int | NumberField, s: float) -> ZetaInterval:
     key, conductor = _zeta_key(target)
-    s, P = float(s), operator.index(P)
+    s = float(s)
     if not 1 < s < math.inf:
         raise ValueError(f"need finite s > 1, got s = {s}")
-    if not P >= 1:
-        raise ValueError(f"need P >= 1, got P = {P}")
     lo, hi = _zeta_endpoints(key, s)
-    return ZetaInterval(s=s, conductor=conductor, P=P, value_low=lo, value_high=hi)
+    return ZetaInterval(s=s, conductor=conductor, value_low=lo, value_high=hi)
 
 
 def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
@@ -652,11 +655,12 @@ def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
 
     Interval arithmetic runs in mpmath.iv at 80 bits whatever the caller's
     iv.prec, and the float endpoints are rounded outward, so the width is
-    never 0.  P (at least 1) is validated and reported in the result but no
-    longer changes the enclosure; results are memoized per (n, s).
-    Conductors 2 mod 4 normalize to their odd part.
+    never 0; results are memoized per (n, s).  Conductors 2 mod 4 normalize
+    to their odd part.  P must be at least 1 and changes nothing: it is kept
+    for the benchmark's call shape until the next benchmark change.
     """
-    return _zeta_interval(n, s, P)
+    _check_pinned_P(P)
+    return _zeta_interval(n, s)
 
 
 def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval:
@@ -666,10 +670,11 @@ def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval
     cyclotomic) use the characters of their conductor.  Another Q(sqrt D)
     has zeta(s) L(s, chi) with chi = (disc/.) of the field discriminant,
     built from the splitting rule: chi(p) is 1 when p splits, -1 when it
-    stays inert and 0 when it ramifies.  P is validated and reported but no
-    longer changes the enclosure, and results are memoized the same way.
+    stays inert and 0 when it ramifies.  Results are memoized the same way,
+    and P is checked (P >= 1) and otherwise unused, as in dedekind_zeta.
     """
-    return _zeta_interval(F, s, P)
+    _check_pinned_P(P)
+    return _zeta_interval(F, s)
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +922,7 @@ def proj_unit_sum_bound(
 
 
 def _composite_zeta(
-    F: NumberField,
-    parts: Sequence[tuple[float, float]],
-    P: int,
+    F: NumberField, parts: Sequence[tuple[float, float]]
 ) -> tuple[ZetaInterval, float, float]:
     """Product of zeta powers prod_i zeta_F(s_i)^{e_i} as one interval.
 
@@ -927,7 +930,7 @@ def _composite_zeta(
     from the factor intervals and the endpoints rounded outward, so the
     result contains every product of values inside the factors.
     """
-    zetas = [dedekind_zeta_field(F, s_i, P) for s_i, _ in parts]
+    zetas = [dedekind_zeta_field(F, s_i) for s_i, _ in parts]
 
     def product():
         out = iv.mpf(1)
@@ -939,7 +942,6 @@ def _composite_zeta(
     zres = ZetaInterval(
         s=tuple(s_i for s_i, _ in parts),
         conductor=F.descriptor if F.conductor is None else F.conductor,
-        P=P,
         value_low=lo,
         value_high=hi,
     )
@@ -952,7 +954,6 @@ def ideal_sum_bound(
     t: float,
     M: int,
     k: int,
-    P: int = 600,
 ) -> BoundReport:
     """Bound for the full denominator-weighted sum over M-tuples of ideals.
 
@@ -978,7 +979,6 @@ def ideal_sum_bound(
     zeta_factor, _, z_hi = _composite_zeta(
         F,
         [(t * (0.75 - 1.0 / k), 1.0), (t / (k * M), float(M)), (0.75 * t, -1.0)],
-        P,
     )
     value = C * z_hi * math.exp(-eps * d * (t - t0))
     return BoundReport(
@@ -994,7 +994,6 @@ def ideal_sum_bound(
             "k": k,
             "alpha": a,
             "t0_effective": t0_eff,
-            "P": P,
         },
     )
 
@@ -1006,7 +1005,6 @@ def ball_intersection_sum_terms(
     V: float,
     M: int,
     k: int,
-    P: int = 600,
 ) -> tuple[float, float]:
     """Main and error addends of the intersection-volume sum over M-tuples.
 
@@ -1014,7 +1012,7 @@ def ball_intersection_sum_terms(
     exactly V omega^M and the second is its product with the relative factor
     from ideal_sum_bound, always strictly positive.
     """
-    rel = ideal_sum_bound(F, hyp, t, M, k, P).bound_value
+    rel = ideal_sum_bound(F, hyp, t, M, k).bound_value
     main = V * float(F.omega_K) ** M
     return main, main * rel
 
@@ -1029,7 +1027,6 @@ def second_moment_bounds(
     t: float,
     V,
     k: int = 4,
-    P: int = 600,
 ) -> MomentReport:
     """Two-sided second-moment bracket for the ball point count.
 
@@ -1068,7 +1065,6 @@ def second_moment_bounds(
     zeta_factor, z_lo, z_hi = _composite_zeta(
         F,
         [(t * (0.75 - 1.0 / k), 1.0), (t / k, 1.0), (0.75 * t, -1.0)],
-        P,
     )
     omega = F.omega_K
     lower = V * V + omega * V
@@ -1090,16 +1086,18 @@ def second_moment_bounds(
     )
 
 
-def cyclotomic_second_moment_constants(F: NumberField, t: float, P: int = 600) -> dict:
+def cyclotomic_second_moment_constants(F: NumberField, t: float) -> dict:
     """Published cyclotomic-family second-moment constants, as stated.
 
     For conductor fields of degree d >= 2 and t >= 27: threshold 267/10,
     epsilon = 1/400, and C = (3 + 3/(1 - e^(-d(t - 267/10)/1124)))
     zeta(37t/52) zeta(t/25).  The scalar in front of the zeta product stays
-    below 5625; C_low and C_high are its product with the two zeta
-    intervals, composed in iv at 80 bits and rounded outward.  The general second-moment epsilon formula under the family
-    defaults evaluates to (1/2) log cosh(3 c1/4) ~ 0.0025253 >= 1/400, which
-    is checked here before the rounded constants are returned.
+    below 5625 and is reported as a float; C_low and C_high are the exact
+    scalar times the two zeta intervals, composed in iv at 80 bits and
+    rounded outward (the float scalar can sit 1e-13 off near t = 27, where
+    1 - e^(-x) cancels).  The general second-moment epsilon formula under
+    the family defaults evaluates to (1/2) log cosh(3 c1/4) ~ 0.0025253 >=
+    1/400, which is checked here before the rounded constants are returned.
     """
     if F.kind not in ("cyclotomic", "quadratic"):
         raise ValueError("cyclotomic-family constants need a degree >= 2 field")
@@ -1114,10 +1112,10 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float, P: int = 600) -
         raise RuntimeError(f"the default c1 gives epsilon {formula_eps} < 1/400")
     t0 = 26.7
     scalar = 3.0 + 3.0 / (1.0 - math.exp(-d * (t - t0) / 1124.0))
-    z1 = dedekind_zeta_field(F, 37.0 * t / 52.0, P)
-    z2 = dedekind_zeta_field(F, t / 25.0, P)
+    z1 = dedekind_zeta_field(F, 37.0 * t / 52.0)
+    z2 = dedekind_zeta_field(F, t / 25.0)
     C_low, C_high = _enclose(
-        lambda: iv.mpf(scalar)
+        lambda: (3 + 3 / (1 - iv.exp(-d * (t - iv.mpf(267) / 10) / 1124)))
         * iv.mpf([z1.value_low, z1.value_high])
         * iv.mpf([z2.value_low, z2.value_high])
     )
@@ -1162,6 +1160,23 @@ def _pair_zeta_floors(n: int, m: int) -> list[float]:
     ]
 
 
+def _rank_ratio(F: NumberField, rank_ratio: float | None) -> float:
+    """rank_ratio, or the field's own unit rank / degree when it is None.
+
+    A ratio below the field's own would understate the pair-tail
+    precondition, and the rank-one tail uses the field's own ratio anyway,
+    so it is rejected.
+    """
+    own = F.unit_rank / F.degree
+    if rank_ratio is None:
+        return own
+    if not float(rank_ratio) >= own:
+        raise ValueError(
+            f"rank_ratio {rank_ratio} is below the field's unit rank / degree {own}"
+        )
+    return float(rank_ratio)
+
+
 def a2m_bound(
     F: NumberField,
     hyp: HeightHypothesis,
@@ -1169,7 +1184,6 @@ def a2m_bound(
     n: int,
     m: int,
     C_S: float | None = None,
-    P: int = 600,
     rank_ratio: float | None = None,
 ) -> BoundReport:
     """Tail bound for the weight-m pair configurations of the n-th moment.
@@ -1181,13 +1195,14 @@ def a2m_bound(
     eps = (1/2) log min(4/3, e^{c1/(3(m+1))}, f_{n-m}(3 c1/4)) and
     Z = zeta(t/(2(m+1)) - m(n-m)/e) zeta(t/(4m(n-m)))^{m(n-m)} / zeta(t-1).
     C_S is reported as "unresolved" unless supplied; the value uses C_S = 1
-    in that case.
+    in that case.  rank_ratio defaults to the field's unit rank / degree,
+    and a smaller one raises ValueError.
     """
     if not 2 <= m <= n - 1:
         raise ValueError(f"need 2 <= m <= n-1, got n={n}, m={m}")
     d = F.degree
     c1 = hyp.c1
-    rr = F.unit_rank / d if rank_ratio is None else rank_ratio
+    rr = _rank_ratio(F, rank_ratio)
     t0 = _pair_tail_threshold(hyp, n, m, rr)
     t0_eff = max([t0] + _pair_zeta_floors(n, m))
     if not t > t0_eff:
@@ -1203,7 +1218,6 @@ def a2m_bound(
             (t / (4.0 * w), float(w)),
             (t - 1.0, -1.0),
         ],
-        P,
     )
     cs = 1.0 if C_S is None else float(C_S)
     value = (
@@ -1226,7 +1240,6 @@ def a2m_bound(
             "m": m,
             "t0_effective": t0_eff,
             "rank_ratio": rr,
-            "P": P,
         },
     )
 
@@ -1243,31 +1256,35 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
 
     options (all optional): k (splitting parameter for the rank-one tail,
     default 4), C (leading constant, default 1 and flagged unresolved via
-    constants["C_unresolved"]), P (zeta truncation, reported only), mode ("general",
-    "fixed-field" or "cyclotomic"), rank_ratio (sup of unit rank over degree
-    across the intended family; defaults to this field's own ratio).
+    constants["C_unresolved"]), mode ("general", "fixed-field" or
+    "cyclotomic"), rank_ratio (sup of unit rank over degree across the
+    intended family, at least this field's own ratio, which is the
+    default).  Any other key or mode raises ValueError.
 
     The printed threshold formula omits the rank-free entries of the pair
     tails and the zeta-argument floors, so the effective precondition is
     their maximum; ThresholdError reports that effective value, while the
     constants record both.
     """
-    opts = dict(options or {})
+    opts = options or {}
+    unknown = set(opts) - {"k", "C", "mode", "rank_ratio"}
+    if unknown:
+        raise ValueError(f"unknown moment_bounds options: {sorted(unknown, key=str)}")
+    mode = opts.get("mode", "general")
+    if mode not in ("general", "fixed-field", "cyclotomic"):
+        raise ValueError(f"unknown mode {mode!r}")
     F = q.field
     t, n, V = float(q.t), q.n, q.V
     k = int(opts.get("k", 4))
-    P = int(opts.get("P", 600))
-    mode = opts.get("mode", "general")
     user_C = opts.get("C")
     cval = 1.0 if user_C is None else float(user_C)
     if n == 2:
-        return second_moment_bounds(F, hyp, t, V, k=max(k, 2), P=P)
+        return second_moment_bounds(F, hyp, t, V, k=max(k, 2))
     if n < 2:
         raise ValueError("moment bounds need n >= 2")
     d = F.degree
     c0, c1 = hyp.c0, hyp.c1
-    rr = opts.get("rank_ratio")
-    rr = F.unit_rank / d if rr is None else float(rr)
+    rr = _rank_ratio(F, opts.get("rank_ratio"))
     omega = F.omega_K
 
     if mode == "cyclotomic":
@@ -1310,10 +1327,10 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
     poly = (t * d) ** ((n - 2) / 2.0) * (V + 1.0) ** (n - 1)
     components: dict[str, float] = {"main": float(main)}
     components["torsion_tail"] = a1m_bound(F, n, q.t)
-    components["rank_one_tail"] = ideal_sum_bound(F, hyp, t, n - 1, k, P).bound_value
+    components["rank_one_tail"] = ideal_sum_bound(F, hyp, t, n - 1, k).bound_value
     for m in range(2, n):
         components[f"pair_tail_m{m}"] = a2m_bound(
-            F, hyp, t, n, m, C_S=user_C, P=P, rank_ratio=rr
+            F, hyp, t, n, m, C_S=user_C, rank_ratio=rr
         ).bound_value
 
     constants = {
@@ -1342,7 +1359,6 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         zeta_factor, z_lo, z_hi = _composite_zeta(
             F,
             [(s1, 1.0), (t / (n * n), n * n / 4.0), (t - 1.0, -1.0)],
-            P,
         )
         constants["zeta_low"] = z_lo
         constants["zeta_high"] = z_hi

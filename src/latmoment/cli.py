@@ -19,7 +19,6 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -64,26 +63,6 @@ PUBLISHED_T0 = {(1, 26): 27, (2, 48): 97, (3, 70): 213, (4, 92): 372, (5, 115): 
 EVAL_PM = 1e-9
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged flag/file configuration for one invocation."""
-
-    descriptor: str | None = None
-    t: float | None = None
-    n: int | None = None
-    V: Fraction | float | None = None
-    k: int | None = None
-    c0: float | None = None
-    c1: float | None = None
-    cutoff: int | None = None
-    P: int | None = None
-    T: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    output: str | None = None
-    fmt: str = "csv"
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -108,27 +87,13 @@ def _pick(flag, cfg: dict, key: str, cast, default=None):
     return default
 
 
-def _runconfig(cfg: dict, *, descriptor=None, t=None, n=None, V=None, k=None,
-               c0=None, c1=None, cutoff=None, P=None, T=None, samples=None,
-               seed=None, output=None, fmt=None) -> RunConfig:
-    """Merge flag values over config-file values into one record."""
-    vol = _pick(V, cfg, "volume", str)
-    return RunConfig(
-        descriptor=descriptor,
-        t=_pick(t, cfg, "t", float),
-        n=_pick(n, cfg, "n", int),
-        V=_parse_rational(str(vol)) if vol is not None else None,
-        k=_pick(k, cfg, "k", int),
-        c0=_pick(c0, cfg, "c0", float),
-        c1=_pick(c1, cfg, "c1", float),
-        cutoff=_pick(cutoff, cfg, "cutoff", int),
-        P=_pick(P, cfg, "P", int),
-        T=_pick(T, cfg, "T", int),
-        samples=_pick(samples, cfg, "samples", int),
-        seed=_pick(seed, cfg, "seed", int),
-        output=_pick(output, cfg, "output", str),
-        fmt=_pick(fmt, cfg, "format", str, "csv"),
-    )
+def _sink(cfg: dict, fmt, output) -> tuple[str, str | None]:
+    """The table format and output path, flags over the config file."""
+    return _pick(fmt, cfg, "format", str, "csv"), _pick(output, cfg, "output", str)
+
+
+def _volume(vol, cfg: dict) -> Fraction | float:
+    return _parse_rational(_need(_pick(vol, cfg, "volume", str), "volume"))
 
 
 def _need(value, name: str):
@@ -213,7 +178,9 @@ def _guard(fn):
     return wrapper
 
 
-def _hypothesis(F: NumberField, c0: float | None, c1: float | None) -> HeightHypothesis:
+def _hypothesis(F: NumberField, cfg: dict, c0: float | None,
+                c1: float | None) -> HeightHypothesis:
+    c0, c1 = _pick(c0, cfg, "c0", float), _pick(c1, cfg, "c1", float)
     if c0 is None and c1 is None:
         return default_hypothesis(F)
     if c0 is None:
@@ -245,9 +212,7 @@ def main() -> None:
 @_guard
 def field_info(descriptor: str, config_path, fmt, output) -> None:
     """Degree, signature, discriminant and unit data of a field."""
-    rc = _runconfig(_load_config(config_path), descriptor=descriptor,
-                    output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
+    fmt, output = _sink(_load_config(config_path), fmt, output)
     F = make_field(descriptor)
     r1, r2 = F.signature
     row = {
@@ -275,9 +240,7 @@ def field_info(descriptor: str, config_path, fmt, output) -> None:
 @_guard
 def height_cmd(descriptor: str, elements, kind: str, config_path, fmt, output) -> None:
     """Heights of field elements given as comma-separated rational coordinates."""
-    rc = _runconfig(_load_config(config_path), descriptor=descriptor,
-                    output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
+    fmt, output = _sink(_load_config(config_path), fmt, output)
     F = make_field(descriptor)
     rows = []
     for text in elements:
@@ -296,9 +259,7 @@ def height_cmd(descriptor: str, elements, kind: str, config_path, fmt, output) -
 @_guard
 def gr_height_cmd(descriptor: str, row_texts, config_path, fmt, output) -> None:
     """Subspace height of a row-reduced matrix, with its factorization."""
-    rc = _runconfig(_load_config(config_path), descriptor=descriptor,
-                    output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
+    fmt, output = _sink(_load_config(config_path), fmt, output)
     F = make_field(descriptor)
     rows_elems = [[_parse_element(F, cell) for cell in text.split()] for text in row_texts]
     mat = rred_matrix(F, rows_elems)
@@ -325,8 +286,7 @@ def gr_height_cmd(descriptor: str, row_texts, config_path, fmt, output) -> None:
 @_guard
 def poisson_cmd(n: int, lam: str, config_path, fmt, output) -> None:
     """Moments of a Poisson variable, exact for rational rates."""
-    rc = _runconfig(_load_config(config_path), n=n, output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
+    fmt, output = _sink(_load_config(config_path), fmt, output)
     rate = _parse_rational(lam)
     value = poisson_moment(n, rate)
     row = {"n": n, "lambda": rate, "m_n": value,
@@ -339,20 +299,20 @@ def poisson_cmd(n: int, lam: str, config_path, fmt, output) -> None:
 @click.argument("target")
 @click.option("--s", type=float, required=True)
 @click.option("--p", "--P", "P", type=int, default=None,
-              help="zeta truncation P >= 1 (default 1000); validated and "
-                   "reported, it no longer changes the enclosure")
+              help="P >= 1 (default 1000), checked and otherwise unused; kept "
+                   "for the benchmark's call shape until the next benchmark change")
 @_with_common
 @_guard
 def zeta_cmd(target: str, s: float, P, config_path, fmt, output) -> None:
     """Dedekind zeta interval for a conductor or a field descriptor."""
-    rc = _runconfig(_load_config(config_path), P=P, output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
-    P = rc.P if rc.P is not None else 1000
+    cfg = _load_config(config_path)
+    fmt, output = _sink(cfg, fmt, output)
+    P = _pick(P, cfg, "P", int, 1000)
     if target.isdigit():
         z = dedekind_zeta(int(target), s, P)
     else:
         z = dedekind_zeta_field(make_field(target), s, P)
-    row = {"conductor": z.conductor, "s": z.s, "P": z.P,
+    row = {"conductor": z.conductor, "s": z.s,
            "value_low": z.value_low, "value_high": z.value_high}
     mid = (z.value_low + z.value_high) / 2
     _emit(list(row), [row], fmt, output,
@@ -364,24 +324,19 @@ def zeta_cmd(target: str, s: float, P, config_path, fmt, output) -> None:
 @click.option("--t", type=float, default=None)
 @click.option("--volume", "vol", default=None)
 @click.option("--k", type=int, default=None)
-@click.option("--zeta-p", "P", type=int, default=None,
-              help="zeta truncation P >= 1 (default 600); validated and "
-                   "reported, it no longer changes the enclosure")
 @click.option("--c0", type=float, default=None)
 @click.option("--c1", type=float, default=None)
 @_with_common
 @_guard
-def second_moment_cmd(descriptor, t, vol, k, P, c0, c1, config_path, fmt, output):
+def second_moment_cmd(descriptor, t, vol, k, c0, c1, config_path, fmt, output):
     """Two-sided second-moment bracket for the ball point count."""
-    rc = _runconfig(_load_config(config_path), descriptor=descriptor, t=t,
-                    V=vol, k=k, c0=c0, c1=c1, P=P, output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
-    t = _need(rc.t, "t")
-    V = _need(rc.V, "volume")
-    k = rc.k if rc.k is not None else 4
-    P = rc.P if rc.P is not None else 600
+    cfg = _load_config(config_path)
+    fmt, output = _sink(cfg, fmt, output)
+    t = _need(_pick(t, cfg, "t", float), "t")
+    V = _volume(vol, cfg)
+    k = _pick(k, cfg, "k", int, 4)
     F = make_field(descriptor)
-    rep = second_moment_bounds(F, _hypothesis(F, rc.c0, rc.c1), t, V, k=k, P=P)
+    rep = second_moment_bounds(F, _hypothesis(F, cfg, c0, c1), t, V, k=k)
     row = {
         "field": F.descriptor, "t": t, "volume": V, "k": k,
         "lower": rep.lower, "main": rep.main_term, "upper": rep.upper,
@@ -402,9 +357,6 @@ def second_moment_cmd(descriptor, t, vol, k, P, c0, c1, config_path, fmt, output
 @click.option("--k", type=int, default=None)
 @click.option("--constant", "c_const", type=float, default=None,
               help="leading constant; omitted means unresolved, evaluated at 1")
-@click.option("--zeta-p", "P", type=int, default=None,
-              help="zeta truncation P >= 1 (default 600); validated and "
-                   "reported, it no longer changes the enclosure")
 @click.option("--mode", type=click.Choice(["general", "fixed-field", "cyclotomic"]),
               default=None)
 @click.option("--rank-ratio", type=float, default=None)
@@ -412,31 +364,19 @@ def second_moment_cmd(descriptor, t, vol, k, P, c0, c1, config_path, fmt, output
 @click.option("--c1", type=float, default=None)
 @_with_common
 @_guard
-def moment_bounds_cmd(descriptor, t, n, vol, k, c_const, P, mode, rank_ratio,
+def moment_bounds_cmd(descriptor, t, n, vol, k, c_const, mode, rank_ratio,
                       c0, c1, config_path, fmt, output):
     """Assembled n-th moment bracket; long-format quantity/value rows."""
     cfg = _load_config(config_path)
-    rc = _runconfig(cfg, descriptor=descriptor, t=t, n=n, V=vol, k=k,
-                    c0=c0, c1=c1, P=P, output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
-    t = int(_need(rc.t, "t"))
-    n = _need(rc.n, "n")
-    V = _need(rc.V, "volume")
+    fmt, output = _sink(cfg, fmt, output)
+    t = int(_need(_pick(t, cfg, "t", float), "t"))
+    n = _need(_pick(n, cfg, "n", int), "n")
+    V = _volume(vol, cfg)
     F = make_field(descriptor)
-    options = {}
-    if rc.k is not None:
-        options["k"] = rc.k
-    if c_const is not None:
-        options["C"] = c_const
-    if rc.P is not None:
-        options["P"] = rc.P
-    mode = _pick(mode, cfg, "mode", str)
-    if mode is not None:
-        options["mode"] = mode
-    if rank_ratio is not None:
-        options["rank_ratio"] = rank_ratio
-    q = MomentQuery(F, t, n, V)
-    rep = moment_bounds(q, _hypothesis(F, rc.c0, rc.c1), options)
+    options = {"k": _pick(k, cfg, "k", int), "C": c_const,
+               "mode": _pick(mode, cfg, "mode", str), "rank_ratio": rank_ratio}
+    options = {key: val for key, val in options.items() if val is not None}
+    rep = moment_bounds(MomentQuery(F, t, n, V), _hypothesis(F, cfg, c0, c1), options)
     rows = [
         {"quantity": "lower", "value": rep.lower, "pm": EVAL_PM},
         {"quantity": "main", "value": rep.main_term, "pm": EVAL_PM},
@@ -465,11 +405,10 @@ def moment_bounds_cmd(descriptor, t, n, vol, k, c_const, P, mode, rank_ratio,
 def t0_table_cmd(k_text, m_text, c0, rank_ratio, shifted, config_path, fmt, output):
     """Admissibility thresholds per (M, k), with the published targets."""
     cfg = _load_config(config_path)
-    rc = _runconfig(cfg, c0=c0, output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
+    fmt, output = _sink(cfg, fmt, output)
     k_text = _pick(k_text, cfg, "k", str, "26,48,70,92,115")
     m_text = _pick(m_text, cfg, "M", str)
-    c0 = rc.c0 if rc.c0 is not None else 0.24
+    c0 = _pick(c0, cfg, "c0", float, 0.24)
     rank_ratio = _pick(rank_ratio, cfg, "rank_ratio", float, 0.5)
     ks = [int(x) for x in k_text.split(",") if x.strip()]
     ms = ([int(x) for x in m_text.split(",") if x.strip()]
@@ -514,12 +453,10 @@ def empirical_cmd(descriptor, kind, t, n, vol, prime, alphas, samples, seed,
                   config_path, fmt, output):
     """Seeded Monte Carlo oracles: intersection volumes or lattice moments."""
     cfg = _load_config(config_path)
-    rc = _runconfig(cfg, descriptor=descriptor, t=t, n=n, V=vol,
-                    samples=samples, seed=seed, output=output, fmt=fmt)
-    fmt, output = rc.fmt, rc.output
-    t = int(_need(rc.t, "t"))
-    samples = rc.samples if rc.samples is not None else 100_000
-    seed = rc.seed if rc.seed is not None else 0
+    fmt, output = _sink(cfg, fmt, output)
+    t = int(_need(_pick(t, cfg, "t", float), "t"))
+    samples = _pick(samples, cfg, "samples", int, 100_000)
+    seed = _pick(seed, cfg, "seed", int, 0)
     if kind == "mc-ratio":
         if not descriptor or not alphas:
             raise click.UsageError("mc-ratio needs a descriptor and --alpha")
@@ -533,8 +470,8 @@ def empirical_cmd(descriptor, kind, t, n, vol, prime, alphas, samples, seed,
         }]
         summary = f"ratio ~ {est.mean!r} +- {est.std_error!r}"
     else:
-        n = _need(rc.n, "n")
-        V = _need(rc.V, "volume")
+        n = _need(_pick(n, cfg, "n", int), "n")
+        V = _volume(vol, cfg)
         prime = _need(_pick(prime, cfg, "p", int), "p")
         ests = random_lattice_moments(t, n, float(V), prime, samples=samples, seed=seed)
         expected_field = make_field("Q")

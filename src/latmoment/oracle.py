@@ -28,6 +28,7 @@ from .bounds import (
     HeightHypothesis,
     ThresholdError,
     ZetaInterval,
+    _check_pinned_P,
     _precision_cutoff,
     _quadratic_splitting,
     _zeta_key,
@@ -364,14 +365,17 @@ def truncated_second_moment_rhs(
     torsion units alone contribute exactly omega, so the partial sum must
     land in [omega, omega (1 + relative ideal-sum bound)]; the verdict
     records which side fails, if any.  The bound uses the first splitting
-    parameter k in 2..39 that admits t.
+    parameter k in 2..39 that admits t.  P must be at least 1 and changes
+    nothing: it is kept for the benchmark's call shape until the next
+    benchmark change.
     """
     if cutoff < 2:
         raise ValueError("need cutoff >= 2")
+    _check_pinned_P(P)
     hyp = default_hypothesis(F)
     for k in range(2, 40):
         try:
-            rel = ideal_sum_bound(F, hyp, float(t), 1, k, P).bound_value
+            rel = ideal_sum_bound(F, hyp, float(t), 1, k).bound_value
             break
         except ThresholdError:
             continue
@@ -496,7 +500,7 @@ def _euler_interval(
         hi = math.nextafter(float(high.b), math.inf)
     finally:
         iv.prec = old_prec
-    return ZetaInterval(s=s, conductor=conductor, P=P, value_low=lo, value_high=hi)
+    return ZetaInterval(s=s, conductor=conductor, value_low=lo, value_high=hi)
 
 
 def euler_zeta(target: int | NumberField, s: float, P: int = 1000) -> ZetaInterval:
@@ -512,8 +516,7 @@ def euler_zeta(target: int | NumberField, s: float, P: int = 1000) -> ZetaInterv
     Cutoff: Q = min(P, the smallest integer Q >= 2 with
     Q^(1-s)/(s-1) <= 2^-100).  The primes above such a Q change the 80-bit
     product by less than a unit in the last place, so they are skipped;
-    close to s = 1 the rule gives Q = P.  P must be at least 1, and the
-    returned interval reports the caller's P.
+    close to s = 1 the rule gives Q = P, which must be at least 1.
 
     Tail bound: the primes above Q contribute at most
     (1 + Q^(1-s)/(s-1))^d for a field of degree d, so the interval

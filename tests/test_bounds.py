@@ -229,13 +229,13 @@ def test_best_k_beats_fixed_k():
 
 
 def test_zeta_interval_validation():
-    z = ZetaInterval(2.0, 1, 100, 1.5, 1.7)
+    z = ZetaInterval(2.0, 1, 1.5, 1.7)
     assert z.contains(1.6) and not z.contains(1.4)
     assert z.width == pytest.approx(0.2)
     with pytest.raises(ValueError):
-        ZetaInterval(2.0, 1, 100, 1.7, 1.5)
+        ZetaInterval(2.0, 1, 1.7, 1.5)
     with pytest.raises(ValueError):
-        ZetaInterval(2.0, 1, 100, 0.0, 1.5)
+        ZetaInterval(2.0, 1, 0.0, 1.5)
 
 
 def test_bound_report_validation():
@@ -356,7 +356,6 @@ def test_zeta_precision_cutoff_matches_the_full_product():
                 lo, hi = _untruncated_euler_interval(field, d, s, P)
                 assert z.value_low == lo, (field, s, P)
                 assert z.value_high <= hi, (field, s, P)
-                assert z.P == P
 
 
 def test_zeta_memo_keeps_80_bits_and_the_callers_precision():
@@ -480,7 +479,6 @@ def test_zeta_backend_ignores_P_in_its_memo():
     a = dedekind_zeta(5, 2.0, 600)
     b = dedekind_zeta(5, 2.0, 10_000)
     assert (a.value_low, a.value_high) == (b.value_low, b.value_high)
-    assert (a.P, b.P) == (600, 10_000)
     info = _zeta_endpoints.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize == _ZETA_CACHE_SIZE
@@ -521,7 +519,7 @@ def test_composed_zeta_factors_round_outward():
     for F in (Q, QI, Q5, Z5, make_field("Q(zeta,7)")):
         for t in range(27, 67, 2):
             parts = [(t * 0.5, 1.0), (t / 9.0, 2.25), (0.75 * t, -1.0), (t / 13.0, 3.0)]
-            z, lo, hi = _composite_zeta(F, parts, 600)
+            z, lo, hi = _composite_zeta(F, parts)
             factors = []
             for s_i, e_i in parts:
                 zi = dedekind_zeta_field(F, s_i)
@@ -529,14 +527,22 @@ def test_composed_zeta_factors_round_outward():
             want_lo, want_hi = _factor_products(factors)
             assert lo <= want_lo and want_hi <= hi, (F.descriptor, t)
             assert (z.value_low, z.value_high) == (lo, hi)
-            if F.degree >= 2:
+
+
+def test_cyclotomic_constants_enclose_the_exact_scalar():
+    # the true constant lies between the 40-digit scalar (t0 = 267/10
+    # exactly) times the zeta lows and times the zeta highs; the float
+    # scalar misses it near t = 27, where 1 - e^(-x) cancels
+    with mpmath.workdps(40):
+        for F in (QI, Q5, Z5, make_field("Q(zeta,7)"), make_field("Q(zeta,15)")):
+            for t in range(27, 200):
                 c = cyclotomic_second_moment_constants(F, float(t))
-                want_lo, want_hi = _factor_products([
-                    (c["scalar"], c["scalar"], 1.0),
-                    (c["zeta1"].value_low, c["zeta1"].value_high, 1.0),
-                    (c["zeta2"].value_low, c["zeta2"].value_high, 1.0),
-                ])
-                assert c["C_low"] <= want_lo and want_hi <= c["C_high"], (F.descriptor, t)
+                x = F.degree * (t - mpmath.mpf(267) / 10) / 1124
+                scalar = 3 + 3 / (1 - mpmath.exp(-x))
+                z1, z2 = c["zeta1"], c["zeta2"]
+                low = scalar * mpmath.mpf(z1.value_low) * z2.value_low
+                high = scalar * mpmath.mpf(z1.value_high) * z2.value_high
+                assert c["C_low"] <= low and high <= c["C_high"], (F.descriptor, t)
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +982,32 @@ def test_a2m_unit_rank_field():
     assert rep.t0 == pytest.approx(440.36, abs=0.5)
     assert rep.epsilon > 0
     assert math.isfinite(rep.bound_value)
+
+
+def test_rank_ratio_below_the_fields_own_is_rejected():
+    # a smaller ratio understates the pair-tail precondition, so it is an
+    # invalid input at every t, not a threshold (Q(sqrt,5), n = 3: the
+    # pair tails alone would give t0 = 12, the rank-one tail 180.16)
+    for d, n in (("Q(sqrt,5)", 3), ("Q(zeta,5)", 3), ("Q(zeta,7)", 4), ("Q(sqrt,2)", 4)):
+        F = make_field(d)
+        hyp = default_hypothesis(F)
+        own = F.unit_rank / F.degree
+        for t in (12, 13, 10**5):
+            with pytest.raises(ValueError) as exc:
+                moment_bounds(MomentQuery(F, t, n, 1.0), hyp, {"rank_ratio": 0})
+            assert not isinstance(exc.value, ThresholdError), (d, t)
+        with pytest.raises(ValueError) as exc:
+            a2m_bound(F, hyp, 1e5, n, 2, rank_ratio=own / 2)
+        assert not isinstance(exc.value, ThresholdError), d
+        assert a2m_bound(F, hyp, 1e5, n, 2, rank_ratio=own).inputs["rank_ratio"] == own
+
+
+def test_moment_bounds_rejects_unknown_options_and_modes():
+    hyp = default_hypothesis(Q)
+    for q in (MomentQuery(Q, 40, 3, 1.0), MomentQuery(Q, 40, 2, 1.0)):
+        for options in ({"P": 600}, {"mode": "foo"}, {"k": 4, "rank": 0.5}):
+            with pytest.raises(ValueError):
+                moment_bounds(q, hyp, options)
 
 
 def test_a2m_range_errors():

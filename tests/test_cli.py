@@ -156,6 +156,35 @@ def test_zeta_without_a_positive_cutoff_exits_2(runner):
     assert "invalid configuration" in r.stderr
 
 
+def test_zeta_row_has_no_truncation_column(runner):
+    r = runner.invoke(main, ["zeta", "5", "--s", "2", "--p", "10000"])
+    assert r.exit_code == 0
+    assert lines(r)[1] == "conductor,s,value_low,value_high"
+
+
+def test_moment_commands_take_no_zeta_truncation(runner):
+    for cmd in (["second-moment", "Q", "--t", "30"],
+                ["moment-bounds", "Q", "--t", "40", "--n", "3"]):
+        r = runner.invoke(main, [*cmd, "--volume", "1", "--zeta-p", "600"])
+        assert r.exit_code == 2
+
+
+def test_rank_ratio_below_the_fields_own_exits_2(runner):
+    r = runner.invoke(main, ["moment-bounds", "Q(sqrt,5)", "--t", "400", "--n", "3",
+                             "--volume", "1", "--rank-ratio", "0"])
+    assert r.exit_code == 2
+    assert "invalid configuration" in r.stderr
+
+
+def test_config_mode_outside_the_choices_exits_2(runner, tmp_path):
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text("mode = foo\n")
+    r = runner.invoke(main, ["moment-bounds", "Q", "--t", "40", "--n", "3",
+                             "--volume", "1", "--config", str(cfg)])
+    assert r.exit_code == 2
+    assert "invalid configuration" in r.stderr
+
+
 def test_config_file_supplies_defaults_flags_win(runner, tmp_path):
     cfg = tmp_path / "lm.cfg"
     cfg.write_text("t = 6\nvolume = 2 # trailing comment\nformat = json\n\n# note\n")
