@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
 from mpmath import bernfrac, iv
 
 from .heights import RredMatrix, h_infty, plucker
@@ -37,6 +37,9 @@ from .numberfield import (
     abs_norm,
     denominator_norm,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ThresholdError",
@@ -143,8 +146,11 @@ def f_M(M: int, x):
     """(e^x + M e^(-x/M)) / (M+1); equals cosh x at M = 1, and >= 1 always."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    if isinstance(x, np.ndarray):
-        return (np.exp(x) + M * np.exp(-x / M)) / (M + 1)
+    # an ndarray exists only once numpy is imported, so a scalar x never
+    # imports it
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(x, numpy.ndarray):
+        return (numpy.exp(x) + M * numpy.exp(-x / M)) / (M + 1)
     return (math.exp(x) + M * math.exp(-x / M)) / (M + 1)
 
 
@@ -159,44 +165,67 @@ def g_M(M: int, x: float) -> float:
 
 _ALPHA_GRID_STEP = 1e-3
 _ALPHA_GRID_END = 50.0
+_ALPHA_BITS = 25
 
 
-def _alpha_certified(M: int, c0: float, a: float) -> bool:
-    # log f_M(x) - a x is convex, so on each grid cell the tangent line at
-    # the left endpoint is a lower bound; the tail x >= end uses
-    # f_M(x) >= e^x/(M+1).
-    if (1.0 - a) * _ALPHA_GRID_END < math.log(M + 1):
-        return False
+def _alpha_grid(M: int, c0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # x from c0/2 to the tail, log f_M(x) and f_M'(x)/f_M(x)
+    import numpy as np
     x = np.arange(c0 / 2.0, _ALPHA_GRID_END + _ALPHA_GRID_STEP, _ALPHA_GRID_STEP)
     ex = np.exp(x)
     emx = np.exp(-x / M)
     f = (ex + M * emx) / (M + 1)
-    g = np.log(f) - a * x
+    return x, np.log(f), (ex - emx) / (M + 1) / f
+
+
+def _alpha_certified(M: int, grid: tuple, a: float) -> bool:
+    # log f_M(x) - a x is convex, so on each grid cell the tangent line at
+    # the left endpoint is a lower bound; the tail x >= end uses
+    # f_M(x) >= e^x/(M+1).
+    import numpy as np
+    if (1.0 - a) * _ALPHA_GRID_END < math.log(M + 1):
+        return False
+    x, logf, dlogf = grid
+    g = logf - a * x
     if g.min() < 0:
         return False
-    gp = (ex - emx) / (M + 1) / f - a
+    gp = dlogf - a
     cell = g[:-1] + _ALPHA_GRID_STEP * np.minimum(gp[:-1], 0.0)
     return bool(cell.min() >= 0)
 
 
 @lru_cache(maxsize=None)
 def _alpha_search(M: int, c0_key: float) -> float:
-    lo, hi = 0.0, 1.0
-    for _ in range(25):
-        mid = (lo + hi) / 2.0
-        if _alpha_certified(M, c0_key, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    import numpy as np
+    grid = x, logf, dlogf = _alpha_grid(M, c0_key)
+    h = _ALPHA_GRID_STEP
+    # each condition of _alpha_certified is linear and decreasing in a; the
+    # point bound is void at x = 0, where log f_M(0) = 0
+    with np.errstate(invalid="ignore"):
+        points = float(np.nanmin(logf / x))
+    cells = float(((logf[:-1] + h * dlogf[:-1]) / (x[:-1] + h)).min())
+    a = min(1.0 - math.log(M + 1) / _ALPHA_GRID_END, points, cells)
+    scale = 2**_ALPHA_BITS
+    k = min(max(math.floor(a * scale), 0), scale - 1)
+    while k > 0 and not _alpha_certified(M, grid, k / scale):
+        k -= 1
+    while k + 1 < scale and _alpha_certified(M, grid, (k + 1) / scale):
+        k += 1
+    return k / scale
 
 
 def alpha_M(M: int, c0: float) -> float:
     """Largest certified a with f_M(x) >= e^(a x) for all x >= c0/2.
 
-    Binary search to 1e-6; every candidate is certified on a step-1e-3 grid
-    with a convex tangent-line cell bound plus an explicit tail condition, so
-    the returned exponent is sound, not just numerically plausible.
+    The certificate checks a on a step-1e-3 grid from c0/2 to 50: log f_M(x)
+    >= a x at every point, the convex tangent-line bound on every cell, and
+    the tail condition (1 - a) 50 >= log(M + 1), so the returned exponent is
+    sound, not just numerically plausible.  Each condition is linear in a,
+    so the largest a they allow together is a minimum of closed forms, taken
+    in one pass over the grid.  That value is rounded down to a multiple of
+    2^-25, then moved until the certificate accepts it and rejects the next
+    multiple; the certificate is monotone in a under round-to-nearest, so the
+    result is the largest certified multiple of 2^-25 below 1 (0 if none is).
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
@@ -688,6 +717,7 @@ def _coerce_element(F: NumberField, a) -> FieldElement:
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
+    import numpy as np
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(v) + 1)
@@ -717,6 +747,7 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
         raise ValueError("need at least one nonzero element")
     if any(not a for a in alphas):
         raise ValueError("zero entry in tuple")
+    import numpy as np
     places = F.places
     E = F.embed_matrix[[row for row, _ in places]]
     X = np.array([a.floats() for a in alphas])
@@ -1252,14 +1283,15 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
     C omega^{n^2/4} (td)^{(n-2)/2} e^{-eps d (t - t0)} (V+1)^{n-1} Z.  The
     components dict itemizes the torsion tail, the rank-one ideal-sum tail
     and each pair tail as relative factors.  n = 2 delegates to
-    second_moment_bounds.
+    second_moment_bounds, which takes k alone.
 
     options (all optional): k (splitting parameter for the rank-one tail,
     default 4), C (leading constant, default 1 and flagged unresolved via
     constants["C_unresolved"]), mode ("general", "fixed-field" or
     "cyclotomic"), rank_ratio (sup of unit rank over degree across the
     intended family, at least this field's own ratio, which is the
-    default).  Any other key or mode raises ValueError.
+    default).  Any other key or mode raises ValueError, and so do C, mode
+    and rank_ratio at n = 2.
 
     The printed threshold formula omits the rank-free entries of the pair
     tails and the zeta-argument floors, so the effective precondition is
@@ -1279,6 +1311,9 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
     user_C = opts.get("C")
     cval = 1.0 if user_C is None else float(user_C)
     if n == 2:
+        ignored = sorted(set(opts) - {"k"})
+        if ignored:
+            raise ValueError(f"moment_bounds options {ignored} do not apply at n = 2")
         return second_moment_bounds(F, hyp, t, V, k=max(k, 2))
     if n < 2:
         raise ValueError("moment bounds need n >= 2")

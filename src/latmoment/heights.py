@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .numberfield import (
     ElementTuple,
@@ -37,6 +35,9 @@ from .numberfield import (
     ideal_from_generators,
     row_reduce,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProjPoint",
@@ -90,6 +91,7 @@ class ProjPoint:
     @cached_property
     def conj_matrix(self) -> np.ndarray:
         """(d, N) complex array of embedding values of the coordinates."""
+        import numpy as np
         F = self.field
         cols = []
         for c in self.coords:
@@ -178,6 +180,7 @@ def weil_height(F: NumberField, alpha: FieldElement) -> float:
     """
     if not alpha:
         raise ValueError("height of zero is undefined")
+    import numpy as np
     vals = np.abs(F.embed_matrix @ np.array(alpha.floats()))
     arch = float(np.sum(np.log(np.maximum(vals, 1.0))))
     return (arch + math.log(denominator_norm(F, [alpha]))) / F.degree
@@ -188,6 +191,7 @@ def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:
     alphas = list(alphas)
     if not alphas:
         raise ValueError("empty tuple")
+    import numpy as np
     mat = np.array(
         [np.abs(F.embed_matrix @ np.array(a.floats())) for a in alphas]
     )  # (N, d)
@@ -201,6 +205,7 @@ def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:
 
 def proj_height_l2(x: ProjPoint) -> float:
     """l2 projective height: prod_sigma sqrt(sum_j |sigma x_j|^2) / N(<x>)."""
+    import numpy as np
     mat = x.conj_matrix
     sums = np.sum(np.abs(mat) ** 2, axis=1)
     return float(np.prod(np.sqrt(sums))) / float(x.ideal_norm)
@@ -208,6 +213,7 @@ def proj_height_l2(x: ProjPoint) -> float:
 
 def proj_height_linf(x: ProjPoint) -> float:
     """l-infinity projective height: prod_sigma max_j |sigma x_j| / N(<x>)."""
+    import numpy as np
     mat = x.conj_matrix
     return float(np.prod(np.max(np.abs(mat), axis=1))) / float(x.ideal_norm)
 

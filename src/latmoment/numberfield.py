@@ -17,10 +17,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import mpmath
-import numpy as np
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EMBED_BITS = 100
 
@@ -447,11 +449,13 @@ class NumberField:
     @cached_property
     def embeddings(self) -> np.ndarray:
         """Generator images as complex128, same order as embeddings_mp."""
+        import numpy as np
         return np.array([complex(v) for v in self.embeddings_mp], dtype=complex)
 
     @cached_property
     def embed_matrix(self) -> np.ndarray:
         """(d, d) complex matrix: row i, column j holds sigma_i(g^j)."""
+        import numpy as np
         d = self.degree
         with mpmath.workprec(_EMBED_BITS):
             rows = []
@@ -675,6 +679,7 @@ ElementTuple = tuple[FieldElement, ...]
 
 def conjugates(F: NumberField, x: FieldElement) -> np.ndarray:
     """All d complex embedding values of x, conjugate pairs adjacent."""
+    import numpy as np
     return F.embed_matrix @ np.array(x.floats())
 
 

@@ -20,8 +20,8 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
 from mpmath import iv
 
 from .bounds import (
@@ -47,6 +47,9 @@ from .numberfield import (
     enumerate_torsion,
     fundamental_unit,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "McEstimate",
@@ -122,6 +125,7 @@ def _mc_inputs(F: NumberField, t: int, alphas, samples: int) -> tuple[int, list]
 
 def _hit_rate(samples: int, seed: int, hits) -> McEstimate:
     # hits(rng, b) counts the hits among b fresh samples drawn from rng
+    import numpy as np
     total = 0
     done = 0
     batch_idx = 0
@@ -137,6 +141,7 @@ def _hit_rate(samples: int, seed: int, hits) -> McEstimate:
 
 
 def _ball_points(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
+    import numpy as np
     g = rng.standard_normal((b, N))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     g *= rng.random((b, 1)) ** (1.0 / N)
@@ -158,6 +163,7 @@ def mc_intersection_ratio(
     total dimension t*degree <= 64.
     """
     N, alphas = _mc_inputs(F, t, alphas, samples)
+    import numpy as np
     W = np.array([[abs(conjugates(F, a)[row]) ** 2 for row, _ in F.places] for a in alphas])
     blocks = _place_blocks(F, t)
 
@@ -189,6 +195,7 @@ def mc_column_sum_ratio(
     Same preconditions as mc_intersection_ratio.
     """
     N, alphas = _mc_inputs(F, t, alphas, samples)
+    import numpy as np
     scales = [[complex(conjugates(F, a)[row]) for row, _ in F.places] for a in alphas]
     blocks = _place_blocks(F, t)
 
@@ -404,6 +411,7 @@ def _quadratic_ideal_counts(F: NumberField, X: int) -> np.ndarray:
     With basis {1, w} and w^2 = e w + f, primitive ideals of norm a are the
     roots of b^2 + e b - f mod a; summing over square divisors adds the rest.
     """
+    import numpy as np
     e = -F.min_poly[1]
     f = -F.min_poly[0]
     prim = np.zeros(X + 1, dtype=np.int64)
@@ -591,6 +599,7 @@ def random_lattice_moments(
         )
     b2 = radius * radius
     half = p // 2
+    import numpy as np
     ks = np.arange(1, half + 1, dtype=np.int64)
     power_sums = [0] * (2 * n + 1)
     for i in range(samples):
@@ -680,6 +689,7 @@ def mahler_sequence(n_max: int) -> list[float]:
     """
     if not 5 <= n_max <= 60:
         raise ValueError("supported range is 5 <= n_max <= 60")
+    import numpy as np
     out = []
     for n in range(5, n_max + 1):
         coeffs = np.zeros(n + 1)

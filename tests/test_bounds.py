@@ -15,6 +15,7 @@ from latmoment.bounds import (
     ThresholdError,
     ZetaInterval,
     _ZETA_CACHE_SIZE,
+    _alpha_search,
     _composite_zeta,
     _simplex_project,
     _zeta_endpoints,
@@ -137,6 +138,45 @@ def test_alpha_domain_errors():
         alpha_M(0, 0.24)
     with pytest.raises(ValueError):
         alpha_M(2, 0.0)
+
+
+def _alpha_bisection(M, c0):
+    # the reference: 25 halvings of [0, 1], each candidate certified on the
+    # step-1e-3 grid from c0/2 to 50 with every array built afresh
+    def certified(a):
+        if (1.0 - a) * 50.0 < math.log(M + 1):
+            return False
+        x = np.arange(c0 / 2.0, 50.0 + 1e-3, 1e-3)
+        ex = np.exp(x)
+        emx = np.exp(-x / M)
+        f = (ex + M * emx) / (M + 1)
+        g = np.log(f) - a * x
+        if g.min() < 0:
+            return False
+        gp = (ex - emx) / (M + 1) / f - a
+        cell = g[:-1] + 1e-3 * np.minimum(gp[:-1], 0.0)
+        return bool(cell.min() >= 0)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(25):
+        mid = (lo + hi) / 2.0
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_alpha_matches_the_bisection_bit_for_bit():
+    # both default hypotheses (log 2 for Q, the golden floor elsewhere),
+    # the abelian c1, small and large floors
+    c0s = (default_hypothesis(Q).c0, default_hypothesis(Z5).c0, default_hypothesis(Z5).c1,
+           0.01, 0.05, 1.0, 2.0)
+    for M in range(1, 7):
+        for c0 in c0s:
+            _alpha_search.cache_clear()
+            assert alpha_M(M, c0) == _alpha_bisection(M, c0), (M, c0)
+    _alpha_search.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1008,6 +1048,18 @@ def test_moment_bounds_rejects_unknown_options_and_modes():
         for options in ({"P": 600}, {"mode": "foo"}, {"k": 4, "rank": 0.5}):
             with pytest.raises(ValueError):
                 moment_bounds(q, hyp, options)
+    # at n = 2 the second-moment bracket takes k alone, so the options it
+    # would ignore are rejected by name, each valid value included
+    q = MomentQuery(QI, 8, 2, 3.0)
+    hyp = default_hypothesis(QI)
+    for options in ({"C": 5.0}, {"mode": "general"}, {"mode": "fixed-field"},
+                    {"rank_ratio": 0.9}, {"k": 4, "C": 1.0, "rank_ratio": 0.5}):
+        with pytest.raises(ValueError, match="do not apply at n = 2") as exc:
+            moment_bounds(q, hyp, options)
+        assert not isinstance(exc.value, ThresholdError)
+        for key in options.keys() - {"k"}:
+            assert repr(key) in str(exc.value)
+    assert moment_bounds(q, hyp, {"k": 4}).upper == moment_bounds(q, hyp).upper
 
 
 def test_a2m_range_errors():

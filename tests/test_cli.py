@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import latmoment
 from latmoment import cli
 from latmoment.cli import main
 
@@ -176,6 +181,15 @@ def test_rank_ratio_below_the_fields_own_exits_2(runner):
     assert "invalid configuration" in r.stderr
 
 
+def test_second_moment_options_it_would_ignore_exit_2(runner):
+    base = ["moment-bounds", "Q(sqrt,-1)", "--t", "8", "--n", "2", "--volume", "3"]
+    assert runner.invoke(main, [*base, "--k", "6"]).exit_code == 0
+    for extra in (["--constant", "5"], ["--mode", "general"], ["--rank-ratio", "0.9"]):
+        r = runner.invoke(main, [*base, *extra])
+        assert r.exit_code == 2, extra
+        assert "do not apply at n = 2" in r.stderr
+
+
 def test_config_mode_outside_the_choices_exits_2(runner, tmp_path):
     cfg = tmp_path / "lm.cfg"
     cfg.write_text("mode = foo\n")
@@ -275,3 +289,40 @@ def test_verify_output_file(runner, tmp_path):
                              "--output", str(out)])
     assert r.exit_code == 0
     assert json.loads(out.read_text())["all_pass"] is True
+
+
+# ------------------------------------------------------------- cold start
+
+
+def _fresh_imports(*argv):
+    # exit code and imported module names of a fresh interpreter;
+    # -X importtime lists every module it imports on stderr
+    src = str(Path(latmoment.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, names
+
+
+def test_commands_without_arrays_never_import_numpy():
+    code, names = _fresh_imports("-c", "import latmoment.cli")
+    assert code == 0 and "latmoment.cli" in names and "numpy" not in names
+    for args, want in ((["field-info", "Q(zeta,5)"], 0),
+                       (["zeta", "Q(sqrt,5)", "--s", "2.5"], 0),
+                       (["zeta", "5", "--s", "2", "--p", "10000"], 0),
+                       (["second-moment", "Q(zeta,5)", "--t", "40", "--volume", "4"], 0),
+                       (["second-moment", "Q"], 2)):
+        code, names = _fresh_imports("-m", "latmoment.cli", *args)
+        assert code == want, args
+        assert "latmoment.bounds" in names and "numpy" not in names, args
+
+
+def test_commands_with_arrays_still_run_in_a_fresh_process():
+    for args in (["moment-bounds", "Q", "--t", "40", "--n", "3", "--volume", "1"],
+                 ["gr-height", "Q(zeta,5)", "--row", "1,0,0,0 0,1,0,0 1/2,0,0,1",
+                  "--row", "0,0,1,0 1,1,0,0 0,0,0,2"],
+                 ["verify", "--suite", "core", "--seed", "7", "--cutoff", "5"]):
+        code, names = _fresh_imports("-m", "latmoment.cli", *args)
+        assert code == 0 and "numpy" in names, args

@@ -17,6 +17,8 @@ peak_rss_mb includes compiling the package whenever bytecode is not cached
 (PYTHONDONTWRITEBYTECODE=1, or a fresh checkout), so each in-process
 workload also runs twice more per side with bytecode written under a
 temporary PYTHONPYCACHEPREFIX, and the second run's peak is recorded.
+One traced run per side and workload (--trace 1, first seed) records
+the per-layer metrics, to show where a change's time goes.
 
 Tier-1 runs TIER1_RUNS (3) times per side, alternating, with
 `pytest --durations=0`; the file records the wall time of each run, their
@@ -51,10 +53,11 @@ def parse_seeds(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def bench_run(root: Path, workload: str, seed: int, seconds: int, env: dict) -> dict:
+def bench_run(root: Path, workload: str, seed: int, seconds: int, env: dict,
+              trace: int = 0) -> dict:
     """One perfbench run in a checkout; its last stdout line as a dict."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: {' '.join(cmd[1:])} exited {proc.returncode}\n"
@@ -117,6 +120,12 @@ def cached_bytecode_rss(roots: dict[str, Path], workload: str, seed: int, second
             runs = [bench_run(root, workload, seed, seconds, env) for _ in range(2)]
         out[side] = runs[1]["metrics"]["peak_rss_mb"]["value"]
     return out
+
+
+def traced(roots: dict[str, Path], workload: str, seed: int, seconds: int) -> dict:
+    return {side: {k: v["value"] for k, v in
+                   bench_run(root, workload, seed, seconds, dict(os.environ), 1)["metrics"].items()}
+            for side, root in roots.items()}
 
 
 def tier1_run(root: Path) -> dict:
@@ -184,6 +193,7 @@ def main() -> None:
             "workloads": {},
         },
         "peak_rss_cached_bytecode_mb": {},
+        "traced": {"seed": args.seeds[0], "workloads": {}},
     }
     for name in (w["name"] for w in bench["workloads"]):
         report["benchmark"]["workloads"][name] = workload_pairs(
@@ -191,6 +201,7 @@ def main() -> None:
         if name != "cli-runs":
             report["peak_rss_cached_bytecode_mb"][name] = cached_bytecode_rss(
                 roots, name, args.seeds[0], seconds)
+        report["traced"]["workloads"][name] = traced(roots, name, args.seeds[0], seconds)
     report["tier1"] = tier1(roots)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
