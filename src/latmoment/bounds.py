@@ -1,7 +1,7 @@
 """Explicit constants behind the moment error bounds.
 
 Everything here is an inequality with every constant computed: admissibility
-thresholds for the number of module copies t, certified convexity exponents,
+thresholds for the number of module copies t, closed-form convexity exponents,
 unit-count boxes, volume-ratio bounds driven by heights, Dedekind zeta
 values as rigorous intervals from Dirichlet L-functions, and the assembled
 two-sided moment brackets.  Operations that need t above a threshold raise ThresholdError
@@ -139,7 +139,7 @@ def voutier_hypothesis(d: int) -> HeightHypothesis:
 
 
 # ---------------------------------------------------------------------------
-# the convex comparison function and its certified exponent
+# the convex comparison function and its exponent
 
 
 def f_M(M: int, x):
@@ -163,75 +163,36 @@ def g_M(M: int, x: float) -> float:
     return (x + M * x ** (-1.0 / M)) / (M + 1)
 
 
-_ALPHA_GRID_STEP = 1e-3
-_ALPHA_GRID_END = 50.0
-_ALPHA_BITS = 25
-
-
-def _alpha_grid(M: int, c0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # x from c0/2 to the tail, log f_M(x) and f_M'(x)/f_M(x)
-    import numpy as np
-    x = np.arange(c0 / 2.0, _ALPHA_GRID_END + _ALPHA_GRID_STEP, _ALPHA_GRID_STEP)
-    ex = np.exp(x)
-    emx = np.exp(-x / M)
-    f = (ex + M * emx) / (M + 1)
-    return x, np.log(f), (ex - emx) / (M + 1) / f
-
-
-def _alpha_certified(M: int, grid: tuple, a: float) -> bool:
-    # log f_M(x) - a x is convex, so on each grid cell the tangent line at
-    # the left endpoint is a lower bound; the tail x >= end uses
-    # f_M(x) >= e^x/(M+1).
-    import numpy as np
-    if (1.0 - a) * _ALPHA_GRID_END < math.log(M + 1):
-        return False
-    x, logf, dlogf = grid
-    g = logf - a * x
-    if g.min() < 0:
-        return False
-    gp = dlogf - a
-    cell = g[:-1] + _ALPHA_GRID_STEP * np.minimum(gp[:-1], 0.0)
-    return bool(cell.min() >= 0)
-
-
-@lru_cache(maxsize=None)
-def _alpha_search(M: int, c0_key: float) -> float:
-    import numpy as np
-    grid = x, logf, dlogf = _alpha_grid(M, c0_key)
-    h = _ALPHA_GRID_STEP
-    # each condition of _alpha_certified is linear and decreasing in a; the
-    # point bound is void at x = 0, where log f_M(0) = 0
-    with np.errstate(invalid="ignore"):
-        points = float(np.nanmin(logf / x))
-    cells = float(((logf[:-1] + h * dlogf[:-1]) / (x[:-1] + h)).min())
-    a = min(1.0 - math.log(M + 1) / _ALPHA_GRID_END, points, cells)
-    scale = 2**_ALPHA_BITS
-    k = min(max(math.floor(a * scale), 0), scale - 1)
-    while k > 0 and not _alpha_certified(M, grid, k / scale):
-        k -= 1
-    while k + 1 < scale and _alpha_certified(M, grid, (k + 1) / scale):
-        k += 1
-    return k / scale
-
-
 def alpha_M(M: int, c0: float) -> float:
-    """Largest certified a with f_M(x) >= e^(a x) for all x >= c0/2.
+    """Largest a with f_M(x) >= e^(a x) for all x >= c0/2, rounded down.
 
-    The certificate checks a on a step-1e-3 grid from c0/2 to 50: log f_M(x)
-    >= a x at every point, the convex tangent-line bound on every cell, and
-    the tail condition (1 - a) 50 >= log(M + 1), so the returned exponent is
-    sound, not just numerically plausible.  Each condition is linear in a,
-    so the largest a they allow together is a minimum of closed forms, taken
-    in one pass over the grid.  That value is rounded down to a multiple of
-    2^-25, then moved until the certificate accepts it and rejects the next
-    multiple; the certificate is monotone in a under round-to-nearest, so the
-    result is the largest certified multiple of 2^-25 below 1 (0 if none is).
+    log f_M is a log-sum-exp of affine functions, so it is convex, and it
+    vanishes at 0; hence log f_M(x)/x is nondecreasing on x > 0 and the
+    supremum of admissible a is 2 log f_M(c0/2)/c0, attained at the left
+    endpoint.  That value is enclosed in iv at 80 bits, plus the bits that
+    small c0 cancels, and its lower endpoint is returned: rounded down, so
+    never above the supremum, and clamped at 0, which is always admissible
+    since f_M >= 1.  The memo is keyed by the exact float c0, never a
+    rounded one, because a c0 rounded up would give a larger a.
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    if not c0 > 0:
-        raise ValueError("need c0 > 0")
-    return _alpha_search(int(M), round(float(c0), 12))
+    c0 = float(c0)
+    if not (math.isfinite(c0) and c0 > 0):
+        raise ValueError("need finite c0 > 0")
+    return _alpha_exponent(int(M), c0)
+
+
+@lru_cache(maxsize=None)
+def _alpha_exponent(M: int, c0: float) -> float:
+    def exponent():
+        # f_M(x) is about 1 + x^2/(2M) for small x, so the log loses about
+        # log2(8M/c0^2) bits to the 1; extra precision pays for them
+        iv.prec += 2 * max(0, -math.frexp(c0)[1]) + M.bit_length()
+        x = iv.mpf(c0) / 2
+        return 2 * iv.log((iv.exp(x) + M * iv.exp(-x / M)) / (M + 1)) / c0
+
+    return max(_enclose(exponent)[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +858,8 @@ def proj_unit_sum_bound(
     Requires every coordinate norm >= 1 and t above the unit-rank threshold
     (2 r M / d) log(2 + 1/(2k)) / log f_M(c0(1 - 1/k)).  The report carries
     epsilon_1 = (1/2) min(c1/8, log f_M(3 c1/4), alpha c0 (k-1)/k) and
-    C = 1 + 1/(1 - e^(-alpha c0 d (t - t0)(k-1)/(4 k^2))) with alpha the
-    certified exponent; bound_value is
+    C = 1 + 1/(1 - e^(-alpha c0 d (t - t0)(k-1)/(4 k^2))) with alpha =
+    alpha_M(M, c0); bound_value is
     C omega^M N^(-t/(kM)) D^(t/4) e^(-epsilon_1 d (t - t0)).
     """
     if k < 2:
@@ -1290,8 +1251,8 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
     constants["C_unresolved"]), mode ("general", "fixed-field" or
     "cyclotomic"), rank_ratio (sup of unit rank over degree across the
     intended family, at least this field's own ratio, which is the
-    default).  Any other key or mode raises ValueError, and so do C, mode
-    and rank_ratio at n = 2.
+    default).  Any other key or mode raises ValueError, and so do k < 2
+    and, at n = 2, C, mode and rank_ratio.
 
     The printed threshold formula omits the rank-free entries of the pair
     tails and the zeta-argument floors, so the effective precondition is
@@ -1314,7 +1275,7 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         ignored = sorted(set(opts) - {"k"})
         if ignored:
             raise ValueError(f"moment_bounds options {ignored} do not apply at n = 2")
-        return second_moment_bounds(F, hyp, t, V, k=max(k, 2))
+        return second_moment_bounds(F, hyp, t, V, k=k)
     if n < 2:
         raise ValueError("moment bounds need n >= 2")
     d = F.degree

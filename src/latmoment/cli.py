@@ -369,7 +369,7 @@ def moment_bounds_cmd(descriptor, t, n, vol, k, c_const, mode, rank_ratio,
     """Assembled n-th moment bracket; long-format quantity/value rows."""
     cfg = _load_config(config_path)
     fmt, output = _sink(cfg, fmt, output)
-    t = int(_need(_pick(t, cfg, "t", float), "t"))
+    t = _need(_pick(t, cfg, "t", int), "t")
     n = _need(_pick(n, cfg, "n", int), "n")
     V = _volume(vol, cfg)
     F = make_field(descriptor)
@@ -454,7 +454,7 @@ def empirical_cmd(descriptor, kind, t, n, vol, prime, alphas, samples, seed,
     """Seeded Monte Carlo oracles: intersection volumes or lattice moments."""
     cfg = _load_config(config_path)
     fmt, output = _sink(cfg, fmt, output)
-    t = int(_need(_pick(t, cfg, "t", float), "t"))
+    t = _need(_pick(t, cfg, "t", int), "t")
     samples = _pick(samples, cfg, "samples", int, 100_000)
     seed = _pick(seed, cfg, "seed", int, 0)
     if kind == "mc-ratio":

@@ -15,7 +15,6 @@ from latmoment.bounds import (
     ThresholdError,
     ZetaInterval,
     _ZETA_CACHE_SIZE,
-    _alpha_search,
     _composite_zeta,
     _simplex_project,
     _zeta_endpoints,
@@ -140,43 +139,36 @@ def test_alpha_domain_errors():
         alpha_M(2, 0.0)
 
 
-def _alpha_bisection(M, c0):
-    # the reference: 25 halvings of [0, 1], each candidate certified on the
-    # step-1e-3 grid from c0/2 to 50 with every array built afresh
-    def certified(a):
-        if (1.0 - a) * 50.0 < math.log(M + 1):
-            return False
-        x = np.arange(c0 / 2.0, 50.0 + 1e-3, 1e-3)
-        ex = np.exp(x)
-        emx = np.exp(-x / M)
-        f = (ex + M * emx) / (M + 1)
-        g = np.log(f) - a * x
-        if g.min() < 0:
-            return False
-        gp = (ex - emx) / (M + 1) / f - a
-        cell = g[:-1] + 1e-3 * np.minimum(gp[:-1], 0.0)
-        return bool(cell.min() >= 0)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(25):
-        mid = (lo + hi) / 2.0
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _alpha_supremum(M, c0):
+    # 2 log f_M(c0/2)/c0 at 40 digits
+    with mpmath.workdps(40):
+        x = mpmath.mpf(c0) / 2
+        return 2 * mpmath.log((mpmath.exp(x) + M * mpmath.exp(-x / M)) / (M + 1)) / c0
 
 
-def test_alpha_matches_the_bisection_bit_for_bit():
-    # both default hypotheses (log 2 for Q, the golden floor elsewhere),
-    # the abelian c1, small and large floors
-    c0s = (default_hypothesis(Q).c0, default_hypothesis(Z5).c0, default_hypothesis(Z5).c1,
-           0.01, 0.05, 1.0, 2.0)
-    for M in range(1, 7):
+def test_alpha_is_the_left_endpoint_supremum_rounded_down():
+    # the default c0 and c1 of Q and Q(sqrt,5), the Voutier floors, small,
+    # moderate and huge floors
+    c0s = (default_hypothesis(Q).c0, default_hypothesis(Q).c1,
+           default_hypothesis(Q5).c0, default_hypothesis(Q5).c1,
+           *(voutier_hypothesis(d).c0 for d in (3, 6, 20)),
+           0.01, 0.05, 1.0, 2.0, 99.0, 200.0, 1e6)
+    for M in range(1, 9):
         for c0 in c0s:
-            _alpha_search.cache_clear()
-            assert alpha_M(M, c0) == _alpha_bisection(M, c0), (M, c0)
-    _alpha_search.cache_clear()
+            a, A = alpha_M(M, c0), _alpha_supremum(M, c0)
+            assert 0 <= a <= A, (M, c0)
+            if A >= 1e-6:
+                assert (A - a) / A <= 2.0**-45, (M, c0)
+
+
+def test_alpha_past_the_old_grid_end():
+    assert 0 < alpha_M(1, 200.0) < 1
+
+
+def test_alpha_rejects_non_finite_c0():
+    for c0 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            alpha_M(2, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,7 +1037,7 @@ def test_rank_ratio_below_the_fields_own_is_rejected():
 def test_moment_bounds_rejects_unknown_options_and_modes():
     hyp = default_hypothesis(Q)
     for q in (MomentQuery(Q, 40, 3, 1.0), MomentQuery(Q, 40, 2, 1.0)):
-        for options in ({"P": 600}, {"mode": "foo"}, {"k": 4, "rank": 0.5}):
+        for options in ({"P": 600}, {"mode": "foo"}, {"k": 4, "rank": 0.5}, {"k": 1}):
             with pytest.raises(ValueError):
                 moment_bounds(q, hyp, options)
     # at n = 2 the second-moment bracket takes k alone, so the options it

@@ -190,6 +190,36 @@ def test_second_moment_options_it_would_ignore_exit_2(runner):
         assert "do not apply at n = 2" in r.stderr
 
 
+def test_moment_bounds_k_below_2_exits_2_at_n_2(runner):
+    r = runner.invoke(main, ["moment-bounds", "Q", "--t", "40", "--n", "2",
+                             "--volume", "1", "--k", "1"])
+    assert r.exit_code == 2
+    assert "need k >= 2" in r.stderr
+
+
+def test_moment_bounds_with_large_height_floors(runner):
+    # floors far above the defaults, where alpha_M is close to 1
+    r = runner.invoke(main, ["moment-bounds", "Q", "--t", "40", "--n", "3",
+                             "--volume", "1", "--c0", "200", "--c1", "150"])
+    assert r.exit_code == 0
+    assert any(row.startswith("component:rank_one_tail,") for row in lines(r))
+
+
+def test_config_t_is_read_as_an_integer(runner, tmp_path):
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text("t = 40.7\n")
+    for cmd in (["moment-bounds", "Q", "--n", "3", "--volume", "1"],
+                ["empirical", "Q", "--kind", "mc-ratio", "--alpha", "2"]):
+        r = runner.invoke(main, [*cmd, "--config", str(cfg)])
+        assert r.exit_code == 2, cmd
+        assert "invalid configuration" in r.stderr
+    cfg.write_text("t = 40\n")
+    r = runner.invoke(main, ["moment-bounds", "Q", "--n", "3", "--volume", "1",
+                             "--config", str(cfg)])
+    assert r.exit_code == 0
+    assert "at t=40:" in r.stderr
+
+
 def test_config_mode_outside_the_choices_exits_2(runner, tmp_path):
     cfg = tmp_path / "lm.cfg"
     cfg.write_text("mode = foo\n")
@@ -313,6 +343,7 @@ def test_commands_without_arrays_never_import_numpy():
                        (["zeta", "Q(sqrt,5)", "--s", "2.5"], 0),
                        (["zeta", "5", "--s", "2", "--p", "10000"], 0),
                        (["second-moment", "Q(zeta,5)", "--t", "40", "--volume", "4"], 0),
+                       (["moment-bounds", "Q", "--t", "40", "--n", "3", "--volume", "1"], 0),
                        (["second-moment", "Q"], 2)):
         code, names = _fresh_imports("-m", "latmoment.cli", *args)
         assert code == want, args
@@ -320,8 +351,7 @@ def test_commands_without_arrays_never_import_numpy():
 
 
 def test_commands_with_arrays_still_run_in_a_fresh_process():
-    for args in (["moment-bounds", "Q", "--t", "40", "--n", "3", "--volume", "1"],
-                 ["gr-height", "Q(zeta,5)", "--row", "1,0,0,0 0,1,0,0 1/2,0,0,1",
+    for args in (["gr-height", "Q(zeta,5)", "--row", "1,0,0,0 0,1,0,0 1/2,0,0,1",
                   "--row", "0,0,1,0 1,1,0,0 0,0,0,2"],
                  ["verify", "--suite", "core", "--seed", "7", "--cutoff", "5"]):
         code, names = _fresh_imports("-m", "latmoment.cli", *args)
