@@ -27,6 +27,20 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from mpmath import bernfrac, iv
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
+    round_ceiling,
+    round_floor,
+    to_fixed,
+)
+from mpmath.libmp.libmpi import mpi_cos_sin
 
 from .heights import RredMatrix, h_infty, plucker
 from .moments import MomentReport, a1m_bound, main_term
@@ -173,14 +187,20 @@ def alpha_M(M: int, c0: float) -> float:
     small c0 cancels, and its lower endpoint is returned: rounded down, so
     never above the supremum, and clamped at 0, which is always admissible
     since f_M >= 1.  The memo is keyed by the exact float c0, never a
-    rounded one, because a c0 rounded up would give a larger a.
+    rounded one, because a c0 rounded up would give a larger a.  A
+    fractional M is rejected, not truncated: the exponent at the integer
+    below it is larger, so truncating would overstate it.
     """
+    try:
+        M = operator.index(M)
+    except TypeError:
+        raise ValueError(f"need an integer M, got M = {M!r}") from None
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
     c0 = float(c0)
     if not (math.isfinite(c0) and c0 > 0):
         raise ValueError("need finite c0 > 0")
-    return _alpha_exponent(int(M), c0)
+    return _alpha_exponent(M, c0)
 
 
 @lru_cache(maxsize=None)
@@ -309,10 +329,19 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # Dedekind zeta intervals from Dirichlet L-functions
 
-# every enclosure is computed in mpmath.iv at this precision, whatever the
-# caller's iv.prec, and only its final endpoints are rounded to floats
+# the enclosures of _enclose (alpha_M, composed zeta factors, the cyclotomic
+# constants) are computed in mpmath.iv at this precision, whatever the
+# caller's iv.prec, and only their final endpoints are rounded to floats
 _ZETA_PREC = 80
-# a tail below 2^-100 cannot move an 80-bit value
+# the zeta kernel encloses each quantity v in a pair of integers (lo, hi)
+# with lo 2^-128 <= v <= hi 2^-128; every operation floors lo and ceils hi,
+# so an endpoint moves by at most 2^-128 per operation, far below a float ulp
+_FIX_BITS = 128
+_ONE = 1 << _FIX_BITS
+# logarithms, exponentials, cos and sin are enclosed at this many bits by
+# directed rounding in mpmath.libmp before they are rounded to that grid
+_EVAL_PREC = 160
+# a tail below 2^-100 cannot move a float endpoint
 _CUTOFF_BITS = 100
 # L(s, chi) mod q sums n <= N q directly and the rest by Euler-Maclaurin
 # with 12 terms: at N = 16 the first omitted term is below 1e-26 near s = 1
@@ -471,20 +500,81 @@ def _characters(key: tuple[str, int]) -> tuple[tuple[int, int, tuple], ...]:
     )
 
 
-def _inverse_powers(s, size: int) -> list:
-    """[n^-s for n = 0..size] as intervals (entry 0 unused): one power at
-    each prime, the product of two smaller entries elsewhere (the least
-    prime factor comes from a sieve)."""
-    least = list(range(size + 1))
+def _fix_ratio(num: int, den: int) -> tuple[int, int]:
+    """The pair enclosing num/den, for den > 0."""
+    n = num << _FIX_BITS
+    return n // den, -(-n // den)
+
+
+def _fix_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The pair enclosing the product of two pairs of any signs."""
+    (a0, a1), (b0, b1) = a, b
+    ends = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    return min(ends) >> _FIX_BITS, -(-max(ends) >> _FIX_BITS)
+
+
+def _fix_mpf(lo, hi) -> tuple[int, int]:
+    """The pair enclosing the libmp interval [lo, hi]."""
+    return to_fixed(lo, _FIX_BITS), -to_fixed(mpf_neg(hi), _FIX_BITS)
+
+
+def _fix_float_floor(n: int) -> float:
+    """The largest float <= n 2^-128, for n >= 0: the top 53 bits of n,
+    scaled exactly (what float() of a positive mpf gives)."""
+    k = max(n.bit_length() - 53, 0)
+    return math.ldexp(n >> k, k - _FIX_BITS)
+
+
+@lru_cache(maxsize=None)
+def _log_bounds(p: int) -> tuple:
+    # log p rounded down and up, shared by every s
+    x = from_int(p)
+    return mpf_log(x, _EVAL_PREC, round_floor), mpf_log(x, _EVAL_PREC, round_ceiling)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(x: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The pairs enclosing cos and sin of 2 pi x/m, for 0 <= x < m, exact
+    at quarter turns."""
+    if 4 * x % m == 0:
+        c, d = ((1, 0), (0, 1), (-1, 0), (0, -1))[4 * x // m]
+        return (c << _FIX_BITS,) * 2, (d << _FIX_BITS,) * 2
+    prec = _EVAL_PREC
+    pi_lo, pi_hi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+    k, m = from_int(2 * x), from_int(m)
+    angle = (mpf_div(mpf_mul(pi_lo, k, prec, round_floor), m, prec, round_floor),
+             mpf_div(mpf_mul(pi_hi, k, prec, round_ceiling), m, prec, round_ceiling))
+    c, d = mpi_cos_sin(angle, prec)
+    return _fix_mpf(*c), _fix_mpf(*d)
+
+
+def _inverse_powers(s: float, size: int) -> tuple[list[int], list[int]]:
+    """The lower and upper ends of n^-s for n = 0..size (entry 0 unused),
+    on the fixed-point grid: at each prime e^(-s log p) with the exponent
+    and the exponential rounded down for the lower end and up for the
+    upper, elsewhere the product of two smaller entries (a prime factor
+    p <= sqrt(n) comes from a sieve)."""
+    factor = list(range(size + 1))
     for p in range(2, math.isqrt(size) + 1):
-        if least[p] == p:
-            for m in range(p * p, size + 1, p):
-                least[m] = min(least[m], p)
-    out = [None, iv.mpf(1)]
+        if factor[p] == p:
+            factor[p * p::p] = [p] * len(range(p * p, size + 1, p))
+    s = from_float(s)
+    prec = _EVAL_PREC
+    low, high = [0, _ONE], [0, _ONE]
     for n in range(2, size + 1):
-        p = least[n]
-        out.append(iv.mpf(n) ** (-s) if p == n else out[p] * out[n // p])
-    return out
+        p = factor[n]
+        if p == n:
+            log_lo, log_hi = _log_bounds(p)
+            lo, hi = _fix_mpf(
+                mpf_exp(mpf_neg(mpf_mul(s, log_hi, prec, round_ceiling)), prec, round_floor),
+                mpf_exp(mpf_neg(mpf_mul(s, log_lo, prec, round_floor)), prec, round_ceiling),
+            )
+            low.append(lo)
+            high.append(hi)
+        else:
+            low.append(low[p] * low[n // p] >> _FIX_BITS)
+            high.append(-(-high[p] * high[n // p] >> _FIX_BITS))
+    return low, high
 
 
 @lru_cache(maxsize=None)
@@ -497,94 +587,121 @@ def _bernoulli_ratios() -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _residue_sums(powers, s, q: int, X: int) -> tuple[dict, object]:
-    """Sums of n^-s over n = a mod q, n >= 1, one per unit a in 1..q, and
-    the interval that every sum_a chi(a) (sum for a) misses L(s, chi) by.
+@lru_cache(maxsize=8)
+def _em_weights(N: int, D: int) -> tuple[tuple[int, int], ...]:
+    """The pairs enclosing w_j = B_2j/(2j)! prod_{i<j} (s+2i-1)(s+2i) at
+    s = N/D, for j = 1..EM_TERMS + 1, the last one times [0, 1]; every
+    conductor of a call shares them."""
+    weights, num, den = [], 1, 1
+    for j, b in enumerate(_bernoulli_ratios()):
+        weights.append(_fix_ratio(b.numerator * num, b.denominator * den))
+        num *= (N + (2 * j + 1) * D) * (N + (2 * j + 2) * D)
+        den *= D * D
+    lo, hi = weights[-1]
+    weights[-1] = (min(lo, 0), max(hi, 0))
+    return tuple(weights)
 
-    When X = N q is within the precision cutoff, the terms n <= X are
+
+def _residue_sums(powers, s: tuple[int, int], q: int, X: int) -> tuple[dict, tuple[int, int]]:
+    """Sums of n^-s over n = a mod q, n >= 1, one pair per unit a in 1..q,
+    and the pair that every sum_a chi(a) (sum for a) misses L(s, chi) by;
+    s is the exact ratio (N, D) of the float s.
+
+    When X = 16 q is within the precision cutoff, the terms n <= X are
     summed directly and the rest, sum_k (y + k q)^-s with y = X + a, by
     Euler-Maclaurin: f(k) = (y + k q)^-s has
         sum_{k>=0} f(k) = y^(1-s)/(q(s-1)) + y^-s/2
                           + sum_{j=1}^{M} B_2j/(2j)! (s)_(2j-1) q^(2j-1) y^(-s-2j+1) + R,
     and since every even derivative of f is positive, R lies between 0
     and the first omitted term (j = M + 1).  With the product factored as
-    s q y^(-s-1) w_j (q/y)^(2j-2), w_j = B_2j/(2j)! prod_{i<j} (s+2i-1)(s+2i),
-    the sum over j is a Horner polynomial in (q/y)^2, and the sums are
-    exact up to rounding (the returned interval is 0).  Past the cutoff
-    only n <= X is summed and the interval is [-T, T], since
-    |sum_{n>X} chi(n) n^-s| <= int_X^oo x^-s dx = T <= 2^-100.
+    s q y^(-s-1) w_j (q/y)^(2j-2), the sum over j is a Horner polynomial
+    in (q/y)^2, and the sums are exact up to rounding (the returned pair
+    is 0).  Past the cutoff only n <= X is summed and the pair is [-T, T],
+    since |sum_{n>X} chi(n) n^-s| <= int_X^oo x^-s dx = X X^-s/(s-1), which
+    T bounds from the upper end of X^-s (about 2^-100).
     """
+    low, high = powers
+    N, D = s
     units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-    sums = {a: sum(powers[a:X + 1:q], iv.mpf(0)) for a in units}
+    sums = {a: (sum(low[a:X + 1:q]), sum(high[a:X + 1:q])) for a in units}
     if X < _EM_SHIFT * q:
-        T = (iv.mpf(X) ** (1 - s) / (s - 1)).b
-        return sums, iv.mpf([-T, T])
-    weights, w = [], iv.mpf(1)
-    for j, b in enumerate(_bernoulli_ratios()):
-        weights.append(w * iv.mpf(b.numerator) / b.denominator)
-        w *= (s + 2 * j + 1) * (s + 2 * j + 2)
-    weights[-1] *= iv.mpf([0, 1])
-    half = iv.mpf(0.5)
+        T = -(-X * high[X] * D // (N - D))
+        return sums, (-T, T)
+    weights = _em_weights(N, D)
     for a in units:
         y = X + a
-        r = iv.mpf(q * q) / (y * y)
+        r = _fix_ratio(q * q, y * y)
         poly = weights[-1]
         for w in reversed(weights[:-1]):
-            poly = poly * r + w
-        sums[a] += powers[y] * (iv.mpf(y) / (q * (s - 1)) + half + s * q / y * poly)
-    return sums, iv.mpf(0)
+            lo, hi = _fix_mul(poly, r)
+            poly = (lo + w[0], hi + w[1])
+        # y^(1-s)/(q(s-1)) + y^-s/2 = y^-s (2 y D + q (N - D))/(2 q (N - D))
+        lo, hi = _fix_mul(_fix_ratio(N * q, D * y), poly)
+        head = _fix_ratio(2 * y * D + q * (N - D), 2 * q * (N - D))
+        lo, hi = _fix_mul((low[y], high[y]), (head[0] + lo, head[1] + hi))
+        sums[a] = (sums[a][0] + lo, sums[a][1] + hi)
+    return sums, (0, 0)
 
 
-def _dirichlet_product(characters, s_float: float):
+def _dirichlet_product(characters, s_float: float) -> tuple[int, int]:
     """zeta_K(s) as the product of L(s, chi) over the characters (complex
-    ones as |L|^2), an iv interval at the current precision.
+    ones as |L|^2), a fixed-point pair.
 
     Every L(s, chi) = 1 + delta starts with the exact term 1, so the sums
     leave n = 1 out and the product accumulates E = zeta_K(s) - 1 as
     E (1 + delta) + delta; the 1 is added once at the end.  A value just
     above a float (zeta_K(40) = 1 + 2^-40 + 2^-80 + ... for Q(i)) then
-    stays above it, where summing near 1 would round every partial sum and
-    cross it.  E appears once per step, so a factor delta near -1 does not
-    widen it (E + E delta would, by 1 + |delta| per character).  The
-    residue sums are added per phase first, so each distinct root of
-    unity costs one cos and one sin per call.
+    stays above it.  E appears once per step, so a factor delta near -1
+    does not widen it (E + E delta would, by 1 + |delta| per character).
+    The residue sums are added per phase first, so each distinct root of
+    unity costs one product for cos and one for sin; the roots themselves
+    are enclosed once per process.
     """
-    s = iv.mpf(s_float)
+    s = s_float.as_integer_ratio()
     limits = {q: _precision_cutoff(s_float, _EM_SHIFT * q) for q, _, _ in characters}
     size = max(X + q if X == _EM_SHIFT * q else X for q, X in limits.items())
-    powers = _inverse_powers(s, size)
-    powers[1] = iv.mpf(0)
+    low, high = powers = _inverse_powers(s_float, size)
+    low[1] = high[1] = 0
     sums = {q: _residue_sums(powers, s, q, X) for q, X in limits.items()}
-    # e^(2 pi i turn) by the turn, exact at multiples of 1/4
-    roots = {Fraction(k, 4): (iv.mpf(c), iv.mpf(d))
-             for k, (c, d) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1)))}
-    excess = iv.mpf(0)
+    excess = (0, 0)
     for q, m, phases in characters:
         by_residue, tail = sums[q]
         by_phase = {}
-        for a, h in by_residue.items():
+        for a, (lo, hi) in by_residue.items():
             x = phases[a % q]
-            by_phase[x] = by_phase[x] + h if x in by_phase else h
+            if x in by_phase:
+                lo, hi = lo + by_phase[x][0], hi + by_phase[x][1]
+            by_phase[x] = (lo, hi)
         re = im = tail
         for x, h in by_phase.items():
-            turn = Fraction(x, m)
-            if turn not in roots:
-                angle = 2 * iv.pi * turn.numerator / turn.denominator
-                roots[turn] = (iv.cos(angle), iv.sin(angle))
-            c, d = roots[turn]
-            re += c * h
-            im += d * h
+            if h == (0, 0):
+                # past the cutoff, residues above X have no term
+                continue
+            c, d = _root_of_unity(x, m)
+            lo, hi = _fix_mul(c, h)
+            re = (re[0] + lo, re[1] + hi)
+            lo, hi = _fix_mul(d, h)
+            im = (im[0] + lo, im[1] + hi)
         # L = 1 + re (+ i im); |L|^2 = 1 + re (2 + re) + im^2
-        real = all(2 * x % m == 0 for x in by_phase)
-        delta = re if real else re * (2 + re) + im**2
-        excess = excess * (1 + delta) + delta
+        if all(2 * x % m == 0 for x in by_phase):
+            delta = re
+        else:
+            lo, hi = _fix_mul(re, (2 * _ONE + re[0], 2 * _ONE + re[1]))
+            sq = _fix_mul(im, im)
+            delta = (lo + sq[0], hi + sq[1])
+        lo, hi = _fix_mul(excess, (_ONE + delta[0], _ONE + delta[1]))
+        excess = (lo + delta[0], hi + delta[1])
     # zeta_K(s) >= 1: the unit ideal contributes 1 and every term is positive
-    return 1 + iv.mpf([max(excess.a, 0), excess.b])
+    return _ONE + max(excess[0], 0), _ONE + excess[1]
 
 
 @lru_cache(maxsize=_ZETA_CACHE_SIZE)
 def _zeta_endpoints(key: tuple[str, int], s: float) -> tuple[float, float]:
-    return _enclose(lambda: _dirichlet_product(_characters(key), s))
+    # rounded as _enclose rounds: the largest float at or below each end,
+    # then one float further out, so the width is never 0
+    lo, hi = _dirichlet_product(_characters(key), s)
+    return (math.nextafter(_fix_float_floor(lo), -math.inf),
+            math.nextafter(_fix_float_floor(hi), math.inf))
 
 
 def _zeta_key(target: int | NumberField) -> tuple[tuple[str, int], int | str]:
@@ -643,9 +760,12 @@ def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
     <= 2^-100.  The powers n^-s are computed at primes, extended
     multiplicatively and shared across the characters.
 
-    Interval arithmetic runs in mpmath.iv at 80 bits whatever the caller's
-    iv.prec, and the float endpoints are rounded outward, so the width is
-    never 0; results are memoized per (n, s).  Conductors 2 mod 4 normalize
+    Every quantity is a pair of Python integers at the fixed scale 2^-128,
+    the lower end floored and the upper ceiled by every operation; p^-s,
+    cos and sin enter as 160-bit mpmath.libmp values under directed
+    rounding, so neither iv.prec nor mp.prec matters.  The float endpoints
+    are rounded outward, so the width is never 0; results are memoized per
+    (n, s).  Conductors 2 mod 4 normalize
     to their odd part.  P must be at least 1 and changes nothing: it is kept
     for the benchmark's call shape until the next benchmark change.
     """

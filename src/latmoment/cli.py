@@ -83,7 +83,10 @@ def _pick(flag, cfg: dict, key: str, cast, default=None):
     if flag is not None:
         return flag
     if key in cfg:
-        return cast(cfg[key])
+        try:
+            return cast(cfg[key])
+        except ValueError:
+            raise ValueError(f"{key} = {cfg[key]!r} is not a valid {cast.__name__}") from None
     return default
 
 

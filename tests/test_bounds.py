@@ -14,8 +14,14 @@ from latmoment.bounds import (
     HeightHypothesis,
     ThresholdError,
     ZetaInterval,
+    _FIX_BITS,
+    _ONE as _FIX_ONE,
     _ZETA_CACHE_SIZE,
     _composite_zeta,
+    _fix_float_floor,
+    _fix_mul,
+    _fix_ratio,
+    _inverse_powers,
     _simplex_project,
     _zeta_endpoints,
     a2m_bound,
@@ -137,6 +143,12 @@ def test_alpha_domain_errors():
         alpha_M(0, 0.24)
     with pytest.raises(ValueError):
         alpha_M(2, 0.0)
+    # truncating M = 2.5 to 2 would return 0.03057, above the supremum
+    # 0.02456 at M = 2.5
+    for M in (2.5, 2.0, Fraction(5, 2), "2"):
+        with pytest.raises(ValueError, match="integer M"):
+            alpha_M(M, 0.24)
+    assert alpha_M(np.int64(2), 0.24) == alpha_M(2, 0.24)
 
 
 def _alpha_supremum(M, c0):
@@ -432,7 +444,7 @@ def test_zeta_backend_is_ulp_tight_inside_the_euler_reference():
             z = zeta(target, s)
             ref = euler_zeta(target, s, 10_000)
             assert ref.value_low <= z.value_low <= z.value_high <= ref.value_high, (target, s)
-            assert 0 < z.width / z.value_low <= 1e-12, (target, s)
+            assert 0 < z.value_high - z.value_low <= 2 * math.ulp(z.value_high), (target, s)
 
 
 def test_zeta_backend_stays_tight_over_many_characters():
@@ -442,7 +454,98 @@ def test_zeta_backend_stays_tight_over_many_characters():
     z = dedekind_zeta(500, 1.5)
     ref = euler_zeta(500, 1.5, 10_000)
     assert ref.value_low <= z.value_low <= z.value_high <= ref.value_high
-    assert 0 < z.width / z.value_low <= 1e-12
+    assert 0 < z.value_high - z.value_low <= 2 * math.ulp(z.value_high)
+
+
+# endpoints of the 80-bit mpmath.iv backend that the fixed-point kernel
+# replaced, as (conductor or field, s, value_low, value_high); the kernel
+# encloses every quantity more tightly, so its intervals lie inside these
+ZETA_GOLDEN = (
+    (1, 1.02, 50.57867004101555, 50.57867004101556),
+    (1, 1.5, 2.6123753486854877, 2.6123753486854886),
+    (1, 40.5, 1.0000000000006428, 1.0000000000006433),
+    (3, 1.5, 1.839029289152468, 1.8390292891524684),
+    (3, 2.0625, 1.2554415387651257, 1.255441538765126),
+    (3, 300.25, 0.9999999999999999, 1.0000000000000002),
+    (4, 2.0625, 1.4642585790151117, 1.4642585790151121),
+    (4, 3.7, 1.0895650562227646, 1.089565056222765),
+    (4, 7642.0, 0.9999999999999999, 1.0000000000000002),
+    (5, 3.7, 1.0032160124233558, 1.0032160124233562),
+    (5, 1.02, 17.5809087398481, 17.580908739848105),
+    (5, 40.5, 0.9999999999999999, 1.0000000000000002),
+    (7, 1.02, 14.967367686989528, 14.967367686989531),
+    (7, 1.5, 1.2823183223070787, 1.282318322307079),
+    (7, 300.25, 0.9999999999999999, 1.0000000000000002),
+    (8, 1.5, 1.9180046114895395, 1.91800461148954),
+    (8, 2.0625, 1.3695361427257162, 1.3695361427257167),
+    (8, 7642.0, 0.9999999999999999, 1.0000000000000002),
+    (15, 2.0625, 1.0177779567758356, 1.017777956775836),
+    (15, 3.7, 1.0001034143804264, 1.0001034143804268),
+    (15, 40.5, 0.9999999999999999, 1.0000000000000002),
+    (24, 3.7, 1.0065799642591837, 1.0065799642591842),
+    (24, 1.02, 15.66197068639154, 15.661970686391543),
+    (24, 300.25, 0.9999999999999999, 1.0000000000000002),
+    ("Q(sqrt,5)", 1.02, 22.12816491543214, 22.128164915432148),
+    ("Q(sqrt,5)", 1.5, 1.5351959146888203, 1.5351959146888208),
+    ("Q(sqrt,5)", 7642.0, 0.9999999999999999, 1.0000000000000002),
+    ("Q(sqrt,1001)", 1.5, 3.7304437562900965, 3.7304437562900974),
+    ("Q(sqrt,1001)", 2.0625, 1.9671558871596568, 1.9671558871596573),
+    ("Q(sqrt,1001)", 40.5, 1.0000000000012859, 1.0000000000012863),
+)
+
+
+def test_zeta_backend_stays_inside_the_golden_endpoints():
+    for target, s, low, high in ZETA_GOLDEN:
+        if isinstance(target, int):
+            z = dedekind_zeta(target, s)
+        else:
+            z = dedekind_zeta_field(make_field(target), s)
+        assert low <= z.value_low <= z.value_high <= high, (target, s)
+
+
+def _exact(pair):
+    return Fraction(pair[0], _FIX_ONE), Fraction(pair[1], _FIX_ONE)
+
+
+def _encloses(pair, x):
+    lo, hi = _exact(pair)
+    return lo <= x <= hi
+
+
+_fix_ints = st.integers(-(2**260), 2**260)
+
+
+@st.composite
+def _fix_pairs(draw):
+    lo, hi = sorted((draw(_fix_ints), draw(_fix_ints)))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fix_pairs(), _fix_pairs(), st.floats(0, 1), st.floats(0, 1),
+       _fix_ints, st.integers(1, 2**200))
+def test_zeta_backend_pair_arithmetic_encloses_exact_results(a, b, u, v, num, den):
+    # a point of each pair, the exact results and the pairs that enclose them
+    (a_lo, a_hi), (b_lo, b_hi) = _exact(a), _exact(b)
+    x = a_lo + (a_hi - a_lo) * Fraction(u)
+    y = b_lo + (b_hi - b_lo) * Fraction(v)
+    assert _encloses(_fix_mul(a, b), x * y)
+    assert _encloses((a[0] + b[0], a[1] + b[1]), x + y)
+    lo, hi = _fix_ratio(num, den)
+    assert _encloses((lo, hi), Fraction(num, den)) and hi - lo <= 1
+    # the float below a nonnegative end is the largest one
+    n = abs(num)
+    f = _fix_float_floor(n)
+    assert Fraction(f) <= Fraction(n, _FIX_ONE) < Fraction(math.nextafter(f, math.inf))
+
+
+def test_zeta_backend_prime_powers_enclose_50_digit_values():
+    with mpmath.workdps(50):
+        for s in ZETA_S:
+            low, high = _inverse_powers(s, 1000)
+            for n in range(2, 1001):
+                exact = mpmath.mpf(n) ** -mpmath.mpf(s) * 2**_FIX_BITS
+                assert low[n] <= exact <= high[n], (n, s)
 
 
 def _characters_by_search(n):

@@ -212,7 +212,7 @@ def test_config_t_is_read_as_an_integer(runner, tmp_path):
                 ["empirical", "Q", "--kind", "mc-ratio", "--alpha", "2"]):
         r = runner.invoke(main, [*cmd, "--config", str(cfg)])
         assert r.exit_code == 2, cmd
-        assert "invalid configuration" in r.stderr
+        assert "invalid configuration: t = '40.7' is not a valid int" in r.stderr
     cfg.write_text("t = 40\n")
     r = runner.invoke(main, ["moment-bounds", "Q", "--n", "3", "--volume", "1",
                              "--config", str(cfg)])
