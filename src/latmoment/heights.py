@@ -26,13 +26,11 @@ from .numberfield import (
     FieldElement,
     NumberField,
     Rational,
-    _det,
     _det_int,
     abs_norm,
     denominator_norm,
     enumerate_torsion,
     frak_D,
-    ideal_from_generators,
     row_reduce,
 )
 
@@ -78,15 +76,31 @@ class ProjPoint:
     def __post_init__(self) -> None:
         if not any(self.coords):
             raise ValueError("projective point needs a nonzero coordinate")
+        if any(c.field is not self.field for c in self.coords):
+            raise ValueError("elements belong to different fields")
 
     def __len__(self) -> int:
         return len(self.coords)
 
     @cached_property
     def ideal_norm(self) -> Fraction:
-        """Exact norm of the fractional ideal generated by the coordinates."""
-        gens = [c for c in self.coords if c]
-        return ideal_from_generators(self.field, gens).norm
+        """Exact norm of the fractional ideal generated by the coordinates.
+
+        With x_k a nonzero coordinate, <x> = x_k <1, x / x_k>, so
+        N(<x>) = |N(x_k)| / D(x / x_k).  x_k is a coordinate equal to 1 when
+        there is one (every Pluecker point has one), so nothing is
+        inverted; otherwise it is the first nonzero coordinate.
+        """
+        F = self.field
+        rest = [c for c in self.coords if c]
+        if F.one in rest:
+            rest.remove(F.one)
+            norm = Fraction(1)
+        else:
+            xk = rest.pop(0)
+            norm = abs_norm(F, xk)
+            rest = [c / xk for c in rest]
+        return norm / denominator_norm(F, rest) if rest else norm
 
     @cached_property
     def conj_matrix(self) -> np.ndarray:
@@ -114,6 +128,8 @@ class RredMatrix:
     def __post_init__(self) -> None:
         F = self.field
         m = len(self.rows)
+        if not m:
+            raise ValueError("empty matrix")
         n = len(self.rows[0])
         if any(len(r) != n for r in self.rows):
             raise ValueError("ragged matrix")
@@ -220,13 +236,39 @@ def proj_height_linf(x: ProjPoint) -> float:
 
 def plucker(D: RredMatrix) -> ProjPoint:
     """Pluecker coordinates: the m x m minors over column subsets in
-    lexicographic order.  The pivot-column minor is exactly 1."""
+    lexicographic order.  The pivot-column minor is exactly 1.
+
+    The minors are built bottom-up with nothing inverted: the minor of
+    rows i.. on a column subset S is the Laplace expansion along row i
+    over the minors of rows i+1.. on S less one column, memoized by
+    subset.  Each row is scaled to integer numerators over its least
+    common denominator, so the expansion multiplies integer coordinate
+    vectors, and the product of those denominators divides out at the end.
+    """
     F = D.field
-    coords = tuple(
-        _det([[row[j] for j in subset] for row in D.rows], F.one)
-        for subset in itertools.combinations(range(D.n), D.m)
-    )
-    return ProjPoint(F, coords)
+    d, n = F.degree, D.n
+    mul = F._mul_int
+    minors = {(): (1,) + (0,) * (d - 1)}
+    den = 1
+    for size, row in enumerate(reversed(D.rows), 1):
+        L = math.lcm(*(e.den for e in row))
+        den *= L
+        ints = [tuple(c * (L // e.den) for c in e.num) if e else None for e in row]
+        below, minors = minors, {}
+        for subset in itertools.combinations(range(n), size):
+            acc = [0] * d
+            for t, j in enumerate(subset):
+                a = ints[j]
+                sub = below[subset[:t] + subset[t + 1:]]
+                if a is None or not any(sub):
+                    continue
+                term = mul(a, sub)
+                if t % 2:
+                    acc = [x - y for x, y in zip(acc, term)]
+                else:
+                    acc = [x + y for x, y in zip(acc, term)]
+            minors[subset] = acc
+    return ProjPoint(F, tuple(F._reduced(num, den) for num in minors.values()))
 
 
 def gr_height(D: RredMatrix) -> float:

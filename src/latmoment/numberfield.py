@@ -118,30 +118,9 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _det(mat: Sequence[Sequence], one):
-    """Exact determinant by Gaussian elimination over a field: K (one =
-    K.one, used by plucker) or Q (one = Fraction(1))."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    det = one
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return one * 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = one / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv
-                a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[k][k:])]
-    return det
-
-
 def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Hermite normal form of the ZZ-span of the given integer rows.
+    """Hermite normal form of the ZZ-span of the given integer rows (the
+    fractional-ideal HNF; lattice indices go through _index_mod).
 
     Returns echelon rows with positive pivots; entries above each pivot are
     reduced into [0, pivot).  Zero rows are dropped, so the result has one
@@ -183,18 +162,57 @@ def _index_mod(q: int, rows: Sequence[Sequence[int]], ncols: int) -> int:
     The index is the gcd of the maximal minors of the rows stacked on q I.
     In one column that is gcd(q, rows); in two it is the gcd of q times
     gcd(q, all entries) with the 2 x 2 minors of the rows.  Beyond that it
-    is the product of the HNF pivots.
+    is the product of the echelon pivots, found modulo q because the
+    lattice contains q ZZ^ncols (Cohen, GTM 138, Algorithm 2.4.8).  Column
+    by column, extended gcds merge the rows that meet the column into one
+    pivot row p; the pivot is g = gcd(q, p_0), and (q/g) p, which is 0 in
+    that column modulo q, joins the rows left for the next columns.  Each
+    row drops its leading column once that column is done.
     """
     if ncols == 1:
         return math.gcd(q, *(r[0] for r in rows))
     if ncols == 2:
         g = math.gcd(q, *(c for r in rows for c in r))
         return math.gcd(q * g, *(a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(rows, 2)))
-    scaled = [[q if j == k else 0 for j in range(ncols)] for k in range(ncols)]
-    hnf = hnf_rows([*rows, *scaled], ncols)
-    if len(hnf) != ncols:
-        raise RuntimeError("lattice containing q ZZ^n is not full rank")
-    return math.prod(hnf[i][i] for i in range(ncols))
+    rest = [[c % q for c in r] for r in rows]
+    index = 1
+    for _ in range(ncols):
+        piv = None
+        left = []
+        for r in rest:
+            a = r[0]
+            if not a:
+                left.append(r[1:])
+                continue
+            if piv is None:
+                piv = r
+                continue
+            b = piv[0]
+            if a % b:
+                # u b + v a = g: piv becomes u piv + v r, r becomes (b/g) r - (a/g) piv
+                g = math.gcd(a, b)
+                u = pow(b // g, -1, a // g)
+                v = (g - u * b) // a
+                b, a = b // g, a // g
+                piv, r = [(u * x + v * y) % q for x, y in zip(piv, r)], [
+                    (b * y - a * x) % q for x, y in zip(piv[1:], r[1:])
+                ]
+            else:
+                f = a // b
+                r = [(y - f * x) % q for x, y in zip(piv[1:], r[1:])]
+            if any(r):
+                left.append(r)
+        if piv is None:
+            index *= q
+        else:
+            g = math.gcd(q, piv[0])
+            index *= g
+            s = q // g
+            r = [s * x % q for x in piv[1:]]
+            if any(r):
+                left.append(r)
+        rest = left
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +809,8 @@ def row_reduce(rows: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement
     """Reduced row echelon form over the field, zero rows dropped: pivots
     are exactly 1 and every pivot column is cleared above and below."""
     mat = [list(r) for r in rows]
+    if not mat:
+        raise ValueError("empty matrix")
     rank = 0
     for col in range(len(mat[0])):
         piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
@@ -816,11 +836,17 @@ def frak_D(F: NumberField, D) -> int:
     integrality constraints from the non-integral columns are reduced
     modulo their common denominator q and the image size is read off an
     integer lattice index.  Equals 1 when all entries are integral.
+    D is an RredMatrix, whose constructor proved full rank from its
+    pivots, or a plain list of rows, which is row-reduced to check it.
     """
     rows = _matrix_rows(D)
+    if not rows:
+        raise ValueError("empty matrix")
+    if any(e.field is not F for r in rows for e in r):
+        raise ValueError("elements belong to different fields")
     m = len(rows)
     n = len(rows[0])
-    if len(row_reduce(rows)) < m:
+    if not hasattr(D, "pivot_columns") and len(row_reduce(rows)) < m:
         raise ValueError("matrix must have full row rank")
     d = F.degree
     cols = [j for j in range(n) if not all(rows[i][j].is_integral for i in range(m))]

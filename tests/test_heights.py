@@ -26,7 +26,7 @@ from latmoment import (
     rred_matrix,
     weil_height,
 )
-from latmoment.numberfield import trace_pairing_exact
+from latmoment.numberfield import frak_D, ideal_from_generators, trace_pairing_exact
 
 ALL_FIELDS = [
     "Q",
@@ -150,6 +150,31 @@ def test_proj_point_rejects_zero():
     Q = make_field("Q")
     with pytest.raises(ValueError):
         proj_point(Q, [0, 0])
+
+
+def test_proj_point_rejects_mixed_fields():
+    Q, Z5 = make_field("Q"), make_field("Q(zeta,5)")
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        proj_point(Z5, [Q.one, Z5.one])
+
+
+@pytest.mark.parametrize("desc", ALL_FIELDS + ["Q(zeta,7)"])
+def test_ideal_norm_matches_the_ideal_hnf(desc):
+    # N(<x>) = |N(x_k)| / D(x / x_k) against the norm of the full ideal HNF,
+    # on Pluecker points (a coordinate is 1) and on points with no
+    # coordinate equal to 1
+    F = make_field(desc)
+    rng = random.Random(f"ideal-norm/{desc}")
+    for trial in range(30):
+        if trial % 3 == 0:
+            m = rng.randint(1, 2)
+            x = plucker(_random_rred(F, rng, m, rng.randint(m, 4)))
+        else:
+            x = _random_point(F, rng, rng.randint(1, 4))
+        c = _random_element(F, rng, nonzero=True)
+        for y in (x, lm.ProjPoint(F, tuple(c * e for e in x.coords))):
+            want = ideal_from_generators(F, [e for e in y.coords if e]).norm
+            assert y.ideal_norm == want
 
 
 def test_height_example_34():
@@ -277,6 +302,25 @@ def test_rred_validation():
         lm.RredMatrix(Q, ((Q.one, Q.zero), (Q.zero, Q.zero)))  # zero row
 
 
+def test_empty_matrices_raise_value_error():
+    Q = make_field("Q")
+    with pytest.raises(ValueError):
+        rred_matrix(Q, [])
+    with pytest.raises(ValueError):
+        lm.RredMatrix(Q, ())
+    with pytest.raises(ValueError):
+        frak_D(Q, [])
+
+
+def test_frak_D_rejects_mixed_fields():
+    Q5, Z5 = make_field("Q(sqrt,5)"), make_field("Q(zeta,5)")
+    D = rred_matrix(Z5, [[1, Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        frak_D(Q5, D)
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        frak_D(Q5, [list(r) for r in D.rows])
+
+
 def test_rred_reduction_and_uniqueness():
     Q = make_field("Q")
     D = rred_matrix(Q, [[2, 4, 6], [1, 3, 5]])
@@ -388,6 +432,51 @@ def test_gr_height_dual_route(desc):
         f = gr_height_factors(D)
         assert f.product == pytest.approx(f.height, rel=1e-9)
         assert f.norm_index_product == 1
+
+
+def _golden_matrix(F, rng):
+    """A full-rank 3 x 5 matrix: entries a/b with |a| <= 4 and b <= 3,
+    zero below a nonzero leading diagonal."""
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(5):
+            while True:
+                x = F.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(F.degree)])
+                if x or j != i:
+                    break
+            row.append(F.zero if j < i else x)
+        rows.append(row)
+    return rred_matrix(F, rows)
+
+
+# (field, height, covolume, index, product, norm_index_product) of
+# _golden_matrix on random.Random(f"gr-golden/{field}"), four per field,
+# printed by plucker as Gaussian elimination over K and by lattice indices
+# from the HNF of the rows stacked on q I
+GR_GOLDEN = [
+    ("Q(sqrt,5)", 78378105.03829066, 37.337201975561435, 2099196, 78378105.03829066, Fraction(1, 1)),
+    ("Q(sqrt,5)", 7230462.338711201, 4463.248357229134, 1620, 7230462.338711197, Fraction(1, 1)),
+    ("Q(sqrt,5)", 5376561.460296067, 298.69785890533717, 18000, 5376561.460296069, Fraction(1, 1)),
+    ("Q(sqrt,5)", 228591438.46934408, 3214.8885923343846, 71104, 228591438.46934408, Fraction(1, 1)),
+    ("Q(zeta,5)", 1.5438625682219868e+18, 3607.966734187168, 427903770174256, 1.543862568221987e+18, Fraction(1, 1)),
+    ("Q(zeta,5)", 2.8043608250648992e+17, 6294.501354203327, 44552549396025, 2.8043608250648995e+17, Fraction(1, 1)),
+    ("Q(zeta,5)", 5.532621754737608e+18, 636.3721115761421, 8694004111893936, 5.532621754737606e+18, Fraction(1, 1)),
+    ("Q(zeta,5)", 6.968521752183297e+17, 1619.0494452932417, 430408210968576, 6.968521752183295e+17, Fraction(1, 1)),
+    ("Q(zeta,8)", 2.9388011014458225e+18, 31300.78599227288, 93889051290000, 2.938801101445822e+18, Fraction(1, 1)),
+    ("Q(zeta,8)", 1.0299120449883638e+19, 1556.9302367824341, 6615017299148800, 1.029912044988364e+19, Fraction(1, 1)),
+    ("Q(zeta,8)", 6.931250835448888e+16, 109750.2733165547, 631547478288, 6.93125083544889e+16, Fraction(1, 1)),
+    ("Q(zeta,8)", 1.6601805067410957e+17, 77741.5399800414, 2135512760832, 1.660180506741095e+17, Fraction(1, 1)),
+]
+
+
+def test_gr_height_factors_match_the_golden_values():
+    for desc in ("Q(sqrt,5)", "Q(zeta,5)", "Q(zeta,8)"):
+        F = make_field(desc)
+        rng = random.Random(f"gr-golden/{desc}")
+        for want in [g[1:] for g in GR_GOLDEN if g[0] == desc]:
+            f = gr_height_factors(_golden_matrix(F, rng))
+            assert (f.height, f.covolume, f.index, f.product, f.norm_index_product) == want
 
 
 def test_gr_height_row_space_invariant():

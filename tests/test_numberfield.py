@@ -22,8 +22,8 @@ import latmoment
 from latmoment.numberfield import (
     FracIdeal,
     NumberField,
-    _det,
     _det_int,
+    _index_mod,
     _euler_phi,
     _poly_exact_div,
     abs_norm,
@@ -43,6 +43,7 @@ from latmoment.numberfield import (
     trace_pairing,
     trace_pairing_exact,
 )
+from latmoment.heights import plucker, rred_matrix
 from latmoment.oracle import _bounded_denominator_elements
 
 ALL_FIELDS = ["Q", "Q(sqrt,-1)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,-3)", "Q(zeta,5)", "Q(zeta,8)"]
@@ -712,27 +713,36 @@ def test_hnf_membership_consistency():
             assert not any(v)
 
 
+@st.composite
+def _index_mod_case(draw):
+    """q, rows and ncols for _index_mod: q up to 10^6 or a prime power, rows
+    with entries around +-2q, zero rows and repeated rows."""
+    ncols = draw(st.integers(min_value=3, max_value=9))
+    q = draw(st.one_of(
+        st.integers(min_value=1, max_value=10**6),
+        st.builds(pow, st.sampled_from([2, 3, 5, 7, 11]), st.integers(min_value=1, max_value=5)),
+    ))
+    entry = st.integers(min_value=-2 * q, max_value=2 * q)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=2 * ncols))
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return q, rows, ncols
+
+
+@given(_index_mod_case())
+@settings(max_examples=300, deadline=None)
+def test_index_mod_matches_the_stacked_hnf(case):
+    # the echelon modulo q against the HNF pivots of the rows stacked on q I
+    q, rows, ncols = case
+    scaled = [[q if j == k else 0 for j in range(ncols)] for k in range(ncols)]
+    hnf = hnf_rows([*rows, *scaled], ncols)
+    assert _index_mod(q, rows, ncols) == math.prod(hnf[i][i] for i in range(ncols))
+
+
 # ---------------------------------------------------------------------------
-# exact elimination
-
-
-def test_det_over_Q_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(83)
-    singular = 0
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        mat = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        if n > 1 and rng.random() < 0.3:
-            # make the last row a rational combination of the others
-            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
-            mat[-1] = [sum(ci * row[j] for ci, row in zip(c, mat)) for j in range(n)]
-        ours = _det(mat, Fraction(1))
-        theirs = sympy.Matrix([[sympy.Rational(q.numerator, q.denominator) for q in r] for r in mat]).det()
-        assert isinstance(ours, Fraction)
-        assert ours == Fraction(int(theirs.p), int(theirs.q))
-        singular += ours == 0
-    assert singular >= 5
+# Pluecker minors against cofactor expansion
 
 
 def _cofactor_det(F, mat):
@@ -746,16 +756,51 @@ def _cofactor_det(F, mat):
     return total
 
 
-def test_det_over_K_matches_cofactor_expansion():
-    F = make_field("Q(zeta,5)")
-    rng = random.Random(89)
-    for trial in range(20):
-        mat = [[_random_element(F, rng, scale=3, den=3) for _ in range(3)] for _ in range(3)]
-        if trial % 5 == 0:
-            mat[2] = [a * mat[0][0] + b for a, b in zip(mat[0], mat[1])]  # singular
-        ours = _det(mat, F.one)
-        assert ours == _cofactor_det(F, mat)
-        assert bool(ours) == (trial % 5 != 0)
+def _random_rred(F, rng, m, n):
+    """A random full-rank m x n matrix in reduced form; some columns are
+    zero or repeat another, so some minors vanish."""
+    while True:
+        rows = [[_random_element(F, rng, scale=3, den=3) for _ in range(n)] for _ in range(m)]
+        zero_last = n > m and rng.random() < 0.3
+        repeat_first = n > m + 1 and rng.random() < 0.3
+        for row in rows:
+            if zero_last:
+                row[-1] = F.zero
+            if repeat_first:
+                row[-2] = row[0]
+        try:
+            return rred_matrix(F, rows)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("desc", ["Q", "Q(sqrt,5)", "Q(zeta,5)", "Q(zeta,7)"])
+def test_plucker_minors_match_cofactor_expansion(desc):
+    F = make_field(desc)
+    rng = random.Random(f"plucker-cofactor/{desc}")
+    zeros = 0
+    for m in range(1, 5):
+        for n in range(m, 7):
+            D = _random_rred(F, rng, m, n)
+            subsets = itertools.combinations(range(n), m)
+            for subset, coord in zip(subsets, plucker(D).coords, strict=True):
+                assert coord == _cofactor_det(F, [[row[j] for j in subset] for row in D.rows])
+                zeros += not coord
+    assert zeros >= 5
+
+
+def test_plucker_minors_over_Q_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    Q = make_field("Q")
+    rng = random.Random(83)
+    for _ in range(20):
+        m = rng.randint(1, 4)
+        n = rng.randint(m, 6)
+        D = _random_rred(Q, rng, m, n)
+        mat = sympy.Matrix([[sympy.Rational(*e.as_rational().as_integer_ratio()) for e in row] for row in D.rows])
+        for subset, coord in zip(itertools.combinations(range(n), m), plucker(D).coords, strict=True):
+            theirs = mat.extract(list(range(m)), list(subset)).det()
+            assert coord.as_rational() == Fraction(int(theirs.p), int(theirs.q))
 
 
 def test_row_reduce_drops_zero_rows():
