@@ -2,179 +2,17 @@
 
 Exact height machinery, Poisson main terms, explicit error bounds, and
 independent empirical oracles, for the rationals, quadratic fields, and
-cyclotomic fields.
+cyclotomic fields.  Each layer module declares its public names in its own
+__all__; the package exports exactly their concatenation.
 """
 
-from .bounds import (
-    BoundReport,
-    HeightHypothesis,
-    ThresholdError,
-    ZetaInterval,
-    a2m_bound,
-    alpha_M,
-    ball_intersection_sum_terms,
-    best_k_threshold,
-    column_height_ratio_bound,
-    cyclotomic_second_moment_constants,
-    dedekind_zeta,
-    dedekind_zeta_field,
-    default_hypothesis,
-    ellipsoid_intersection_bound,
-    f_M,
-    g_M,
-    ideal_sum_bound,
-    moment_bounds,
-    proj_unit_sum_bound,
-    second_moment_bounds,
-    t0_threshold,
-    unit_count_bound,
-    volume_ratio_height_bound,
-    voutier_hypothesis,
-)
-from .heights import (
-    ProjPoint,
-    RredMatrix,
-    ValueInterval,
-    det_lattice,
-    enumerate_p1_rationals,
-    gr_height,
-    gr_height_factors,
-    h_infty,
-    height_gap_rhs,
-    height_zeta_truncated,
-    M_invariant,
-    plucker,
-    proj_height_l2,
-    proj_height_linf,
-    proj_point,
-    rred_matrix,
-    weil_height,
-)
-from .moments import (
-    MomentQuery,
-    MomentReport,
-    a1m_bound,
-    ball_volume,
-    count_Am,
-    main_term,
-    poisson_moment,
-    poisson_moment_series,
-    rogers_error,
-    stirling2,
-    two_ball_intersection,
-    volume_ratio_bound,
-)
-from .oracle import (
-    McEstimate,
-    TruncationReport,
-    dirichlet_intersection,
-    lower_bound_sum_check,
-    mahler_sequence,
-    mc_column_sum_ratio,
-    mc_intersection_ratio,
-    random_lattice_moments,
-    truncated_second_moment_rhs,
-    unit_enumeration_check,
-    verification_report,
-)
-from .numberfield import (
-    FieldElement,
-    FracIdeal,
-    NumberField,
-    abs_norm,
-    conjugates,
-    cyclotomic_field,
-    denominator_norm,
-    enumerate_torsion,
-    frak_D,
-    fundamental_unit,
-    ideal_from_generators,
-    make_field,
-    quadratic_field,
-    rational_field,
-    trace_pairing,
-)
+from . import bounds, heights, moments, numberfield, oracle
+from .numberfield import *  # noqa: F403
+from .heights import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "HeightHypothesis",
-    "ThresholdError",
-    "ZetaInterval",
-    "a2m_bound",
-    "alpha_M",
-    "ball_intersection_sum_terms",
-    "best_k_threshold",
-    "column_height_ratio_bound",
-    "cyclotomic_second_moment_constants",
-    "dedekind_zeta",
-    "dedekind_zeta_field",
-    "default_hypothesis",
-    "ellipsoid_intersection_bound",
-    "f_M",
-    "g_M",
-    "ideal_sum_bound",
-    "moment_bounds",
-    "proj_unit_sum_bound",
-    "second_moment_bounds",
-    "t0_threshold",
-    "unit_count_bound",
-    "volume_ratio_height_bound",
-    "voutier_hypothesis",
-    "McEstimate",
-    "TruncationReport",
-    "dirichlet_intersection",
-    "lower_bound_sum_check",
-    "mahler_sequence",
-    "mc_column_sum_ratio",
-    "mc_intersection_ratio",
-    "random_lattice_moments",
-    "truncated_second_moment_rhs",
-    "unit_enumeration_check",
-    "verification_report",
-    "MomentQuery",
-    "MomentReport",
-    "a1m_bound",
-    "ball_volume",
-    "count_Am",
-    "main_term",
-    "poisson_moment",
-    "poisson_moment_series",
-    "rogers_error",
-    "stirling2",
-    "two_ball_intersection",
-    "volume_ratio_bound",
-    "ProjPoint",
-    "RredMatrix",
-    "ValueInterval",
-    "det_lattice",
-    "enumerate_p1_rationals",
-    "gr_height",
-    "gr_height_factors",
-    "h_infty",
-    "height_gap_rhs",
-    "height_zeta_truncated",
-    "M_invariant",
-    "plucker",
-    "proj_height_l2",
-    "proj_height_linf",
-    "proj_point",
-    "rred_matrix",
-    "weil_height",
-    "FieldElement",
-    "FracIdeal",
-    "NumberField",
-    "abs_norm",
-    "conjugates",
-    "cyclotomic_field",
-    "denominator_norm",
-    "enumerate_torsion",
-    "frak_D",
-    "fundamental_unit",
-    "ideal_from_generators",
-    "make_field",
-    "quadratic_field",
-    "rational_field",
-    "trace_pairing",
-]
+__all__ = numberfield.__all__ + heights.__all__ + moments.__all__ + bounds.__all__ + oracle.__all__

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import lru_cache
@@ -45,9 +44,9 @@ from mpmath.libmp.libmpi import mpi_cos_sin
 from .heights import RredMatrix, h_infty, plucker
 from .moments import MomentReport, a1m_bound, main_term
 from .numberfield import (
-    FieldElement,
     NumberField,
     _factorize,
+    _field_conductor,
     abs_norm,
     denominator_norm,
 )
@@ -156,15 +155,10 @@ def voutier_hypothesis(d: int) -> HeightHypothesis:
 # the convex comparison function and its exponent
 
 
-def f_M(M: int, x):
+def f_M(M: int, x: float) -> float:
     """(e^x + M e^(-x/M)) / (M+1); equals cosh x at M = 1, and >= 1 always."""
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    # an ndarray exists only once numpy is imported, so a scalar x never
-    # imports it
-    numpy = sys.modules.get("numpy")
-    if numpy is not None and isinstance(x, numpy.ndarray):
-        return (numpy.exp(x) + M * numpy.exp(-x / M)) / (M + 1)
     return (math.exp(x) + M * math.exp(-x / M)) / (M + 1)
 
 
@@ -330,8 +324,9 @@ class BoundReport:
 # Dedekind zeta intervals from Dirichlet L-functions
 
 # the enclosures of _enclose (alpha_M, composed zeta factors, the cyclotomic
-# constants) are computed in mpmath.iv at this precision, whatever the
-# caller's iv.prec, and only their final endpoints are rounded to floats
+# constants, the oracle's Euler product) are computed in mpmath.iv at this
+# precision, whatever the caller's iv.prec, and only their final endpoints
+# are rounded to floats
 _ZETA_PREC = 80
 # the zeta kernel encloses each quantity v in a pair of integers (lo, hi)
 # with lo 2^-128 <= v <= hi 2^-128; every operation floors lo and ceils hi,
@@ -368,14 +363,6 @@ def _enclose(compute) -> tuple[float, float]:
                 math.nextafter(float(x.b), math.inf))
     finally:
         iv.prec = old_prec
-
-
-def _normalize_conductor(n: int) -> int:
-    if n < 1:
-        raise ValueError("conductor must be a positive integer")
-    if n % 4 == 2:
-        n //= 2
-    return 1 if n in (1, 2) else n
 
 
 def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
@@ -713,7 +700,7 @@ def _zeta_key(target: int | NumberField) -> tuple[tuple[str, int], int | str]:
     part.  Another Q(sqrt D) is keyed by its discriminant.
     """
     if not isinstance(target, NumberField):
-        n = _normalize_conductor(target)
+        n = _field_conductor(target)
         return ("cyclotomic", n), n
     F = target
     if F.kind == "quadratic" and F.D not in (-1, -3):
@@ -791,12 +778,6 @@ def dedekind_zeta_field(F: NumberField, s: float, P: int = 1000) -> ZetaInterval
 # volume-ratio bounds
 
 
-def _coerce_element(F: NumberField, a) -> FieldElement:
-    if isinstance(a, FieldElement):
-        return a
-    return F.from_rational(Fraction(a))
-
-
 def _simplex_project(v: np.ndarray) -> np.ndarray:
     import numpy as np
     u = np.sort(v)[::-1]
@@ -823,7 +804,7 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
     """
     if isinstance(alphas, RredMatrix):
         alphas = [c for c in plucker(alphas).coords if c]
-    alphas = [_coerce_element(F, a) for a in alphas]
+    alphas = [F.coerce(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one nonzero element")
     if any(not a for a in alphas):
@@ -873,7 +854,7 @@ def volume_ratio_height_bound(F: NumberField, t: int, alphas, k: int | None = 2)
     when the norm assumption fails (or k is None) the plain form
     ((H^(2/d) + M H^(-2/(dM)) N^(2/(dM)))/(M+1))^(-dt/2) applies instead.
     """
-    alphas = [_coerce_element(F, a) for a in alphas]
+    alphas = [F.coerce(a) for a in alphas]
     if not alphas or any(not a for a in alphas):
         raise ValueError("need a tuple of nonzero elements")
     if k is not None and k < 2:
@@ -908,7 +889,7 @@ def column_height_ratio_bound(F: NumberField, t: int, alphas) -> float:
     all constraints except the chosen entries, which is what the pair-tail
     assembly consumes.  Coincides with the plain height form at M = 1.
     """
-    alphas = [_coerce_element(F, a) for a in alphas]
+    alphas = [F.coerce(a) for a in alphas]
     if not alphas or any(not a for a in alphas):
         raise ValueError("need a tuple of nonzero elements")
     d = F.degree
@@ -984,7 +965,7 @@ def proj_unit_sum_bound(
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    alphas = [_coerce_element(F, a) for a in alphas]
+    alphas = [F.coerce(a) for a in alphas]
     if not alphas or any(not a for a in alphas):
         raise ValueError("need a tuple of nonzero elements")
     norms = [abs_norm(F, a) for a in alphas]
@@ -1053,7 +1034,7 @@ def _composite_zeta(
     lo, hi = _enclose(product)
     zres = ZetaInterval(
         s=tuple(s_i for s_i, _ in parts),
-        conductor=F.descriptor if F.conductor is None else F.conductor,
+        conductor=_zeta_key(F)[1],
         value_low=lo,
         value_high=hi,
     )

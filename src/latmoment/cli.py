@@ -141,12 +141,8 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, output: str | None,
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
+        writer.writerows([_render(row.get(c)) for c in columns] for row in rows)
         body = CSV_HEADER + "\n" + buf.getvalue()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in rows:
-            writer.writerow([_render(row.get(c)) for c in columns])
-        body += buf.getvalue()
     else:
         payload = {
             "schema": SCHEMA,
@@ -157,12 +153,17 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, output: str | None,
             ],
         }
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write(body, output)
+    click.echo(summary, err=True)
+
+
+def _write(body: str, output: str | None) -> None:
+    """The body to the output path, or to stdout when there is none."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(body)
     else:
         click.echo(body, nl=False)
-    click.echo(summary, err=True)
 
 
 def _guard(fn):
@@ -576,12 +577,7 @@ def verify_cmd(suite, seed, cutoff, config_path, output) -> None:
         "all_pass": all_pass,
         "checks": checks,
     }
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        click.echo(body, nl=False)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", output)
     for c in checks:
         status = "PASS" if c["verdict"] == "consistent" else "FAIL"
         click.echo(f"{status} {c['check']}", err=True)

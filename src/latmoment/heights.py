@@ -28,6 +28,7 @@ from .numberfield import (
     Rational,
     _det_int,
     abs_norm,
+    conjugates,
     denominator_norm,
     enumerate_torsion,
     frak_D,
@@ -106,16 +107,11 @@ class ProjPoint:
     def conj_matrix(self) -> np.ndarray:
         """(d, N) complex array of embedding values of the coordinates."""
         import numpy as np
-        F = self.field
-        cols = []
-        for c in self.coords:
-            cols.append(F.embed_matrix @ np.array(c.floats()))
-        return np.array(cols).T
+        return np.array([conjugates(self.field, c) for c in self.coords]).T
 
 
 def proj_point(F: NumberField, coords: Sequence[FieldElement | Rational]) -> ProjPoint:
-    out = tuple(c if isinstance(c, FieldElement) else F.from_rational(c) for c in coords)
-    return ProjPoint(F, out)
+    return ProjPoint(F, tuple(map(F.coerce, coords)))
 
 
 @dataclass(frozen=True)
@@ -165,10 +161,7 @@ class RredMatrix:
 
 def rred_matrix(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> RredMatrix:
     """Row-reduce an arbitrary full-rank matrix over F into an RredMatrix."""
-    mat = [
-        [e if isinstance(e, FieldElement) else F.from_rational(e) for e in r]
-        for r in rows
-    ]
+    mat = [[F.coerce(e) for e in r] for r in rows]
     red = row_reduce(mat)
     if len(red) < len(mat):
         raise ValueError("matrix must have full row rank")
@@ -197,7 +190,7 @@ def weil_height(F: NumberField, alpha: FieldElement) -> float:
     if not alpha:
         raise ValueError("height of zero is undefined")
     import numpy as np
-    vals = np.abs(F.embed_matrix @ np.array(alpha.floats()))
+    vals = np.abs(conjugates(F, alpha))
     arch = float(np.sum(np.log(np.maximum(vals, 1.0))))
     return (arch + math.log(denominator_norm(F, [alpha]))) / F.degree
 
@@ -208,9 +201,7 @@ def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:
     if not alphas:
         raise ValueError("empty tuple")
     import numpy as np
-    mat = np.array(
-        [np.abs(F.embed_matrix @ np.array(a.floats())) for a in alphas]
-    )  # (N, d)
+    mat = np.array([np.abs(conjugates(F, a)) for a in alphas])  # (N, d)
     per_embedding = np.maximum(mat.max(axis=0), 1.0)
     return float(np.sum(np.log(per_embedding))) / F.degree
 

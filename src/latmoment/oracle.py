@@ -29,6 +29,7 @@ from .bounds import (
     ThresholdError,
     ZetaInterval,
     _check_pinned_P,
+    _enclose,
     _precision_cutoff,
     _quadratic_splitting,
     _zeta_key,
@@ -335,6 +336,7 @@ def dirichlet_intersection(F: NumberField, t: int, alpha: FieldElement) -> float
     (_dirichlet_ratio), whatever the order of the places.  One place gives
     min(1, den^d/|N(num)|)^t from the exact integer norm of the numerator.
     """
+    alpha = F.coerce(alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
     if t < 2:
@@ -494,9 +496,8 @@ def _euler_interval(
     if not P >= 1:
         raise ValueError(f"need P >= 1, got P = {P}")
     Q = _precision_cutoff(s, P)
-    old_prec = iv.prec
-    iv.prec = 80
-    try:
+
+    def product():
         one = iv.mpf(1)
         s_iv = iv.mpf(s)
         partial = one
@@ -504,10 +505,9 @@ def _euler_interval(
             f, g = _splitting(splitting, p)
             partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
         high = partial * (one + iv.mpf(Q) ** (one - s_iv) / (s_iv - one)) ** d
-        lo = math.nextafter(float(partial.a), -math.inf)
-        hi = math.nextafter(float(high.b), math.inf)
-    finally:
-        iv.prec = old_prec
+        return iv.mpf([partial.a, high.b])
+
+    lo, hi = _enclose(product)
     return ZetaInterval(s=s, conductor=conductor, value_low=lo, value_high=hi)
 
 

@@ -46,7 +46,7 @@ from latmoment.bounds import (
     voutier_hypothesis,
 )
 from latmoment.moments import MomentQuery
-from latmoment.numberfield import abs_norm, fundamental_unit, make_field
+from latmoment.numberfield import abs_norm, cyclotomic_field, fundamental_unit, make_field
 from latmoment.oracle import (
     _EULER_CACHE_SIZE,
     _euler_interval,
@@ -85,13 +85,6 @@ def test_f_M_matches_g_M_on_exponentials():
             assert f_M(m, x) == pytest.approx(g_M(m, math.exp(x)), rel=1e-12)
 
 
-def test_f_M_vectorized():
-    x = np.linspace(-2, 2, 11)
-    vals = f_M(3, x)
-    assert vals.shape == x.shape
-    assert vals[5] == pytest.approx(1.0)
-
-
 def test_f_g_domain_errors():
     with pytest.raises(ValueError):
         f_M(0, 1.0)
@@ -118,8 +111,8 @@ def test_alpha_certificate_samples():
     for m in (1, 2, 5):
         a = alpha_M(m, 0.24)
         assert 0 < a < 1
-        xs = rng.uniform(0.12, 60.0, 300)
-        assert np.all(f_M(m, xs) >= np.exp(a * xs) * (1 - 1e-9))
+        xs = rng.uniform(0.12, 60.0, 300).tolist()
+        assert all(f_M(m, x) >= math.exp(a * x) * (1 - 1e-9) for x in xs)
 
 
 def test_alpha_binding_at_left_endpoint():
@@ -664,6 +657,24 @@ def test_composed_zeta_factors_round_outward():
             assert (z.value_low, z.value_high) == (lo, hi)
 
 
+@pytest.mark.parametrize("desc,conductor", [
+    ("Q", 1), ("Q(sqrt,-1)", 4), ("Q(sqrt,-3)", 3), ("Q(zeta,5)", 5), ("Q(sqrt,5)", "Q(sqrt,5)"),
+])
+def test_composed_zeta_reports_the_factor_conductor(desc, conductor):
+    F = make_field(desc)
+    z, _, _ = _composite_zeta(F, [(2.0, 1.0), (3.5, -1.0)])
+    assert z.conductor == dedekind_zeta_field(F, 2.0).conductor == conductor
+
+
+def test_fields_and_zeta_share_the_conductor_rule():
+    for n in range(1, 41):
+        assert dedekind_zeta(n, 2.0).conductor == (cyclotomic_field(n).conductor or 1), n
+    for n in (0, -4):
+        for build in (cyclotomic_field, lambda n: dedekind_zeta(n, 2.0)):
+            with pytest.raises(ValueError, match="conductor must be a positive integer"):
+                build(n)
+
+
 def test_cyclotomic_constants_enclose_the_exact_scalar():
     # the true constant lies between the 40-digit scalar (t0 = 267/10
     # exactly) times the zeta lows and times the zeta highs; the float
@@ -809,6 +820,24 @@ def test_simplex_projection_fixes_simplex_points():
 
 # ---------------------------------------------------------------------------
 # volume-ratio height bound
+
+
+@pytest.mark.parametrize("entry", [
+    "ellipsoid_intersection_bound", "volume_ratio_height_bound",
+    "column_height_ratio_bound", "proj_unit_sum_bound",
+])
+def test_bound_inputs_reject_elements_of_another_field(entry):
+    # a Q(zeta,5) element offered to Q(sqrt,5) once failed inside numpy
+    a = Z5.gen + 1
+    call = {
+        "ellipsoid_intersection_bound": lambda: ellipsoid_intersection_bound(Q5, 4, [a]),
+        "volume_ratio_height_bound": lambda: volume_ratio_height_bound(Q5, 4, [a]),
+        "column_height_ratio_bound": lambda: column_height_ratio_bound(Q5, 4, [2, a]),
+        "proj_unit_sum_bound": lambda: proj_unit_sum_bound(
+            Q5, default_hypothesis(Q5), 500.0, [a], 26),
+    }[entry]
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        call()
 
 
 def test_volume_ratio_rational_example():

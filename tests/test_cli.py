@@ -356,3 +356,18 @@ def test_commands_with_arrays_still_run_in_a_fresh_process():
                  ["verify", "--suite", "core", "--seed", "7", "--cutoff", "5"]):
         code, names = _fresh_imports("-m", "latmoment.cli", *args)
         assert code == 0 and "numpy" in names, args
+
+
+# ---------------------------------------------------------- package surface
+
+
+def test_package_exports_the_concatenated_module_lists():
+    from latmoment import bounds, heights, moments, numberfield, oracle
+
+    layers = (numberfield, heights, moments, bounds, oracle)
+    assert latmoment.__all__ == [name for mod in layers for name in mod.__all__]
+    assert len(set(latmoment.__all__)) == len(latmoment.__all__)
+    assert "euler_zeta" in latmoment.__all__
+    for mod in layers:
+        for name in mod.__all__:
+            assert getattr(latmoment, name) is getattr(mod, name), name

@@ -152,6 +152,19 @@ def test_proj_point_rejects_zero():
         proj_point(Q, [0, 0])
 
 
+@pytest.mark.parametrize("entry", ["weil_height", "h_infty", "rred_matrix"])
+def test_heights_reject_elements_of_another_field(entry):
+    Q5, Z5 = make_field("Q(sqrt,5)"), make_field("Q(zeta,5)")
+    a = Z5.gen / 3
+    call = {
+        "weil_height": lambda: weil_height(Q5, a),
+        "h_infty": lambda: h_infty(Q5, [Q5.one, a]),
+        "rred_matrix": lambda: rred_matrix(Q5, [[1, a]]),
+    }[entry]
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        call()
+
+
 def test_proj_point_rejects_mixed_fields():
     Q, Z5 = make_field("Q"), make_field("Q(zeta,5)")
     with pytest.raises(ValueError, match="elements belong to different fields"):

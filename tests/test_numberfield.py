@@ -103,6 +103,12 @@ def test_make_field_rejects():
         make_field("Q(zeta,0)")
 
 
+def test_quadratic_field_rejects_with_the_constructor_message():
+    for D in (0, 1, 12):
+        with pytest.raises(ValueError, match="quadratic fields need squarefree D not 0 or 1"):
+            quadratic_field(D)
+
+
 @pytest.mark.parametrize("desc", BUILT_FIELDS)
 def test_field_construction_invariants(desc):
     F = make_field(desc)
@@ -193,6 +199,42 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# coercion into a field
+
+
+def test_coerce_keeps_elements_and_embeds_rationals():
+    F, G = make_field("Q(sqrt,5)"), make_field("Q(zeta,5)")
+    x = F.element((1, 2))
+    assert F.coerce(x) is x
+    assert F.coerce(2) == F.from_rational(2)
+    assert F.coerce(Fraction(-3, 4)) == F.element((Fraction(-3, 4), 0))
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        F.coerce(G.gen)
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        x + G.gen
+
+
+# each entry point that takes a field and elements of it; unchecked, a
+# Q(zeta,5) element offered to Q(sqrt,5) yields a number or a numpy error
+_FOREIGN_CALLS = {
+    "abs_norm": lambda F, a: abs_norm(F, a),
+    "denominator_norm": lambda F, a: denominator_norm(F, [a / 3]),
+    "conjugates": lambda F, a: conjugates(F, a),
+    "trace_pairing": lambda F, a: trace_pairing(F, a, a),
+    "trace_pairing_exact": lambda F, a: trace_pairing_exact(F, a, a),
+    "ideal_from_generators": lambda F, a: ideal_from_generators(F, [a]),
+    "FracIdeal.contains": lambda F, a: ideal_from_generators(F, [2]).contains(2 * a),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FOREIGN_CALLS))
+def test_entry_points_reject_elements_of_another_field(entry):
+    F, G = make_field("Q(sqrt,5)"), make_field("Q(zeta,5)")
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        _FOREIGN_CALLS[entry](F, G.gen + 1)
 
 
 # ---------------------------------------------------------------------------

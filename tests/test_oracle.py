@@ -310,6 +310,14 @@ def test_dirichlet_place_limit():
         dirichlet_intersection(Z15, 2, Z15.one + Z15.gen)
 
 
+@pytest.mark.parametrize("desc", ["Q(sqrt,-1)", "Q(sqrt,2)", "Q(zeta,8)"])
+def test_dirichlet_rejects_elements_of_another_field(desc):
+    # one, two and three places; over Q(i) an unchecked 1 + sqrt 5 read 0.0625
+    Q5 = make_field("Q(sqrt,5)")
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        dirichlet_intersection(make_field(desc), 4, Q5.element((1, 1)))
+
+
 def test_dirichlet_preconditions():
     with pytest.raises(ValueError):
         dirichlet_intersection(Q, 1, Q.one)
