@@ -9,7 +9,14 @@ byte-identical output.  Exit status: 0 success, 2 precondition violation
 (the computed threshold is printed) or invalid configuration, 3
 verification failure.
 
-A flat key=value config file supplies defaults; explicit flags win.
+A flat key=value config file (`--config`) supplies defaults: a key sets the
+command's single-valued option of that name (`rank_ratio` for --rank-ratio,
+`lam` for --lambda), converted and checked by the option's own type and
+choices.  Flags win; arguments and repeatable options (--row, --alpha) are
+flag-only, and other keys are ignored.  Keys that earlier versions ignored
+are honoured too: `kind` (height, empirical), `n` and `lam` (poisson), `s`
+(zeta), `constant` and `rank_ratio` (moment-bounds), `shifted` (t0-table)
+and `suite` (verify).
 """
 
 from __future__ import annotations
@@ -63,9 +70,7 @@ PUBLISHED_T0 = {(1, 26): 27, (2, 48): 97, (3, 70): 213, (4, 92): 372, (5, 115): 
 EVAL_PM = 1e-9
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config(path: str) -> dict:
     cfg = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -79,36 +84,19 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(flag, cfg: dict, key: str, cast, default=None):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError:
-            raise ValueError(f"{key} = {cfg[key]!r} is not a valid {cast.__name__}") from None
-    return default
-
-
-def _sink(cfg: dict, fmt, output) -> tuple[str, str | None]:
-    """The table format and output path, flags over the config file."""
-    return _pick(fmt, cfg, "format", str, "csv"), _pick(output, cfg, "output", str)
-
-
-def _volume(vol, cfg: dict) -> Fraction | float:
-    return _parse_rational(_need(_pick(vol, cfg, "volume", str), "volume"))
-
-
-def _need(value, name: str):
-    if value is None:
-        raise click.UsageError(f"missing required parameter: {name}")
-    return value
+def _apply_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """The config file's values as defaults of the command's single-valued
+    options, keyed by option name; click converts and checks them as flags."""
+    if path is not None:
+        names = {p.name for p in ctx.command.params
+                 if isinstance(p, click.Option) and not p.multiple}
+        ctx.default_map = {k: v for k, v in _load_config(path).items() if k in names}
 
 
 def _parse_rational(text: str) -> Fraction | float:
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return float(text)
 
 
@@ -160,8 +148,11 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, output: str | None,
 def _write(body: str, output: str | None) -> None:
     """The body to the output path, or to stdout when there is none."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write output {output!r}: {exc.strerror}") from None
     else:
         click.echo(body, nl=False)
 
@@ -182,9 +173,7 @@ def _guard(fn):
     return wrapper
 
 
-def _hypothesis(F: NumberField, cfg: dict, c0: float | None,
-                c1: float | None) -> HeightHypothesis:
-    c0, c1 = _pick(c0, cfg, "c0", float), _pick(c1, cfg, "c1", float)
+def _hypothesis(F: NumberField, c0: float | None, c1: float | None) -> HeightHypothesis:
     if c0 is None and c1 is None:
         return default_hypothesis(F)
     if c0 is None:
@@ -192,10 +181,14 @@ def _hypothesis(F: NumberField, cfg: dict, c0: float | None,
     return HeightHypothesis(c0, c1 if c1 is not None else c0, "user")
 
 
+_config = click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                       is_eager=True, expose_value=False, callback=_apply_config,
+                       help="flat key=value defaults file; flags win")
+_output = click.option("--output", default=None, help="write to this path instead of stdout")
 _common = [
-    click.option("--config", "config_path", default=None, help="flat key=value defaults file"),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None),
-    click.option("--output", default=None, help="write to this path instead of stdout"),
+    _config,
+    click.option("--format", type=click.Choice(["csv", "json"]), default="csv"),
+    _output,
 ]
 
 
@@ -214,9 +207,8 @@ def main() -> None:
 @click.argument("descriptor")
 @_with_common
 @_guard
-def field_info(descriptor: str, config_path, fmt, output) -> None:
+def field_info(descriptor: str, format: str, output) -> None:
     """Degree, signature, discriminant and unit data of a field."""
-    fmt, output = _sink(_load_config(config_path), fmt, output)
     F = make_field(descriptor)
     r1, r2 = F.signature
     row = {
@@ -230,7 +222,7 @@ def field_info(descriptor: str, config_path, fmt, output) -> None:
         "omega": F.omega_K,
         "conductor": F.conductor,
     }
-    _emit(list(row), [row], fmt, output,
+    _emit(list(row), [row], format, output,
           f"{F.descriptor}: degree {F.degree}, signature ({r1},{r2}), "
           f"disc {F.disc}, omega {F.omega_K}")
 
@@ -242,16 +234,15 @@ def field_info(descriptor: str, config_path, fmt, output) -> None:
               help="weil: all places; house: archimedean part only")
 @_with_common
 @_guard
-def height_cmd(descriptor: str, elements, kind: str, config_path, fmt, output) -> None:
+def height_cmd(descriptor: str, elements, kind: str, format: str, output) -> None:
     """Heights of field elements given as comma-separated rational coordinates."""
-    fmt, output = _sink(_load_config(config_path), fmt, output)
     F = make_field(descriptor)
     rows = []
     for text in elements:
         a = _parse_element(F, text)
         val = weil_height(F, a) if kind == "weil" else h_infty(F, [a])
         rows.append({"element": text, "kind": kind, "height": val, "pm": EVAL_PM})
-    _emit(["element", "kind", "height", "pm"], rows, fmt, output,
+    _emit(["element", "kind", "height", "pm"], rows, format, output,
           f"{len(rows)} height(s) over {F.descriptor}")
 
 
@@ -261,9 +252,8 @@ def height_cmd(descriptor: str, elements, kind: str, config_path, fmt, output) -
               help="matrix row: entries space-separated, coordinates comma-separated")
 @_with_common
 @_guard
-def gr_height_cmd(descriptor: str, row_texts, config_path, fmt, output) -> None:
+def gr_height_cmd(descriptor: str, row_texts, format: str, output) -> None:
     """Subspace height of a row-reduced matrix, with its factorization."""
-    fmt, output = _sink(_load_config(config_path), fmt, output)
     F = make_field(descriptor)
     rows_elems = [[_parse_element(F, cell) for cell in text.split()] for text in row_texts]
     mat = rred_matrix(F, rows_elems)
@@ -278,40 +268,35 @@ def gr_height_cmd(descriptor: str, row_texts, config_path, fmt, output) -> None:
         "index": fac.index,
         "norm_index_product": fac.norm_index_product,
     }
-    _emit(list(row), [row], fmt, output,
+    _emit(list(row), [row], format, output,
           f"gr height {fac.height!r} = covolume x index over {F.descriptor}")
 
 
 @main.command("poisson")
 @click.option("--n", type=int, required=True)
-@click.option("--lambda", "lam", required=True,
+@click.option("--lambda", "lam", type=_parse_rational, metavar="RATIONAL", required=True,
               help="rate; rationals are kept exact")
 @_with_common
 @_guard
-def poisson_cmd(n: int, lam: str, config_path, fmt, output) -> None:
+def poisson_cmd(n: int, lam, format: str, output) -> None:
     """Moments of a Poisson variable, exact for rational rates."""
-    fmt, output = _sink(_load_config(config_path), fmt, output)
-    rate = _parse_rational(lam)
-    value = poisson_moment(n, rate)
-    row = {"n": n, "lambda": rate, "m_n": value,
+    value = poisson_moment(n, lam)
+    row = {"n": n, "lambda": lam, "m_n": value,
            "pm": 0 if isinstance(value, (int, Fraction)) else EVAL_PM}
-    _emit(["n", "lambda", "m_n", "pm"], [row], fmt, output,
-          f"m_{n}({rate}) = {value}")
+    _emit(["n", "lambda", "m_n", "pm"], [row], format, output,
+          f"m_{n}({lam}) = {value}")
 
 
 @main.command("zeta")
 @click.argument("target")
 @click.option("--s", type=float, required=True)
-@click.option("--p", "--P", "P", type=int, default=None,
-              help="P >= 1 (default 1000), checked and otherwise unused; kept "
-                   "for the benchmark's call shape until the next benchmark change")
+@click.option("--p", "--P", "P", type=int, default=1000,
+              help="P >= 1, checked and otherwise unused; kept for the "
+                   "benchmark's call shape until the next benchmark change")
 @_with_common
 @_guard
-def zeta_cmd(target: str, s: float, P, config_path, fmt, output) -> None:
+def zeta_cmd(target: str, s: float, P: int, format: str, output) -> None:
     """Dedekind zeta interval for a conductor or a field descriptor."""
-    cfg = _load_config(config_path)
-    fmt, output = _sink(cfg, fmt, output)
-    P = _pick(P, cfg, "P", int, 1000)
     if target.isdigit():
         z = dedekind_zeta(int(target), s, P)
     else:
@@ -319,47 +304,42 @@ def zeta_cmd(target: str, s: float, P, config_path, fmt, output) -> None:
     row = {"conductor": z.conductor, "s": z.s,
            "value_low": z.value_low, "value_high": z.value_high}
     mid = (z.value_low + z.value_high) / 2
-    _emit(list(row), [row], fmt, output,
+    _emit(list(row), [row], format, output,
           f"zeta({s}) in [{z.value_low!r}, {z.value_high!r}] (~{mid:.9g})")
 
 
 @main.command("second-moment")
 @click.argument("descriptor")
-@click.option("--t", type=float, default=None)
-@click.option("--volume", "vol", default=None)
-@click.option("--k", type=int, default=None)
+@click.option("--t", type=float, required=True)
+@click.option("--volume", type=_parse_rational, metavar="RATIONAL", required=True)
+@click.option("--k", type=int, default=4)
 @click.option("--c0", type=float, default=None)
 @click.option("--c1", type=float, default=None)
 @_with_common
 @_guard
-def second_moment_cmd(descriptor, t, vol, k, c0, c1, config_path, fmt, output):
+def second_moment_cmd(descriptor, t, volume, k, c0, c1, format, output):
     """Two-sided second-moment bracket for the ball point count."""
-    cfg = _load_config(config_path)
-    fmt, output = _sink(cfg, fmt, output)
-    t = _need(_pick(t, cfg, "t", float), "t")
-    V = _volume(vol, cfg)
-    k = _pick(k, cfg, "k", int, 4)
     F = make_field(descriptor)
-    rep = second_moment_bounds(F, _hypothesis(F, cfg, c0, c1), t, V, k=k)
+    rep = second_moment_bounds(F, _hypothesis(F, c0, c1), t, volume, k=k)
     row = {
-        "field": F.descriptor, "t": t, "volume": V, "k": k,
+        "field": F.descriptor, "t": t, "volume": volume, "k": k,
         "lower": rep.lower, "main": rep.main_term, "upper": rep.upper,
         "t0": rep.constants["t0"], "epsilon": rep.constants["epsilon"],
         "C": rep.constants["C"],
         "zeta_low": rep.constants["zeta_low"], "zeta_high": rep.constants["zeta_high"],
         "pm": EVAL_PM,
     }
-    _emit(list(row), [row], fmt, output,
+    _emit(list(row), [row], format, output,
           f"second moment in [{_render(rep.lower)}, {rep.upper!r}]")
 
 
 @main.command("moment-bounds")
 @click.argument("descriptor")
-@click.option("--t", type=int, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--volume", "vol", default=None)
+@click.option("--t", type=int, required=True)
+@click.option("--n", type=int, required=True)
+@click.option("--volume", type=_parse_rational, metavar="RATIONAL", required=True)
 @click.option("--k", type=int, default=None)
-@click.option("--constant", "c_const", type=float, default=None,
+@click.option("--constant", type=float, default=None,
               help="leading constant; omitted means unresolved, evaluated at 1")
 @click.option("--mode", type=click.Choice(["general", "fixed-field", "cyclotomic"]),
               default=None)
@@ -368,19 +348,13 @@ def second_moment_cmd(descriptor, t, vol, k, c0, c1, config_path, fmt, output):
 @click.option("--c1", type=float, default=None)
 @_with_common
 @_guard
-def moment_bounds_cmd(descriptor, t, n, vol, k, c_const, mode, rank_ratio,
-                      c0, c1, config_path, fmt, output):
+def moment_bounds_cmd(descriptor, t, n, volume, k, constant, mode, rank_ratio,
+                      c0, c1, format, output):
     """Assembled n-th moment bracket; long-format quantity/value rows."""
-    cfg = _load_config(config_path)
-    fmt, output = _sink(cfg, fmt, output)
-    t = _need(_pick(t, cfg, "t", int), "t")
-    n = _need(_pick(n, cfg, "n", int), "n")
-    V = _volume(vol, cfg)
     F = make_field(descriptor)
-    options = {"k": _pick(k, cfg, "k", int), "C": c_const,
-               "mode": _pick(mode, cfg, "mode", str), "rank_ratio": rank_ratio}
+    options = {"k": k, "C": constant, "mode": mode, "rank_ratio": rank_ratio}
     options = {key: val for key, val in options.items() if val is not None}
-    rep = moment_bounds(MomentQuery(F, t, n, V), _hypothesis(F, cfg, c0, c1), options)
+    rep = moment_bounds(MomentQuery(F, t, n, volume), _hypothesis(F, c0, c1), options)
     rows = [
         {"quantity": "lower", "value": rep.lower, "pm": EVAL_PM},
         {"quantity": "main", "value": rep.main_term, "pm": EVAL_PM},
@@ -392,31 +366,25 @@ def moment_bounds_cmd(descriptor, t, n, vol, k, c_const, mode, rank_ratio,
     for name in sorted(rep.constants):
         rows.append({"quantity": f"constant:{name}",
                      "value": rep.constants[name], "pm": EVAL_PM})
-    _emit(["quantity", "value", "pm"], rows, fmt, output,
+    _emit(["quantity", "value", "pm"], rows, format, output,
           f"moment {n} of {F.descriptor} at t={t}: "
           f"[{rep.lower!r}, {rep.upper!r}]")
 
 
 @main.command("t0-table")
-@click.option("--k", "k_text", default=None, help="comma-separated split parameters")
-@click.option("--m", "--M", "m_text", default=None,
+@click.option("--k", default="26,48,70,92,115", help="comma-separated split parameters")
+@click.option("--m", "--M", "M", default=None,
               help="comma-separated tuple sizes; defaults to 1..len(k)")
-@click.option("--c0", type=float, default=None)
-@click.option("--rank-ratio", type=float, default=None)
+@click.option("--c0", type=float, default=0.24)
+@click.option("--rank-ratio", type=float, default=0.5)
 @click.option("--shifted", is_flag=True, default=False)
 @_with_common
 @_guard
-def t0_table_cmd(k_text, m_text, c0, rank_ratio, shifted, config_path, fmt, output):
+def t0_table_cmd(k, M, c0, rank_ratio, shifted, format, output):
     """Admissibility thresholds per (M, k), with the published targets."""
-    cfg = _load_config(config_path)
-    fmt, output = _sink(cfg, fmt, output)
-    k_text = _pick(k_text, cfg, "k", str, "26,48,70,92,115")
-    m_text = _pick(m_text, cfg, "M", str)
-    c0 = _pick(c0, cfg, "c0", float, 0.24)
-    rank_ratio = _pick(rank_ratio, cfg, "rank_ratio", float, 0.5)
-    ks = [int(x) for x in k_text.split(",") if x.strip()]
-    ms = ([int(x) for x in m_text.split(",") if x.strip()]
-          if m_text else list(range(1, len(ks) + 1)))
+    ks = [int(x) for x in k.split(",") if x.strip()]
+    ms = ([int(x) for x in M.split(",") if x.strip()]
+          if M else list(range(1, len(ks) + 1)))
     if len(ms) != len(ks):
         raise click.UsageError("M list and k list must have equal length")
     hyp = HeightHypothesis(c0, c0 / 2.0, "user")
@@ -436,31 +404,25 @@ def t0_table_cmd(k_text, m_text, c0, rank_ratio, shifted, config_path, fmt, outp
     note = (f"; {len(below)}/{len(rows)} rows have published targets, "
             f"all above the computed sup"
             if below and all(r["t0_sup"] < r["published"] for r in below) else "")
-    _emit(["M", "k", "t0_sup", "sup_pm", "t0_ceil", "published"], rows, fmt, output,
+    _emit(["M", "k", "t0_sup", "sup_pm", "t0_ceil", "published"], rows, format, output,
           f"{len(rows)} threshold rows (c0={c0}, rank ratio {rank_ratio})" + note)
 
 
 @main.command("empirical")
 @click.argument("descriptor", required=False)
 @click.option("--kind", type=click.Choice(["mc-ratio", "lattice"]), required=True)
-@click.option("--t", type=int, default=None)
+@click.option("--t", type=int, required=True)
 @click.option("--n", type=int, default=None)
-@click.option("--volume", "vol", default=None)
-@click.option("--p", "prime", type=int, default=None)
+@click.option("--volume", type=_parse_rational, metavar="RATIONAL")
+@click.option("--p", type=int, default=None)
 @click.option("--alpha", "alphas", multiple=True,
               help="element coordinates, repeatable")
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--samples", type=int, default=100_000)
+@click.option("--seed", type=int, default=0)
 @_with_common
 @_guard
-def empirical_cmd(descriptor, kind, t, n, vol, prime, alphas, samples, seed,
-                  config_path, fmt, output):
+def empirical_cmd(descriptor, kind, t, n, volume, p, alphas, samples, seed, format, output):
     """Seeded Monte Carlo oracles: intersection volumes or lattice moments."""
-    cfg = _load_config(config_path)
-    fmt, output = _sink(cfg, fmt, output)
-    t = _need(_pick(t, cfg, "t", int), "t")
-    samples = _pick(samples, cfg, "samples", int, 100_000)
-    seed = _pick(seed, cfg, "seed", int, 0)
     if kind == "mc-ratio":
         if not descriptor or not alphas:
             raise click.UsageError("mc-ratio needs a descriptor and --alpha")
@@ -474,21 +436,22 @@ def empirical_cmd(descriptor, kind, t, n, vol, prime, alphas, samples, seed,
         }]
         summary = f"ratio ~ {est.mean!r} +- {est.std_error!r}"
     else:
-        n = _need(_pick(n, cfg, "n", int), "n")
-        V = _volume(vol, cfg)
-        prime = _need(_pick(prime, cfg, "p", int), "p")
-        ests = random_lattice_moments(t, n, float(V), prime, samples=samples, seed=seed)
+        missing = [f"--{name}" for name, val in (("n", n), ("volume", volume), ("p", p))
+                   if val is None]
+        if missing:
+            raise click.UsageError(f"lattice needs {', '.join(missing)}")
+        ests = random_lattice_moments(t, n, float(volume), p, samples=samples, seed=seed)
         expected_field = make_field("Q")
         rows = []
         for j, est in enumerate(ests, start=1):
-            expect = main_term(MomentQuery(expected_field, t, j, V))
+            expect = main_term(MomentQuery(expected_field, t, j, volume))
             rows.append({
-                "kind": kind, "t": t, "order": j, "volume": V, "p": prime,
+                "kind": kind, "t": t, "order": j, "volume": volume, "p": p,
                 "estimate": est.mean, "std_error": est.std_error,
                 "expected_main": expect, "samples": est.samples, "seed": est.seed,
             })
-        summary = f"{len(rows)} moment estimates at p={prime}"
-    _emit(list(rows[0]), rows, fmt, output, summary)
+        summary = f"{len(rows)} moment estimates at p={p}"
+    _emit(list(rows[0]), rows, format, output, summary)
 
 
 def _core_suite(seed: int, cutoff: int) -> list[dict]:
@@ -558,16 +521,13 @@ def _core_suite(seed: int, cutoff: int) -> list[dict]:
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(["core"]), default="core")
-@click.option("--seed", type=int, default=None)
-@click.option("--cutoff", type=int, default=None)
-@click.option("--config", "config_path", default=None)
-@click.option("--output", default=None)
-def verify_cmd(suite, seed, cutoff, config_path, output) -> None:
+@click.option("--seed", type=int, default=7)
+@click.option("--cutoff", type=int, default=15)
+@_config
+@_output
+@_guard
+def verify_cmd(suite, seed, cutoff, output) -> None:
     """Run the verification suite; JSON report, exit 3 on any violation."""
-    cfg = _load_config(config_path)
-    seed = _pick(seed, cfg, "seed", int, 7)
-    cutoff = _pick(cutoff, cfg, "cutoff", int, 15)
-    output = _pick(output, cfg, "output", str)
     checks = _core_suite(seed, cutoff)
     all_pass = all(c["verdict"] == "consistent" for c in checks)
     payload = {

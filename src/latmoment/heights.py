@@ -65,7 +65,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point of projective space over the field: a nonzero coordinate tuple.
+    """A point of projective space over the field: a nonzero coordinate tuple,
+    with rational coordinates taken into the field.
 
     Heights computed from it are invariant under scaling the tuple by any
     nonzero field element.
@@ -75,10 +76,9 @@ class ProjPoint:
     coords: ElementTuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", tuple(map(self.field.coerce, self.coords)))
         if not any(self.coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        if any(c.field is not self.field for c in self.coords):
-            raise ValueError("elements belong to different fields")
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -111,7 +111,7 @@ class ProjPoint:
 
 
 def proj_point(F: NumberField, coords: Sequence[FieldElement | Rational]) -> ProjPoint:
-    return ProjPoint(F, tuple(map(F.coerce, coords)))
+    return ProjPoint(F, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -379,18 +379,7 @@ def enumerate_p1_rationals(T: float) -> int:
     at most T: coprime pairs (a, b), a^2 + b^2 <= T^2, up to sign."""
     if T < 1:
         raise ValueError("T must be at least 1")
-    T2 = T * T
-    count = 1  # the point [1, 0]
-    bmax = math.isqrt(int(T2))
-    for b in range(1, bmax + 1):
-        rem = T2 - b * b
-        if rem < 0:
-            continue
-        amax = math.isqrt(int(rem))
-        for a in range(-amax, amax + 1):
-            if a * a + b * b <= T2 and math.gcd(abs(a), b) == 1:
-                count += 1
-    return count
+    return _primitive_sum(2, T * T, 0.0)[1]
 
 
 def _primitive_sum(n: int, T2: float, t: float) -> tuple[float, int]:

@@ -152,7 +152,7 @@ def test_invalid_element_exits_2(runner):
 def test_missing_required_parameter_exits_2(runner):
     r = runner.invoke(main, ["second-moment", "Q"])
     assert r.exit_code == 2
-    assert "missing required parameter: t" in r.stderr
+    assert "Missing option '--t'" in r.stderr
 
 
 def test_zeta_without_a_positive_cutoff_exits_2(runner):
@@ -212,7 +212,7 @@ def test_config_t_is_read_as_an_integer(runner, tmp_path):
                 ["empirical", "Q", "--kind", "mc-ratio", "--alpha", "2"]):
         r = runner.invoke(main, [*cmd, "--config", str(cfg)])
         assert r.exit_code == 2, cmd
-        assert "invalid configuration: t = '40.7' is not a valid int" in r.stderr
+        assert "'--t': '40.7' is not a valid integer" in r.stderr
     cfg.write_text("t = 40\n")
     r = runner.invoke(main, ["moment-bounds", "Q", "--n", "3", "--volume", "1",
                              "--config", str(cfg)])
@@ -226,7 +226,96 @@ def test_config_mode_outside_the_choices_exits_2(runner, tmp_path):
     r = runner.invoke(main, ["moment-bounds", "Q", "--t", "40", "--n", "3",
                              "--volume", "1", "--config", str(cfg)])
     assert r.exit_code == 2
-    assert "invalid configuration" in r.stderr
+    assert "'--mode': 'foo' is not one of" in r.stderr
+
+
+def test_config_format_outside_the_choices_exits_2(runner, tmp_path):
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text("format = xml\n")
+    r = runner.invoke(main, ["field-info", "Q", "--config", str(cfg)])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "'--format': 'xml' is not one of" in r.stderr
+
+
+def test_missing_config_file_exits_2(runner, tmp_path):
+    missing = tmp_path / "absent.cfg"
+    for cmd in (["field-info", "Q"], ["verify", "--seed", "7"]):
+        r = runner.invoke(main, [*cmd, "--config", str(missing)])
+        assert r.exit_code == 2, cmd
+        assert "'--config'" in r.stderr and "absent.cfg" in r.stderr
+
+
+def test_config_rank_ratio_reaches_moment_bounds(runner, tmp_path):
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text("rank_ratio = 0.9\n")
+    base = ["moment-bounds", "Q(sqrt,5)", "--t", "7000", "--n", "3", "--volume", "1"]
+    from_file = runner.invoke(main, [*base, "--config", str(cfg)])
+    from_flag = runner.invoke(main, [*base, "--rank-ratio", "0.9"])
+    assert from_file.exit_code == 0
+    assert from_file.stdout == from_flag.stdout
+    assert from_file.stdout != runner.invoke(main, base).stdout
+    cfg.write_text("rank_ratio = 0\n")
+    r = runner.invoke(main, [*base, "--config", str(cfg)])
+    assert r.exit_code == 2
+    assert "below the field's unit rank / degree" in r.stderr
+
+
+def test_config_alpha_is_ignored(runner, tmp_path):
+    # --alpha repeats, so it stays flag-only; kind is a single-valued option
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text("kind = mc-ratio\nt = 6\nalpha = 2\nsamples = 10000\n")
+    r = runner.invoke(main, ["empirical", "Q", "--config", str(cfg)])
+    assert r.exit_code == 2
+    assert "mc-ratio needs a descriptor and --alpha" in r.stderr
+    r = runner.invoke(main, ["empirical", "Q", "--alpha", "2", "--config", str(cfg)])
+    assert r.exit_code == 0
+
+
+# (key, value, command, the same value as a flag); every command read its key
+# from a config file before options took config values as their defaults
+CONFIG_KEYS = [
+    ("t", "30", ["second-moment", "Q", "--volume", "1"], ["--t", "30"]),
+    ("volume", "3/2", ["second-moment", "Q", "--t", "30"], ["--volume", "3/2"]),
+    ("k", "6", ["second-moment", "Q", "--t", "30", "--volume", "1"], ["--k", "6"]),
+    ("n", "3", ["moment-bounds", "Q", "--t", "40", "--volume", "1"], ["--n", "3"]),
+    ("c0", "0.3", ["second-moment", "Q(sqrt,5)", "--t", "400", "--volume", "1"],
+     ["--c0", "0.3"]),
+    ("c1", "0.1", ["second-moment", "Q(sqrt,5)", "--t", "400", "--volume", "1",
+                   "--c0", "0.3"], ["--c1", "0.1"]),
+    ("mode", "fixed-field", ["moment-bounds", "Q", "--t", "40", "--n", "3", "--volume", "1"],
+     ["--mode", "fixed-field"]),
+    ("format", "json", ["field-info", "Q"], ["--format", "json"]),
+    ("output", "out.csv", ["poisson", "--n", "2", "--lambda", "1"], ["--output", "out.csv"]),
+    ("P", "0", ["zeta", "5", "--s", "2"], ["--p", "0"]),
+    ("M", "2,3", ["t0-table", "--k", "26,48"], ["--M", "2,3"]),
+    ("rank_ratio", "0.9", ["t0-table"], ["--rank-ratio", "0.9"]),
+    ("seed", "3", ["empirical", "Q", "--kind", "mc-ratio", "--t", "6", "--alpha", "2",
+                   "--samples", "10000"], ["--seed", "3"]),
+    ("samples", "20000", ["empirical", "Q", "--kind", "mc-ratio", "--t", "6",
+                          "--alpha", "2"], ["--samples", "20000"]),
+    ("p", "101", ["empirical", "--kind", "lattice", "--t", "6", "--n", "2", "--volume", "2",
+                  "--samples", "200", "--seed", "11"], ["--p", "101"]),
+    ("cutoff", "5", ["verify", "--seed", "7"], ["--cutoff", "5"]),
+]
+
+
+@pytest.mark.parametrize("key,value,cmd,flag", CONFIG_KEYS, ids=[c[0] for c in CONFIG_KEYS])
+def test_config_key_reaches_its_command(runner, tmp_path, monkeypatch, key, value, cmd, flag):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+
+    def run(*extra):
+        r = runner.invoke(main, [*cmd, *extra])
+        out = Path("out.csv")
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return r.exit_code, r.stdout, r.stderr, written
+
+    from_file = run("--config", str(cfg))
+    assert from_file == run(*flag)
+    assert from_file != run()
 
 
 def test_config_file_supplies_defaults_flags_win(runner, tmp_path):
@@ -247,6 +336,14 @@ def test_config_line_without_equals(runner, tmp_path):
                              "--config", str(cfg)])
     assert r.exit_code != 0
     assert "config line without '='" in r.stderr
+
+
+def test_unwritable_output_exits_2(runner, tmp_path):
+    out = tmp_path / "no-such-dir" / "z.csv"
+    for cmd in (["poisson", "--n", "2", "--lambda", "1"], ["verify", "--seed", "7", "--cutoff", "5"]):
+        r = runner.invoke(main, [*cmd, "--output", str(out)])
+        assert r.exit_code == 2, cmd
+        assert f"cannot write output '{out}'" in r.stderr
 
 
 def test_output_goes_to_file(runner, tmp_path):
@@ -311,6 +408,13 @@ def test_verify_violation_exits_3(runner, monkeypatch):
     assert r.exit_code == 3
     assert json.loads(r.stdout)["all_pass"] is False
     assert "FAIL stub" in r.stderr
+
+
+@pytest.mark.parametrize("flag", [["--cutoff", "1"], ["--seed", "-1"]])
+def test_verify_invalid_configuration_exits_2(runner, flag):
+    r = runner.invoke(main, ["verify", *flag])
+    assert r.exit_code == 2
+    assert "invalid configuration" in r.stderr
 
 
 def test_verify_output_file(runner, tmp_path):

@@ -171,6 +171,15 @@ def test_proj_point_rejects_mixed_fields():
         proj_point(Z5, [Q.one, Z5.one])
 
 
+def test_proj_point_constructor_coerces_its_coordinates():
+    Q5, Z5 = make_field("Q(sqrt,5)"), make_field("Q(zeta,5)")
+    x = lm.ProjPoint(Q5, (1, Fraction(2, 3)))
+    assert x.coords == (Q5.one, Q5.from_rational(Fraction(2, 3)))
+    assert x == proj_point(Q5, [1, Fraction(2, 3)])
+    with pytest.raises(ValueError, match="elements belong to different fields"):
+        lm.ProjPoint(Q5, (Q5.one, Z5.gen))
+
+
 @pytest.mark.parametrize("desc", ALL_FIELDS + ["Q(zeta,7)"])
 def test_ideal_norm_matches_the_ideal_hnf(desc):
     # N(<x>) = |N(x_k)| / D(x / x_k) against the norm of the full ideal HNF,

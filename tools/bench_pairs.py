@@ -24,7 +24,8 @@ Tier-1 runs TIER1_RUNS (3) times per side, alternating, with
 `pytest --durations=0`; the file records the wall time of each run, their
 median, the passed count and the call time of each acceptance criterion
 (from the median run).  The machine's CPU, core count, platform and
-Python version are recorded too.
+Python version are recorded too, and so is the line count of each side's
+src/ Python files (as `wc -l` counts them).
 """
 
 from __future__ import annotations
@@ -159,6 +160,10 @@ def tier1(roots: dict[str, Path]) -> dict:
     return out
 
 
+def src_lines(root: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -186,6 +191,7 @@ def main() -> None:
     seconds = bench["run_seconds"]
     report = {
         "machine": machine(),
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
         "benchmark": {
             "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
             "order": "alternating: parent first on the 1st, 3rd, ... pair, change first on the others",
