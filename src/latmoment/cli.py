@@ -102,7 +102,10 @@ def _parse_rational(text: str) -> Fraction | float:
 
 def _parse_element(F: NumberField, text: str) -> FieldElement:
     parts = [p.strip() for p in text.split(",")]
-    coords = [Fraction(p) for p in parts if p != ""]
+    try:
+        coords = [Fraction(p) for p in parts if p != ""]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in element {text!r}") from None
     if len(coords) > F.degree:
         raise click.UsageError(
             f"{len(coords)} coordinates for a degree-{F.degree} field"
@@ -440,6 +443,8 @@ def empirical_cmd(descriptor, kind, t, n, volume, p, alphas, samples, seed, form
                    if val is None]
         if missing:
             raise click.UsageError(f"lattice needs {', '.join(missing)}")
+        if descriptor is not None and make_field(descriptor) is not make_field("Q"):
+            raise click.UsageError("lattice samples ZZ-lattices only; give Q or no descriptor")
         ests = random_lattice_moments(t, n, float(volume), p, samples=samples, seed=seed)
         expected_field = make_field("Q")
         rows = []

@@ -2,10 +2,10 @@
 
 Covers the logarithmic height of a single element, the sup-height of a
 tuple, l2 and l-infinity projective heights, the Pluecker embedding with
-its induced subspace height, the covolume of the row lattice O_K^m D from
-its exact Gram determinant (with the integrality index, the second route
-to the subspace height), the integrality defect M(x), and truncated
-height zeta sums over rational projective space.
+its induced subspace height, the covolume of the row lattice O_K^m D as
+the norm of one Hermitian determinant over K (with the integrality
+index, the second route to the subspace height), the integrality defect
+M(x), and truncated height zeta sums over rational projective space.
 
 Real-valued heights here are floats built from 100-bit embeddings; their
 relative error is a few ulp, far below every tolerance used downstream.
@@ -26,7 +26,6 @@ from .numberfield import (
     FieldElement,
     NumberField,
     Rational,
-    _det_int,
     abs_norm,
     conjugates,
     denominator_norm,
@@ -225,41 +224,50 @@ def proj_height_linf(x: ProjPoint) -> float:
     return float(np.prod(np.max(np.abs(mat), axis=1))) / float(x.ideal_norm)
 
 
-def plucker(D: RredMatrix) -> ProjPoint:
-    """Pluecker coordinates: the m x m minors over column subsets in
-    lexicographic order.  The pivot-column minor is exactly 1.
-
-    The minors are built bottom-up with nothing inverted: the minor of
-    rows i.. on a column subset S is the Laplace expansion along row i
-    over the minors of rows i+1.. on S less one column, memoized by
-    subset.  Each row is scaled to integer numerators over its least
-    common denominator, so the expansion multiplies integer coordinate
-    vectors, and the product of those denominators divides out at the end.
-    """
-    F = D.field
-    d, n = F.degree, D.n
-    mul = F._mul_int
-    minors = {(): (1,) + (0,) * (d - 1)}
-    den = 1
-    for size, row in enumerate(reversed(D.rows), 1):
+def _scaled_rows(D: RredMatrix) -> tuple[list[list[tuple[int, ...] | None]], int]:
+    """Each row of D over the lcm of its denominators: the integer
+    numerator vectors of its entries (None for zero), and the product of
+    those lcms, which is the denominator of every maximal minor."""
+    rows, den = [], 1
+    for row in D.rows:
         L = math.lcm(*(e.den for e in row))
         den *= L
-        ints = [tuple(c * (L // e.den) for c in e.num) if e else None for e in row]
+        rows.append([tuple(c * (L // e.den) for c in e.num) if e else None for e in row])
+    return rows, den
+
+
+def _minors(F: NumberField, rows: Sequence[Sequence[Sequence[int] | None]]) -> dict:
+    """The maximal minors of an m x n matrix of integer coordinate vectors
+    (None for zero), keyed by column subset in lexicographic order.
+
+    They are built bottom-up with nothing inverted: the minor of rows i..
+    on a column subset S is the Laplace expansion along row i over the
+    minors of rows i+1.. on S less one column, memoized by subset.
+    """
+    d, n, mul = F.degree, len(rows[0]), F._mul_int
+    minors = {(): (1,) + (0,) * (d - 1)}
+    for size, ints in enumerate(reversed(rows), 1):
         below, minors = minors, {}
         for subset in itertools.combinations(range(n), size):
             acc = [0] * d
             for t, j in enumerate(subset):
                 a = ints[j]
                 sub = below[subset[:t] + subset[t + 1:]]
-                if a is None or not any(sub):
-                    continue
-                term = mul(a, sub)
-                if t % 2:
-                    acc = [x - y for x, y in zip(acc, term)]
-                else:
-                    acc = [x + y for x, y in zip(acc, term)]
+                if a is not None and any(sub):
+                    sign = -1 if t % 2 else 1
+                    acc = [x + sign * y for x, y in zip(acc, mul(a, sub))]
             minors[subset] = acc
-    return ProjPoint(F, tuple(F._reduced(num, den) for num in minors.values()))
+    return minors
+
+
+def plucker(D: RredMatrix) -> ProjPoint:
+    """Pluecker coordinates: the m x m minors over column subsets in
+    lexicographic order, expanded on the rows scaled to integer numerators,
+    with the product of the row denominators divided out at the end.  The
+    pivot-column minor is exactly 1."""
+    F = D.field
+    rows, den = _scaled_rows(D)
+    return ProjPoint(F, tuple(F._reduced(num, den) for num in _minors(F, rows).values()))
 
 
 def gr_height(D: RredMatrix) -> float:
@@ -268,48 +276,40 @@ def gr_height(D: RredMatrix) -> float:
 
 
 def det_lattice(D: RredMatrix) -> float:
-    """Covolume of the lattice O_K^(1 x m) D inside K_R^(1 x n).
+    """Covolume of O_K^(1 x m) D inside K_R^(1 x n), O_K of unit covolume.
 
-    The square root of the exact Gram determinant of its dm-dimensional
-    ZZ-basis {b_k e_i D} under the trace pairing, divided by |disc|^m so
-    that O_K has unit covolume.  It is computed without the Pluecker
-    coordinates, so covolume times integrality index is a second route to
-    the subspace height.  The t-copy covolume is this value to the power t.
-
-    In integers: with X the (dm x dn) coordinate matrix of the basis over
-    one common denominator L and T the integer trace form of the field,
-    the Gram matrix is X (I_n (x) T) X^T / L^2, symmetric, so one triangle
-    is filled and its determinant taken by Bareiss elimination.
+    Every supported field is totally real or CM, so complex conjugation
+    commutes with every embedding, and the covolume is
+    sqrt |N_K/Q(det(D conj(D)^T))|: one m x m Hermitian determinant over K
+    and one norm.  D conj(D)^T comes from the rows of D scaled as in
+    plucker (its determinant gains den^2), not from the Pluecker point, so
+    covolume times integrality index is a second route to the subspace
+    height.  The t-copy covolume is this value to the power t.
     """
     F = D.field
-    d, m = F.degree, D.m
-    L = math.lcm(*(e.den for row in D.rows for e in row))
-    # X row (i, k): the coordinates of g^k e_i D, scaled by L
-    X = []
-    for row in D.rows:
-        blocks = [F._mul_rows([c * (L // e.den) for c in e.num]) for e in row]
-        X.extend([c for block in blocks for c in block[k]] for k in range(d))
-    T = F._trace_form
-    TX = [
-        [sum(T[r][s] * x[j + s] for s in range(d)) for j in range(0, len(x), d) for r in range(d)]
-        for x in X
-    ]
-    size = len(X)
-    gram = [[0] * size for _ in range(size)]
-    for u in range(size):
-        for v in range(u, size):
-            gram[u][v] = gram[v][u] = sum(a * b for a, b in zip(X[u], TX[v]))
-    return math.sqrt(_det_int(gram) / (L ** (2 * size) * F.abs_discriminant**m))
+    conj, mul = F._conj_int, F._mul_int
+    rows, den = _scaled_rows(D)
+    bars = [[conj(a) if a else None for a in row] for row in rows]
+    herm = [[None] * len(rows) for _ in rows]
+    for i, j in itertools.combinations_with_replacement(range(len(rows)), 2):
+        acc = [0] * F.degree
+        for a, b in zip(rows[i], bars[j]):
+            if a and b:
+                acc = [x + y for x, y in zip(acc, mul(a, b))]
+        if any(acc):
+            herm[i][j], herm[j][i] = acc, conj(acc)
+    (det,) = _minors(F, herm).values()
+    return math.sqrt(abs_norm(F, F._reduced(det, den * den)))
 
 
 @dataclass(frozen=True)
 class GrHeightFactors:
     """The two independent routes to the subspace height, side by side: the
-    l2 height of the Pluecker point, and the covolume of O_K^m D from its
-    Gram determinant times the integrality index."""
+    l2 height of the Pluecker point, and the covolume of O_K^m D from the
+    rows of D times the integrality index."""
 
     height: float         # l2 height of the Pluecker point
-    covolume: float       # det_lattice(D), by the Gram determinant
+    covolume: float       # det_lattice(D), by the norm of det(D conj(D)^T)
     index: int            # frak_D(D)
     product: float        # covolume * index
     norm_index_product: Fraction  # N(<Pluecker coords>) * frak_D(D); 1 for rref D

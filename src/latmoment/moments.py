@@ -37,6 +37,8 @@ __all__ = [
     "volume_ratio_bound",
 ]
 
+_SERIES_TOL = 1e-12  # absolute truncation error of poisson_moment_series
+
 
 # ---------------------------------------------------------------------------
 # query and report types
@@ -124,14 +126,14 @@ def poisson_moment(n: int, lam: float | Rational):
     return acc
 
 
-def poisson_moment_series(n: int, lam: float, tol: float = 1e-12) -> float:
+def poisson_moment_series(n: int, lam: float) -> float:
     """The same moment by direct summation e^(-lam) sum_r r^n lam^r / r!,
     truncated once the terms are negligible.  Slower; used as the second
     route in checks.
 
     Summed at 40 digits so truncation, not accumulated rounding, is the
     only error source; the absolute error of the returned float is below
-    tol plus half an ulp of the value."""
+    _SERIES_TOL plus half an ulp of the value."""
     if n < 1:
         raise ValueError("moment order n must be >= 1")
     if lam < 0:
@@ -148,8 +150,8 @@ def poisson_moment_series(n: int, lam: float, tol: float = 1e-12) -> float:
             term = term * (mp.mpf(r) / (r - 1)) ** n * L / r
             total += term
             # past r > 2(lam+n) the term ratio is < e^(1/2)/2, so the tail
-            # is under the last term; stop well below tol
-            if r > 2 * (lam + n) and term < 1e-4 * tol * max(total, 1):
+            # is under the last term; stop well below _SERIES_TOL
+            if r > 2 * (lam + n) and term < 1e-4 * _SERIES_TOL * max(total, 1):
                 break
         return float(total)
 

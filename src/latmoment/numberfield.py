@@ -446,45 +446,34 @@ class NumberField:
 
     @cached_property
     def _invol_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Integer coordinates of conj(g)^k, k < d, for the standard involution."""
-        d = self.degree
-        identity = tuple(tuple(1 if j == k else 0 for j in range(d)) for k in range(d))
-        if self.kind == "rational" or (self.kind == "quadratic" and self.D > 0):
-            return identity
+        """Integer coordinates of conj(g)^k, k < d, in a field with complex places."""
         if self.kind == "quadratic":
             cg = self.element((1, -1)) if self.D % 4 == 1 else self.element((0, -1))
         else:
             cg = self.gen ** (self.conductor - 1)
         rows = [self.one]
-        for _ in range(1, d):
+        for _ in range(1, self.degree):
             rows.append(rows[-1] * cg)
         if any(r.den != 1 for r in rows):
             raise RuntimeError("conjugate powers of the generator must be integral")
         return tuple(r.num for r in rows)
 
-    @cached_property
-    def _trace_form(self) -> tuple[tuple[int, ...], ...]:
-        """T[k][l] = Tr(g^k conj(g^l)): the integer Gram matrix of the
-        integral basis under the trace pairing; symmetric, det |disc|."""
-        d = self.degree
-        p = self._power_traces
-        conj = self._invol_rows
-        return tuple(
-            tuple(sum(conj[l][r] * p[k + r] for r in range(d)) for l in range(d))
-            for k in range(d)
-        )
+    def _conj_int(self, num: Sequence[int]) -> list[int]:
+        """Integer coordinates of the involution of the integer vector num."""
+        if not self.signature[1]:
+            return list(num)  # totally real: the identity
+        out = [0] * self.degree
+        for c, row in zip(num, self._invol_rows):
+            if c:
+                out = [x + c * r for x, r in zip(out, row)]
+        return out
 
     def involution(self, x: FieldElement) -> FieldElement:
-        """Identity at real embeddings, complex conjugation at complex ones."""
-        d = self.degree
-        rows = self._invol_rows
-        out = [0] * d
-        for k, c in enumerate(x.num):
-            if c:
-                row = rows[k]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return self._reduced(out, x.den)
+        """Identity at real embeddings, complex conjugation at complex ones.
+
+        Every supported field is totally real or CM, so this one
+        automorphism is complex conjugation under every embedding."""
+        return self._reduced(self._conj_int(x.num), x.den)
 
     @cached_property
     def embeddings_mp(self) -> tuple[mpmath.mpc, ...]:

@@ -147,6 +147,13 @@ def test_invalid_element_exits_2(runner):
     r = runner.invoke(main, ["height", "Q", "0"])
     assert r.exit_code == 2
     assert "invalid configuration" in r.stderr
+    # a zero denominator is a bad element, not a crash
+    for args in (["height", "Q", "1/0"],
+                 ["gr-height", "Q", "--row", "1 1/0"],
+                 ["empirical", "Q", "--kind", "mc-ratio", "--t", "6", "--alpha", "1/0"]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, args
+        assert "zero denominator" in r.stderr
 
 
 def test_missing_required_parameter_exits_2(runner):
@@ -378,6 +385,18 @@ def test_empirical_lattice_expected_main_exact(runner):
     assert len(body) == 2
     assert body[0].split(",")[7] == "2"
     assert body[1].split(",")[7] == "8"
+
+
+def test_empirical_lattice_rejects_a_field_other_than_q(runner):
+    args = ["--kind", "lattice", "--t", "6", "--n", "2", "--volume", "2", "--p", "101",
+            "--samples", "200", "--seed", "11"]
+    r = runner.invoke(main, ["empirical", "Q(sqrt,-1)", *args])
+    assert r.exit_code == 2
+    assert "ZZ-lattices only" in r.stderr
+    bare = runner.invoke(main, ["empirical", *args])
+    named = runner.invoke(main, ["empirical", "Q", *args])
+    assert bare.exit_code == named.exit_code == 0
+    assert bare.stdout == named.stdout
 
 
 def test_empirical_mc_ratio_needs_alpha(runner):

@@ -430,7 +430,10 @@ def _det_lattice_by_pairings(D):
     return math.sqrt(Fraction(int(det.p), int(det.q)) / F.abs_discriminant ** D.m)
 
 
-@pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,5)", "Q(zeta,5)"])
+@pytest.mark.parametrize("desc", [
+    "Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,2)", "Q(sqrt,5)",
+    "Q(zeta,5)", "Q(zeta,7)", "Q(zeta,8)", "Q(zeta,12)",
+])
 def test_det_lattice_bit_identical_to_pairing_route(desc):
     F = make_field(desc)
     rng = random.Random(f"det-lattice/{desc}")
@@ -452,6 +455,16 @@ def test_gr_height_dual_route(desc):
         n = rng.randint(m + 1, 5)
         D = _random_rred(F, rng, m, n)
         f = gr_height_factors(D)
+        assert f.product == pytest.approx(f.height, rel=1e-9)
+        assert f.norm_index_product == 1
+
+
+def test_gr_height_dual_route_in_degree_22():
+    # the covolume is one norm, so the degree aspect stays cheap
+    F = make_field("Q(zeta,23)")
+    rng = random.Random(23)
+    for _ in range(2):
+        f = gr_height_factors(_random_rred(F, rng, 2, 4))
         assert f.product == pytest.approx(f.height, rel=1e-9)
         assert f.norm_index_product == 1
 

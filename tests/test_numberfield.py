@@ -120,8 +120,9 @@ def test_field_construction_invariants(desc):
     assert r1 + 2 * r2 == d
     p = F._power_traces
     assert _det_int([[p[i + j] for j in range(d)] for i in range(d)]) == F.disc
-    # the involution Gram matrix is the trace form det_lattice builds on
-    T = F._trace_form
+    # the trace form Tr(x conj(y)) on the integral basis has det |disc|
+    B = F.integral_basis
+    T = [[trace_pairing_exact(F, x, y) for y in B] for x in B]
     assert all(T[k][l] == T[l][k] for k in range(d) for l in range(d))
     assert _det_int(T) == F.abs_discriminant
     assert F.omega_K % 2 == 0
