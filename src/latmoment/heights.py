@@ -188,10 +188,14 @@ def weil_height(F: NumberField, alpha: FieldElement) -> float:
     """
     if not alpha:
         raise ValueError("height of zero is undefined")
+    return _height_from_conjugates(F, conjugates(F, alpha), denominator_norm(F, [alpha]))
+
+
+def _height_from_conjugates(F: NumberField, conj: np.ndarray, D: int) -> float:
+    # weil_height from the embedding values of alpha and D(alpha)
     import numpy as np
-    vals = np.abs(conjugates(F, alpha))
-    arch = float(np.sum(np.log(np.maximum(vals, 1.0))))
-    return (arch + math.log(denominator_norm(F, [alpha]))) / F.degree
+    arch = float(np.log(np.maximum(np.abs(conj), 1.0)).sum())
+    return (arch + math.log(D)) / F.degree
 
 
 def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:

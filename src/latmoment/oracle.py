@@ -37,7 +37,7 @@ from .bounds import (
     ideal_sum_bound,
     unit_count_bound,
 )
-from .heights import weil_height
+from .heights import _height_from_conjugates, weil_height
 from .moments import ball_volume
 from .numberfield import (
     FieldElement,
@@ -318,13 +318,23 @@ def _dirichlet_ratio(w: tuple[float, ...], a: tuple[float, ...]) -> float:
     return total
 
 
-def _one_place_norm(F: NumberField, num: tuple[int, ...]) -> int:
-    # |N(num)| as an integer form: p over Q; p^2 + e p q - f q^2 for the
+def _norm_form(F: NumberField, num: tuple[int, ...]) -> int:
+    # N(num) as an integer form: |p| over Q; p^2 + e p q - f q^2 for the
     # basis {1, w} with w^2 = e w + f, positive on an imaginary quadratic field
     if F.degree == 1:
         return abs(num[0])
     p, q = num
     return p * p - F.min_poly[1] * p * q + F.min_poly[0] * q * q
+
+
+def _dirichlet_value(F: NumberField, t: int, num: tuple[int, ...], den: int, conj) -> float:
+    # dirichlet_intersection at alpha = num/den, reduced and nonzero; conj
+    # holds the embedding values of alpha and is read only on two or three places
+    places = F.places
+    if len(places) == 1:
+        return min(1.0, den**F.degree / _norm_form(F, num)) ** t
+    w = tuple(float(abs(conj[row])) ** 2 for row, _ in places)
+    return _dirichlet_ratio(w, tuple(t * e / 2.0 for _, e in places))
 
 
 def dirichlet_intersection(F: NumberField, t: int, alpha: FieldElement) -> float:
@@ -341,27 +351,23 @@ def dirichlet_intersection(F: NumberField, t: int, alpha: FieldElement) -> float
         raise ValueError("alpha must be nonzero")
     if t < 2:
         raise ValueError("need t >= 2")
-    places = F.places
-    if len(places) == 1:
-        return min(1.0, alpha.den**F.degree / _one_place_norm(F, alpha.num)) ** t
-    if len(places) > 3:
+    if len(F.places) > 3:
         raise ValueError("more than three archimedean places: use mc_intersection_ratio instead")
-    conj = conjugates(F, alpha)
-    w = tuple(float(abs(conj[row])) ** 2 for row, _ in places)
-    return _dirichlet_ratio(w, tuple(t * e / 2.0 for _, e in places))
+    conj = conjugates(F, alpha) if len(F.places) > 1 else None
+    return _dirichlet_value(F, t, alpha.num, alpha.den, conj)
 
 
 def _bounded_denominator_elements(F: NumberField, cutoff: int):
-    # canonical representatives (p + q w)/c with gcd(p, q, c) = 1, which is
-    # the reduced form FieldElement takes as given; each field element in
-    # the box appears exactly once
+    # the pairs (num, c) of the canonical representatives (p + q w)/c with
+    # gcd(c, p, q) = 1, the reduced form FieldElement takes as given; each
+    # field element in the box appears exactly once
     if F.degree > 2:
         raise ValueError("denominator enumeration supports degree <= 2")
     box = range(-cutoff, cutoff + 1)
     for c in range(1, cutoff + 1):
         for num in itertools.product(box, repeat=F.degree):
             if any(num) and math.gcd(c, *num) == 1:
-                yield FieldElement(F, num, c)
+                yield num, c
 
 
 def truncated_second_moment_rhs(
@@ -370,7 +376,9 @@ def truncated_second_moment_rhs(
     """Brute-force partial value of the second-moment off-diagonal sum.
 
     Sums D(alpha)^-t vol(B cap alpha^-1 B)/vol(B) over all field elements
-    with numerator and denominator coordinates bounded by cutoff.  The
+    with numerator and denominator coordinates bounded by cutoff, as integer
+    pairs num/c: D = c^d / gcd(c, N(num)), N the norm form, which is the one
+    2 x 2 minor of num's multiplication rows (gcd(c, their entries) = 1).  The
     torsion units alone contribute exactly omega, so the partial sum must
     land in [omega, omega (1 + relative ideal-sum bound)]; the verdict
     records which side fails, if any.  The bound uses the first splitting
@@ -391,10 +399,14 @@ def truncated_second_moment_rhs(
     else:
         raise ThresholdError(t, f"no splitting parameter admits t = {t}")
     omega = float(F.omega_K)
+    d = F.degree
+    embed = F.embed_matrix if len(F.places) > 1 else None
     total = 0.0
     terms = 0
-    for alpha in _bounded_denominator_elements(F, cutoff):
-        total += float(denominator_norm(F, [alpha])) ** -t * dirichlet_intersection(F, t, alpha)
+    for num, c in _bounded_denominator_elements(F, cutoff):
+        conj = None if embed is None else embed @ [x / c for x in num]
+        D = c**d // math.gcd(c, _norm_form(F, num))
+        total += float(D) ** -t * _dirichlet_value(F, t, num, c, conj)
         terms += 1
     upper = omega * (1.0 + rel)
     if total < omega - 1e-9:
@@ -721,31 +733,39 @@ def lower_bound_sum_check(
     exactly the archimedean part of the height, the denominator norm
     supplying the rest.  family="units" walks torsion times fundamental-unit
     powers up to the cutoff exponent; family="all" walks the bounded
-    denominator box.  Returns counts, the minimum margin, and both sums.
+    denominator box as truncated_second_moment_rhs does.  One evaluation of
+    alpha's embeddings serves its height and its ratio.  Needs t >= 2 and
+    cutoff >= 1.  Returns counts, the minimum margin, and both sums.
     """
+    if t < 2:
+        raise ValueError("need t >= 2")
+    if cutoff < 1:
+        raise ValueError("need cutoff >= 1")
+    d = F.degree
     if family == "units":
         if F.unit_rank != 1:
             raise ValueError("unit family needs a rank-one field")
         eps = fundamental_unit(F)
         powers = [0] + [s * k for k in range(1, cutoff + 1) for s in (1, -1)]
-        elems = [tor * eps**k for tor in enumerate_torsion(F) for k in powers]
+        units = [tor * eps**k for tor in enumerate_torsion(F) for k in powers]
+        elems = ((u.num, u.den, denominator_norm(F, [u])) for u in units)
     elif family == "all":
-        elems = _bounded_denominator_elements(F, cutoff)
+        elems = ((num, c, c**d // math.gcd(c, _norm_form(F, num)))
+                 for num, c in _bounded_denominator_elements(F, cutoff))
     else:
         raise ValueError("family is 'units' or 'all'")
-    d = F.degree
+    embed = F.embed_matrix
     checked = 0
     min_margin = math.inf
     sum_lhs = 0.0
     sum_rhs = 0.0
-    for alpha in elems:
-        lhs = math.exp(-t * d * weil_height(F, alpha))
-        rhs = float(denominator_norm(F, [alpha])) ** (-float(t)) * dirichlet_intersection(
-            F, t, alpha
-        )
+    for num, den, D in elems:
+        conj = embed @ [x / den for x in num]
+        lhs = math.exp(-t * d * _height_from_conjugates(F, conj, D))
+        rhs = float(D) ** (-float(t)) * _dirichlet_value(F, t, num, den, conj)
         if lhs > rhs * (1.0 + 1e-9):
             raise AssertionError(
-                f"termwise inequality fails at {alpha}: {lhs} > {rhs}"
+                f"termwise inequality fails at {FieldElement(F, num, den)}: {lhs} > {rhs}"
             )
         min_margin = min(min_margin, rhs - lhs)
         sum_lhs += lhs

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import latmoment
 from latmoment.numberfield import (
+    FieldElement,
     FracIdeal,
     NumberField,
     _det_int,
@@ -44,7 +45,7 @@ from latmoment.numberfield import (
     trace_pairing_exact,
 )
 from latmoment.heights import plucker, rred_matrix
-from latmoment.oracle import _bounded_denominator_elements
+from latmoment.oracle import _bounded_denominator_elements, _norm_form
 
 ALL_FIELDS = ["Q", "Q(sqrt,-1)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,-3)", "Q(zeta,5)", "Q(zeta,8)"]
 
@@ -508,12 +509,18 @@ def _denominator_norm_by_residues(F, alphas):
     return c**d // count
 
 
-@pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,2)", "Q(sqrt,5)"])
+@pytest.mark.parametrize(
+    "desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,-7)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,13)"]
+)
 def test_denominator_norm_matches_residue_count_on_the_box(desc):
+    # the box oracles take D(alpha) = c^d // gcd(c, N(num)) for alpha = num/c
     F = make_field(desc)
     checked = 0
-    for alpha in _bounded_denominator_elements(F, 6):
-        assert denominator_norm(F, [alpha]) == _denominator_norm_by_residues(F, [alpha])
+    for num, c in _bounded_denominator_elements(F, 6):
+        alpha = FieldElement(F, num, c)
+        want = _denominator_norm_by_residues(F, [alpha])
+        assert denominator_norm(F, [alpha]) == want
+        assert c**F.degree // math.gcd(c, _norm_form(F, num)) == want
         checked += 1
     assert checked > (300 if F.degree == 2 else 30)
 

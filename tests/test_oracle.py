@@ -484,6 +484,35 @@ def test_lower_bound_family_errors():
         lower_bound_sum_check(Q, 6, 5, family="nope")
     with pytest.raises(ValueError):
         lower_bound_sum_check(QI, 4, 5, family="units")
+    # an empty walk would pass vacuously
+    for F, family in ((Q, "all"), (Q2, "units")):
+        for cutoff in (0, -3):
+            with pytest.raises(ValueError):
+                lower_bound_sum_check(F, 6, cutoff, family=family)
+        for t, cutoff in ((1, 0), (1, 3), (0, 3)):
+            with pytest.raises(ValueError):
+                lower_bound_sum_check(F, t, cutoff, family=family)
+
+
+def test_box_oracle_golden_values():
+    # the floats the box oracles printed before they ran on integer pairs
+    assert truncated_second_moment_rhs(Q, 6, 20).partial_sum == 2.07699989511315
+    assert truncated_second_moment_rhs(QI, 4, 8).partial_sum == 4.64085425794614
+    Q5 = make_field("Q(sqrt,5)")
+    assert truncated_second_moment_rhs(Q5, 27, 3).partial_sum == 2.060015381038513
+    assert truncated_second_moment_rhs(Q5, 60, 3).partial_sum == 2.001073248605309
+    assert lower_bound_sum_check(QI, 4, 3, "all") == {
+        "checked": 128, "min_margin": -8.673617379884035e-19,
+        "sum_lhs": 4.578591941609453, "sum_rhs": 4.578591941609453,
+    }
+    assert lower_bound_sum_check(Q2, 5, 4, "all") == {
+        "checked": 264, "min_margin": -1.3877787807814457e-17,
+        "sum_lhs": 2.2009275324371163, "sum_rhs": 2.5366164164628056,
+    }
+    assert lower_bound_sum_check(Q2, 6, 5, "units") == {
+        "checked": 22, "min_margin": 0.0,
+        "sum_lhs": 2.0203050891043537, "sum_rhs": 2.2011024657757803,
+    }
 
 
 # ---------------------------------------------------------------------------

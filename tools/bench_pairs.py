@@ -18,7 +18,11 @@ peak_rss_mb includes compiling the package whenever bytecode is not cached
 workload also runs twice more per side with bytecode written under a
 temporary PYTHONPYCACHEPREFIX, and the second run's peak is recorded.
 One traced run per side and workload (--trace 1, first seed) records
-the per-layer metrics, to show where a change's time goes.
+the per-layer metrics, to show where a change's time goes.  Each side also
+gets the median duration of every operation kind, pooled over its runs
+from perfbench/out/<workload>-seed<seed>-trace0.json: the labels with
+digits collapsed to '#', each duration divided by its run's operation
+speed factor, so the file shows which operations moved the tail.
 
 Tier-1 runs TIER1_RUNS (3) times per side, alternating, with
 `pytest --durations=0`; the file records the wall time of each run, their
@@ -46,6 +50,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "--durations=0", "-p", "no:cacheprovider"]
 CRITERION = re.compile(r"^([\d.]+)s call\s+tests/test_acceptance\.py::(test_criterion_\w+)", re.M)
 PASSED = re.compile(r"(\d+) passed")
+DIGITS = re.compile(r"\d+")
 TIER1_RUNS = 3
 
 
@@ -64,6 +69,17 @@ def bench_run(root: Path, workload: str, seed: int, seconds: int, env: dict,
         raise RuntimeError(f"{root}: {' '.join(cmd[1:])} exited {proc.returncode}\n"
                            f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def op_durations(root: Path, workload: str, seed: int) -> dict[str, list[float]]:
+    """A run's calibrated operation durations in ms, by operation kind."""
+    record = json.loads((root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    worker = record["worker"]
+    op_speed = worker["speed_factors"][0]
+    out: dict[str, list[float]] = {}
+    for label, ns in zip(worker["labels"], worker["durations_ns"]):
+        out.setdefault(DIGITS.sub("#", label), []).append(ns / 1e6 / op_speed)
+    return out
 
 
 def spread(values: list[float]) -> dict:
@@ -96,15 +112,20 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
 def workload_pairs(roots: dict[str, Path], workload: str, seeds: list[int],
                    seconds: int, metrics: list[dict]) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    kinds: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(bench_run(roots[side], workload, seed, seconds, dict(os.environ)))
+            for kind, ms in op_durations(roots[side], workload, seed).items():
+                kinds[side].setdefault(kind, []).extend(ms)
             r = runs[side][-1]
             print(f"{workload} seed {seed} {side}: failed {r['failed']}/{r['attempted']} "
                   + " ".join(f"{k}={v['value']:.5g}" for k, v in r["metrics"].items()),
                   file=sys.stderr)
-    out = {"seeds": seeds, "pairs": len(seeds), "metrics": summarize(metrics, runs)}
+    out = {"seeds": seeds, "pairs": len(seeds), "metrics": summarize(metrics, runs),
+           "op_kind_median_ms": {side: {kind: statistics.median(ms) for kind, ms in sorted(k.items())}
+                                 for side, k in kinds.items()}}
     for side in runs:
         out[f"{side}_attempted"] = runs[side][0]["attempted"]
         out[f"{side}_failed"] = [r["failed"] for r in runs[side]]
