@@ -111,31 +111,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by Bareiss's fraction-free elimination."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     """Hermite normal form of the ZZ-span of the given integer rows (the
     fractional-ideal HNF; lattice indices go through _index_mod).
@@ -413,18 +388,37 @@ class NumberField:
             rows.append(v)
         return rows
 
+    def _charpoly(self, a: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+        """For an integer vector a: the powers a^0 .. a^(d-1) and the
+        elementary symmetric functions e_0 .. e_d of its conjugates, so the
+        characteristic polynomial is sum_k (-1)^k e_k X^(d-k) and e_d = N(a).
+        The e_k come from the power sums Tr(a^k), k <= d, by Newton's
+        identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) Tr(a^i); every
+        division is exact because a is an algebraic integer."""
+        d = self.degree
+        powers = [(1,) + (0,) * (d - 1), tuple(a)]
+        while len(powers) <= d:
+            powers.append(self._mul_int(powers[-1], a))
+        p = self._power_traces
+        s = [sum(c * t for c, t in zip(v, p)) for v in powers[1:]]  # Tr(a^i), i = 1..d
+        e = [1]
+        for k in range(1, d + 1):
+            # pairs e_(k-i) with Tr(a^i) for i = 1..k
+            e.append(sum((-1) ** i * x * y for i, (x, y) in enumerate(zip(reversed(e), s))) // k)
+        return powers[:d], e
+
     def _inverse(self, x: FieldElement) -> FieldElement:
-        """x^-1 by Cramer's rule on the integer multiplication matrix M of
-        the numerator a = den * x: M y = den * e_0."""
+        """x^-1 by Cayley-Hamilton on the numerator a = den * x:
+        a * sum_{k<d} (-1)^k e_k a^(d-1-k) = (-1)^(d+1) e_d."""
         if not x:
             raise ZeroDivisionError("field element is zero")
-        rows = self._mul_rows(x.num)
-        det = _det_int(rows)
-        if not det:
-            raise RuntimeError("multiplication matrix is singular; minimal polynomial is reducible")
-        e0 = [1] + [0] * (self.degree - 1)
-        num = [x.den * _det_int(rows[:k] + [e0] + rows[k + 1:]) for k in range(self.degree)]
-        return self._reduced(num, det)
+        d = self.degree
+        powers, e = self._charpoly(x.num)
+        if not e[d]:
+            raise RuntimeError("the norm is zero; minimal polynomial is reducible")
+        coeffs = [(-1) ** k * x.den * e[k] for k in range(d)]
+        num = [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*reversed(powers))]
+        return self._reduced(num, (-1) ** (d + 1) * e[d])
 
     # -- traces, involution, embeddings
 
@@ -720,9 +714,10 @@ def conjugates(F: NumberField, x: FieldElement) -> np.ndarray:
 
 
 def abs_norm(F: NumberField, x: FieldElement) -> Fraction:
-    """|N(x)| as an exact rational: |det| of the multiplication-by-x map."""
+    """|N(x)| as an exact rational: |e_d| / den^d, with e_d = N(den * x) the
+    last coefficient of the characteristic polynomial of the numerator."""
     x = F.coerce(x)
-    return Fraction(abs(_det_int(F._mul_rows(x.num))), x.den**F.degree)
+    return Fraction(abs(F._charpoly(x.num)[1][-1]), x.den**F.degree)
 
 
 def trace_pairing_exact(F: NumberField, x: FieldElement, y: FieldElement) -> Fraction:

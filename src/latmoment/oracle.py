@@ -43,6 +43,7 @@ from .numberfield import (
     FieldElement,
     NumberField,
     _euler_phi,
+    _factorize,
     conjugates,
     denominator_norm,
     enumerate_torsion,
@@ -600,7 +601,7 @@ def random_lattice_moments(
     """
     if t < 2 or n < 1:
         raise ValueError("need t >= 2 and n >= 1")
-    if p < 3 or samples < 1:
+    if p < 3 or _factorize(p) != {p: 1} or samples < 1:
         raise ValueError("need an odd prime p >= 3 and samples >= 1")
     if not V > 0:
         raise ValueError("need V > 0")

@@ -387,6 +387,14 @@ def test_empirical_lattice_expected_main_exact(runner):
     assert body[1].split(",")[7] == "8"
 
 
+def test_empirical_lattice_rejects_a_composite_p(runner):
+    r = runner.invoke(main, ["empirical", "--kind", "lattice", "--t", "2", "--n", "1",
+                             "--volume", "2", "--p", "100", "--samples", "10"])
+    assert r.exit_code == 2
+    assert "odd prime" in r.stderr
+    assert r.stdout == ""
+
+
 def test_empirical_lattice_rejects_a_field_other_than_q(runner):
     args = ["--kind", "lattice", "--t", "6", "--n", "2", "--volume", "2", "--p", "101",
             "--samples", "200", "--seed", "11"]

@@ -23,7 +23,6 @@ from latmoment.numberfield import (
     FieldElement,
     FracIdeal,
     NumberField,
-    _det_int,
     _index_mod,
     _euler_phi,
     _poly_exact_div,
@@ -119,13 +118,14 @@ def test_field_construction_invariants(desc):
         assert d == _euler_phi(F.conductor)
     r1, r2 = F.signature
     assert r1 + 2 * r2 == d
+    sympy = pytest.importorskip("sympy")
     p = F._power_traces
-    assert _det_int([[p[i + j] for j in range(d)] for i in range(d)]) == F.disc
+    assert sympy.Matrix([[p[i + j] for j in range(d)] for i in range(d)]).det() == F.disc
     # the trace form Tr(x conj(y)) on the integral basis has det |disc|
     B = F.integral_basis
     T = [[trace_pairing_exact(F, x, y) for y in B] for x in B]
     assert all(T[k][l] == T[l][k] for k in range(d) for l in range(d))
-    assert _det_int(T) == F.abs_discriminant
+    assert sympy.Matrix(T).det() == F.abs_discriminant
     assert F.omega_K % 2 == 0
     if r1 > 0:
         assert F.omega_K == 2
@@ -309,6 +309,19 @@ def test_abs_norm_multiplicative(desc):
         assert abs_norm(F, x * y) == abs_norm(F, x) * abs_norm(F, y)
 
 
+@pytest.mark.parametrize("desc", ["Q(zeta,11)", "Q(zeta,23)"])
+def test_abs_norm_in_the_degree_aspect(desc):
+    # the reference is |det| of the multiplication matrix, from sympy
+    sympy = pytest.importorskip("sympy")
+    F = make_field(desc)
+    rng = random.Random(f"norm/{desc}")
+    xs = [_random_element(F, rng) for _ in range(3)]
+    for x in xs:
+        det = sympy.Matrix(F._mul_rows(x.num)).det()
+        assert abs_norm(F, x) == Fraction(abs(int(det)), x.den**F.degree)
+    assert abs_norm(F, xs[0] * xs[1]) == abs_norm(F, xs[0]) * abs_norm(F, xs[1])
+
+
 @pytest.mark.parametrize("desc", ALL_FIELDS)
 def test_gram_determinant_is_one(desc):
     F = make_field(desc)
@@ -348,6 +361,19 @@ def test_inverse_roundtrip(fx):
         return
     assert x * x.inverse() == F.one
     assert x ** 3 * x ** -3 == F.one
+
+
+@pytest.mark.parametrize("desc", ["Q(zeta,11)", "Q(zeta,23)", "Q(zeta,47)"])
+def test_inverse_roundtrip_in_the_degree_aspect(desc):
+    F = make_field(desc)
+    rng = random.Random(f"inverse/{desc}")
+    for _ in range(3):
+        x = _random_element(F, rng)
+        assert x.den > 1
+        assert x * x.inverse() == F.one
+        assert x**3 * x**-3 == F.one
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
 
 
 @given(_field_and_element(), _field_and_element())

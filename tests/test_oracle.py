@@ -408,6 +408,13 @@ def test_lattice_moments_preconditions():
         random_lattice_moments(6, 1, -1.0, 101, samples=10)
 
 
+@pytest.mark.parametrize("p", [2, 25, 100, 1001])
+def test_lattice_moments_reject_a_p_that_is_not_an_odd_prime(p):
+    # the covolume assumes index p^(t-1), which holds for prime p only
+    with pytest.raises(ValueError, match="odd prime"):
+        random_lattice_moments(2, 1, 2.0, p, samples=10)
+
+
 # ---------------------------------------------------------------------------
 # unit census
 
