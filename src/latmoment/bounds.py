@@ -324,9 +324,8 @@ class BoundReport:
 # Dedekind zeta intervals from Dirichlet L-functions
 
 # the enclosures of _enclose (alpha_M, composed zeta factors, the cyclotomic
-# constants, the oracle's Euler product) are computed in mpmath.iv at this
-# precision, whatever the caller's iv.prec, and only their final endpoints
-# are rounded to floats
+# constants) are computed in mpmath.iv at this precision, whatever the
+# caller's iv.prec, and only their final endpoints are rounded to floats
 _ZETA_PREC = 80
 # the zeta kernel encloses each quantity v in a pair of integers (lo, hi)
 # with lo 2^-128 <= v <= hi 2^-128; every operation floors lo and ceils hi,
@@ -1131,8 +1130,8 @@ def second_moment_bounds(
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    if not V > 0:
-        raise ValueError("need V > 0")
+    if not 0 < V < math.inf:
+        raise ValueError("need a finite V > 0")
     d = F.degree
     c0, c1 = hyp.c0, hyp.c1
     entries = [k + 0.5]

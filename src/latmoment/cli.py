@@ -103,7 +103,7 @@ def _parse_rational(text: str) -> Fraction | float:
 def _parse_element(F: NumberField, text: str) -> FieldElement:
     parts = [p.strip() for p in text.split(",")]
     try:
-        coords = [Fraction(p) for p in parts if p != ""]
+        coords = [Fraction(p) for p in parts]
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in element {text!r}") from None
     if len(coords) > F.degree:

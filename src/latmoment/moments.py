@@ -59,8 +59,8 @@ class MomentQuery:
             raise ValueError("t must be an integer >= 2")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("moment order n must be an integer >= 1")
-        if not self.V > 0:
-            raise ValueError("ball volume V must be positive")
+        if not 0 < self.V < math.inf:
+            raise ValueError("ball volume V must be positive and finite")
         if not self.t * self.field.degree > self.n:
             raise ValueError(
                 f"need t*d > n for convergence; got t*d = {self.t * self.field.degree},"
@@ -114,8 +114,8 @@ def poisson_moment(n: int, lam: float | Rational):
     sum_{m=1..n} S(n,m) lam^m.  Exact for rational lam, float otherwise."""
     if n < 1:
         raise ValueError("moment order n must be >= 1")
-    if lam < 0:
-        raise ValueError("Poisson parameter must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("Poisson parameter must be nonnegative and finite")
     exact = isinstance(lam, (int, Fraction))
     lam_x = Fraction(lam) if exact else float(lam)
     acc = Fraction(0) if exact else 0.0
@@ -136,8 +136,8 @@ def poisson_moment_series(n: int, lam: float) -> float:
     _SERIES_TOL plus half an ulp of the value."""
     if n < 1:
         raise ValueError("moment order n must be >= 1")
-    if lam < 0:
-        raise ValueError("Poisson parameter must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("Poisson parameter must be nonnegative and finite")
     if lam == 0:
         return 0.0
     with mp.workdps(40):

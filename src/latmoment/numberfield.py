@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import mpmath
 
@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 __all__ = [
     "NumberField",
     "FieldElement",
-    "FracIdeal",
     "rational_field",
     "quadratic_field",
     "cyclotomic_field",
@@ -35,7 +34,6 @@ __all__ = [
     "conjugates",
     "abs_norm",
     "trace_pairing",
-    "ideal_from_generators",
     "denominator_norm",
     "frak_D",
     "enumerate_torsion",
@@ -65,14 +63,6 @@ def _factorize(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
-
-
-@cache
-def _euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in _factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def _is_squarefree(n: int) -> bool:
@@ -109,44 +99,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _poly_exact_div(poly, cyclotomic_polynomial(d))
     return tuple(poly)
-
-
-def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Hermite normal form of the ZZ-span of the given integer rows (the
-    fractional-ideal HNF; lattice indices go through _index_mod).
-
-    Returns echelon rows with positive pivots; entries above each pivot are
-    reduced into [0, pivot).  Zero rows are dropped, so the result has one
-    row per pivot column.
-    """
-    rest = [tuple(int(x) for x in r) for r in rows]
-    rest = [r for r in rest if any(r)]
-    pivots: list[tuple[int, tuple[int, ...]]] = []
-    for col in range(ncols):
-        hits = [r for r in rest if r[col]]
-        rest = [r for r in rest if not r[col]]
-        if not hits:
-            continue
-        piv = hits.pop()
-        for r in hits:
-            while r[col]:
-                q = piv[col] // r[col]
-                piv, r = r, tuple(a - q * b for a, b in zip(piv, r))
-            if any(r):
-                rest.append(r)
-        if piv[col] < 0:
-            piv = tuple(-a for a in piv)
-        pivots.append((col, piv))
-    out = [list(p) for _, p in pivots]
-    cols = [c for c, _ in pivots]
-    for j in range(len(out)):
-        cj = cols[j]
-        pj = out[j][cj]
-        for i in range(j):
-            q = out[i][cj] // pj
-            if q:
-                out[i] = [a - q * b for a, b in zip(out[i], out[j])]
-    return out
 
 
 def _span_size_mod(q: int, rows: Sequence[Sequence[int]], ncols: int) -> int:
@@ -743,57 +695,6 @@ def _scaled_mul_rows(F: NumberField, xs: Sequence[FieldElement], den: int) -> li
         s = den // x.den
         out.extend(F._mul_rows([c * s for c in x.num] if s != 1 else x.num))
     return out
-
-
-@dataclass(frozen=True)
-class FracIdeal:
-    """A fractional ideal: (1/den) times the ZZ-span of integer HNF rows,
-    coordinates over the integral basis."""
-
-    field: NumberField
-    den: int
-    hnf: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def norm(self) -> Fraction:
-        return Fraction(math.prod(self.hnf[i][i] for i in range(self.field.degree)),
-                        self.den**self.field.degree)
-
-    def zz_basis(self) -> list[FieldElement]:
-        return [self.field._reduced(row, self.den) for row in self.hnf]
-
-    def contains(self, x: FieldElement) -> bool:
-        x = self.field.coerce(x)
-        v = [c * self.den for c in x.num]
-        if any(c % x.den for c in v):
-            return False
-        v = [c // x.den for c in v]
-        for i, row in enumerate(self.hnf):
-            q, r = divmod(v[i], row[i])
-            if r:
-                return False
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
-
-    def __mul__(self, other: FracIdeal) -> FracIdeal:
-        gens = [a * b for a in self.zz_basis() for b in other.zz_basis()]
-        return ideal_from_generators(self.field, gens)
-
-
-def ideal_from_generators(F: NumberField, xs: Sequence[FieldElement]) -> FracIdeal:
-    """HNF form of the fractional ideal generated by xs over O_K."""
-    xs = [x for x in map(F.coerce, xs) if x]
-    if not xs:
-        raise ValueError("the zero ideal has no HNF representation here")
-    d = F.degree
-    den = math.lcm(*(x.den for x in xs))
-    rows = hnf_rows(_scaled_mul_rows(F, xs, den), d)
-    if len(rows) != d:
-        raise RuntimeError("ideal lattice is not full rank")
-    # the least common denominator makes the form canonical
-    g = math.gcd(den, *(c for row in rows for c in row))
-    return FracIdeal(F, den // g, tuple(tuple(c // g for c in row) for row in rows))
 
 
 def denominator_norm(F: NumberField, alphas: Sequence[FieldElement]) -> int:

@@ -2,8 +2,7 @@
 
 Monte Carlo volume estimators, closed-form Dirichlet volume ratios (float
 incomplete betas), brute-force sums over bounded denominators, exhaustive
-unit enumeration, random-lattice sampling, and the truncated Euler product
-of the Dedekind zeta function.  Nothing here reuses the
+unit enumeration and random-lattice sampling.  Nothing here reuses the
 inequalities it is meant to test: every oracle computes its quantity from
 first principles so agreement is evidence, not circularity.
 
@@ -17,22 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
-
-from mpmath import iv
 
 from .bounds import (
     HeightHypothesis,
     ThresholdError,
-    ZetaInterval,
     _check_pinned_P,
-    _enclose,
-    _precision_cutoff,
-    _quadratic_splitting,
-    _zeta_key,
     default_hypothesis,
     ideal_sum_bound,
     unit_count_bound,
@@ -42,7 +32,6 @@ from .moments import ball_volume
 from .numberfield import (
     FieldElement,
     NumberField,
-    _euler_phi,
     _factorize,
     conjugates,
     denominator_norm,
@@ -59,7 +48,6 @@ __all__ = [
     "mc_intersection_ratio",
     "mc_column_sum_ratio",
     "dirichlet_intersection",
-    "euler_zeta",
     "truncated_second_moment_rhs",
     "random_lattice_moments",
     "unit_enumeration_check",
@@ -420,145 +408,6 @@ def truncated_second_moment_rhs(
                             lower_target=omega, upper_target=upper, verdict=verdict)
 
 
-def _quadratic_ideal_counts(F: NumberField, X: int) -> np.ndarray:
-    """Ideal counts by norm 0..X in a quadratic field, in O(X^2).
-
-    With basis {1, w} and w^2 = e w + f, primitive ideals of norm a are the
-    roots of b^2 + e b - f mod a; summing over square divisors adds the rest.
-    """
-    import numpy as np
-    e = -F.min_poly[1]
-    f = -F.min_poly[0]
-    prim = np.zeros(X + 1, dtype=np.int64)
-    prim[1] = 1
-    for a in range(2, X + 1):
-        b = np.arange(a, dtype=np.int64)
-        prim[a] = int(np.count_nonzero((b * b + e * b - f) % a == 0))
-    counts = np.zeros(X + 1, dtype=np.int64)
-    for c in range(1, math.isqrt(X) + 1):
-        cc = c * c
-        top = X // cc
-        counts[cc * np.arange(1, top + 1)] += prim[1 : top + 1]
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# Euler-product zeta reference
-
-# the memo holds one ZetaInterval per distinct Euler product
-_EULER_CACHE_SIZE = 4096
-
-
-def _primes_upto(P: int) -> list[int]:
-    if P < 2:
-        return []
-    sieve = bytearray([1]) * (P + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(P) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, P + 1) if sieve[p]]
-
-
-def _mult_order(p: int, n: int) -> int:
-    if n == 1:
-        return 1
-    r = p % n
-    if math.gcd(r, n) != 1:
-        raise ValueError(f"{p} is not a unit modulo {n}")
-    order, x = 1, r
-    while x != 1:
-        x = x * r % n
-        order += 1
-    return order
-
-
-def _cyclotomic_splitting(n: int, p: int) -> tuple[int, int]:
-    n_p = n
-    while n_p % p == 0:
-        n_p //= p
-    f = _mult_order(p, n_p)
-    return f, _euler_phi(n_p) // f
-
-
-def _splitting(key: tuple[str, int], p: int) -> tuple[int, int]:
-    kind, param = key
-    if kind == "cyclotomic":
-        return _cyclotomic_splitting(param, p)
-    return _quadratic_splitting(param, p)
-
-
-@lru_cache(maxsize=_EULER_CACHE_SIZE)
-def _euler_interval(
-    splitting: tuple[str, int],
-    d: int,
-    s: float,
-    P: int,
-    conductor: int | str,
-) -> ZetaInterval:
-    """Truncated Euler product of a degree-d field, tail bound included.
-
-    splitting is ("cyclotomic", n) or ("quadratic", disc); _splitting(key, p)
-    = (f, g) means that g primes of norm p^f lie above p.  The product runs
-    over p <= Q = _precision_cutoff(s, P) and the tail bound, proved in
-    euler_zeta, covers p > Q; endpoints are rounded outward.  The
-    arguments are the memo key, so callers pass s as a float, P as an int.
-    """
-    if not s > 1:
-        raise ValueError(f"need s > 1, got s = {s}")
-    if not P >= 1:
-        raise ValueError(f"need P >= 1, got P = {P}")
-    Q = _precision_cutoff(s, P)
-
-    def product():
-        one = iv.mpf(1)
-        s_iv = iv.mpf(s)
-        partial = one
-        for p in _primes_upto(Q):
-            f, g = _splitting(splitting, p)
-            partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
-        high = partial * (one + iv.mpf(Q) ** (one - s_iv) / (s_iv - one)) ** d
-        return iv.mpf([partial.a, high.b])
-
-    lo, hi = _enclose(product)
-    return ZetaInterval(s=s, conductor=conductor, value_low=lo, value_high=hi)
-
-
-def euler_zeta(target: int | NumberField, s: float, P: int = 1000) -> ZetaInterval:
-    """Truncated Euler product of a field's zeta function, the reference
-    that dedekind_zeta and dedekind_zeta_field are tested against.
-
-    target is a cyclotomic conductor or a supported field.  Splitting rule:
-    in Q(zeta_n), above a prime p lie g = phi(n_p)/f primes of norm p^f,
-    where n_p is the prime-to-p part of n and f the order of p mod n_p; in
-    another Q(sqrt D) the Kronecker symbol (disc/p) decides (split, inert
-    or ramified).  The primes up to Q contribute (1 - p^(-s f))^(-g) each.
-
-    Cutoff: Q = min(P, the smallest integer Q >= 2 with
-    Q^(1-s)/(s-1) <= 2^-100).  The primes above such a Q change the 80-bit
-    product by less than a unit in the last place, so they are skipped;
-    close to s = 1 the rule gives Q = P, which must be at least 1.
-
-    Tail bound: the primes above Q contribute at most
-    (1 + Q^(1-s)/(s-1))^d for a field of degree d, so the interval
-    contains the true value.  Proof, for any integer 1 <= Q <= P (the
-    choice of Q affects tightness only):
-      1. a prime p has at most d primes above it, each of norm >= p, so its
-         local factor is <= (1 - p^(-s))^(-d);
-      2. hence the product over p > Q is <= (sum of n^(-s) over the n whose
-         prime factors all exceed Q)^d <= (1 + sum_{n>Q} n^(-s))^d
-         <= (1 + integral_Q^oo x^(-s) dx)^d;
-      3. since log(1 + x) <= x, this is never looser than the bound
-         exp(d Q^(1-s) / ((s-1)(1 - Q^(-s)))).
-
-    Results are memoized per (field, s, P); interval arithmetic is
-    outward-rounded throughout, at 80 bits whatever the caller's iv.prec.
-    """
-    key, conductor = _zeta_key(target)
-    d = 2 if key[0] == "quadratic" else _euler_phi(key[1])
-    return _euler_interval(key, d, float(s), operator.index(P), conductor)
-
-
 # ---------------------------------------------------------------------------
 # random integer lattices
 
@@ -603,8 +452,8 @@ def random_lattice_moments(
         raise ValueError("need t >= 2 and n >= 1")
     if p < 3 or _factorize(p) != {p: 1} or samples < 1:
         raise ValueError("need an odd prime p >= 3 and samples >= 1")
-    if not V > 0:
-        raise ValueError("need V > 0")
+    if not 0 < V < math.inf:
+        raise ValueError("need a finite V > 0")
     radius = (V / ball_volume(t)) ** (1.0 / t) * p ** (1.0 - 1.0 / t)
     if radius >= p:
         raise ValueError(

@@ -1,0 +1,273 @@
+"""Independent references that only the tests use.
+
+The truncated Euler product of the Dedekind zeta function, Euler's phi,
+quadratic ideal counts by norm, and fractional ideals in integer Hermite
+normal form.  The package computes the same quantities by other routes
+(Dirichlet L-functions, the Kronecker symbol, lattice indices modulo q), so
+agreement with these is evidence.  pytest puts this directory on sys.path,
+so the test modules import it as `reference`.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache, cached_property, lru_cache
+from typing import Iterable, Sequence
+
+import numpy as np
+from mpmath import iv
+
+from latmoment.bounds import (
+    ZetaInterval,
+    _enclose,
+    _precision_cutoff,
+    _quadratic_splitting,
+    _zeta_key,
+)
+from latmoment.numberfield import FieldElement, NumberField, _factorize, _scaled_mul_rows
+
+
+# ---------------------------------------------------------------------------
+# quadratic ideal counts and Euler's phi
+
+
+def _quadratic_ideal_counts(F: NumberField, X: int) -> np.ndarray:
+    """Ideal counts by norm 0..X in a quadratic field, in O(X^2).
+
+    With basis {1, w} and w^2 = e w + f, primitive ideals of norm a are the
+    roots of b^2 + e b - f mod a; summing over square divisors adds the rest.
+    """
+    e = -F.min_poly[1]
+    f = -F.min_poly[0]
+    prim = np.zeros(X + 1, dtype=np.int64)
+    prim[1] = 1
+    for a in range(2, X + 1):
+        b = np.arange(a, dtype=np.int64)
+        prim[a] = int(np.count_nonzero((b * b + e * b - f) % a == 0))
+    counts = np.zeros(X + 1, dtype=np.int64)
+    for c in range(1, math.isqrt(X) + 1):
+        cc = c * c
+        top = X // cc
+        counts[cc * np.arange(1, top + 1)] += prim[1 : top + 1]
+    return counts
+
+
+@cache
+def _euler_phi(n: int) -> int:
+    phi = 1
+    for p, e in _factorize(n).items():
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
+
+
+# ---------------------------------------------------------------------------
+# Euler-product zeta reference
+
+# the memo holds one ZetaInterval per distinct Euler product
+_EULER_CACHE_SIZE = 4096
+
+
+def _primes_upto(P: int) -> list[int]:
+    if P < 2:
+        return []
+    sieve = bytearray([1]) * (P + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(P) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(2, P + 1) if sieve[p]]
+
+
+def _mult_order(p: int, n: int) -> int:
+    if n == 1:
+        return 1
+    r = p % n
+    if math.gcd(r, n) != 1:
+        raise ValueError(f"{p} is not a unit modulo {n}")
+    order, x = 1, r
+    while x != 1:
+        x = x * r % n
+        order += 1
+    return order
+
+
+def _cyclotomic_splitting(n: int, p: int) -> tuple[int, int]:
+    n_p = n
+    while n_p % p == 0:
+        n_p //= p
+    f = _mult_order(p, n_p)
+    return f, _euler_phi(n_p) // f
+
+
+def _splitting(key: tuple[str, int], p: int) -> tuple[int, int]:
+    kind, param = key
+    if kind == "cyclotomic":
+        return _cyclotomic_splitting(param, p)
+    return _quadratic_splitting(param, p)
+
+
+@lru_cache(maxsize=_EULER_CACHE_SIZE)
+def _euler_interval(
+    splitting: tuple[str, int],
+    d: int,
+    s: float,
+    P: int,
+    conductor: int | str,
+) -> ZetaInterval:
+    """Truncated Euler product of a degree-d field, tail bound included.
+
+    splitting is ("cyclotomic", n) or ("quadratic", disc); _splitting(key, p)
+    = (f, g) means that g primes of norm p^f lie above p.  The product runs
+    over p <= Q = _precision_cutoff(s, P) and the tail bound, proved in
+    euler_zeta, covers p > Q; endpoints are rounded outward.  The
+    arguments are the memo key, so callers pass s as a float, P as an int.
+    """
+    if not s > 1:
+        raise ValueError(f"need s > 1, got s = {s}")
+    if not P >= 1:
+        raise ValueError(f"need P >= 1, got P = {P}")
+    Q = _precision_cutoff(s, P)
+
+    def product():
+        one = iv.mpf(1)
+        s_iv = iv.mpf(s)
+        partial = one
+        for p in _primes_upto(Q):
+            f, g = _splitting(splitting, p)
+            partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
+        high = partial * (one + iv.mpf(Q) ** (one - s_iv) / (s_iv - one)) ** d
+        return iv.mpf([partial.a, high.b])
+
+    lo, hi = _enclose(product)
+    return ZetaInterval(s=s, conductor=conductor, value_low=lo, value_high=hi)
+
+
+def euler_zeta(target: int | NumberField, s: float, P: int = 1000) -> ZetaInterval:
+    """Truncated Euler product of a field's zeta function, the reference
+    that dedekind_zeta and dedekind_zeta_field are tested against.
+
+    target is a cyclotomic conductor or a supported field.  Splitting rule:
+    in Q(zeta_n), above a prime p lie g = phi(n_p)/f primes of norm p^f,
+    where n_p is the prime-to-p part of n and f the order of p mod n_p; in
+    another Q(sqrt D) the Kronecker symbol (disc/p) decides (split, inert
+    or ramified).  The primes up to Q contribute (1 - p^(-s f))^(-g) each.
+
+    Cutoff: Q = min(P, the smallest integer Q >= 2 with
+    Q^(1-s)/(s-1) <= 2^-100).  The primes above such a Q change the 80-bit
+    product by less than a unit in the last place, so they are skipped;
+    close to s = 1 the rule gives Q = P, which must be at least 1.
+
+    Tail bound: the primes above Q contribute at most
+    (1 + Q^(1-s)/(s-1))^d for a field of degree d, so the interval
+    contains the true value.  Proof, for any integer 1 <= Q <= P (the
+    choice of Q affects tightness only):
+      1. a prime p has at most d primes above it, each of norm >= p, so its
+         local factor is <= (1 - p^(-s))^(-d);
+      2. hence the product over p > Q is <= (sum of n^(-s) over the n whose
+         prime factors all exceed Q)^d <= (1 + sum_{n>Q} n^(-s))^d
+         <= (1 + integral_Q^oo x^(-s) dx)^d;
+      3. since log(1 + x) <= x, this is never looser than the bound
+         exp(d Q^(1-s) / ((s-1)(1 - Q^(-s)))).
+
+    Results are memoized per (field, s, P); interval arithmetic is
+    outward-rounded throughout, at 80 bits whatever the caller's iv.prec.
+    """
+    key, conductor = _zeta_key(target)
+    d = 2 if key[0] == "quadratic" else _euler_phi(key[1])
+    return _euler_interval(key, d, float(s), operator.index(P), conductor)
+
+
+# ---------------------------------------------------------------------------
+# fractional ideals in Hermite normal form
+
+
+def hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Hermite normal form of the ZZ-span of the given integer rows (the
+    fractional-ideal HNF; the package takes lattice indices modulo q).
+
+    Returns echelon rows with positive pivots; entries above each pivot are
+    reduced into [0, pivot).  Zero rows are dropped, so the result has one
+    row per pivot column.
+    """
+    rest = [tuple(int(x) for x in r) for r in rows]
+    rest = [r for r in rest if any(r)]
+    pivots: list[tuple[int, tuple[int, ...]]] = []
+    for col in range(ncols):
+        hits = [r for r in rest if r[col]]
+        rest = [r for r in rest if not r[col]]
+        if not hits:
+            continue
+        piv = hits.pop()
+        for r in hits:
+            while r[col]:
+                q = piv[col] // r[col]
+                piv, r = r, tuple(a - q * b for a, b in zip(piv, r))
+            if any(r):
+                rest.append(r)
+        if piv[col] < 0:
+            piv = tuple(-a for a in piv)
+        pivots.append((col, piv))
+    out = [list(p) for _, p in pivots]
+    cols = [c for c, _ in pivots]
+    for j in range(len(out)):
+        cj = cols[j]
+        pj = out[j][cj]
+        for i in range(j):
+            q = out[i][cj] // pj
+            if q:
+                out[i] = [a - q * b for a, b in zip(out[i], out[j])]
+    return out
+
+
+@dataclass(frozen=True)
+class FracIdeal:
+    """A fractional ideal: (1/den) times the ZZ-span of integer HNF rows,
+    coordinates over the integral basis."""
+
+    field: NumberField
+    den: int
+    hnf: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def norm(self) -> Fraction:
+        return Fraction(math.prod(self.hnf[i][i] for i in range(self.field.degree)),
+                        self.den**self.field.degree)
+
+    def zz_basis(self) -> list[FieldElement]:
+        return [self.field._reduced(row, self.den) for row in self.hnf]
+
+    def contains(self, x: FieldElement) -> bool:
+        x = self.field.coerce(x)
+        v = [c * self.den for c in x.num]
+        if any(c % x.den for c in v):
+            return False
+        v = [c // x.den for c in v]
+        for i, row in enumerate(self.hnf):
+            q, r = divmod(v[i], row[i])
+            if r:
+                return False
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        return not any(v)
+
+    def __mul__(self, other: FracIdeal) -> FracIdeal:
+        gens = [a * b for a in self.zz_basis() for b in other.zz_basis()]
+        return ideal_from_generators(self.field, gens)
+
+
+def ideal_from_generators(F: NumberField, xs: Sequence[FieldElement]) -> FracIdeal:
+    """HNF form of the fractional ideal generated by xs over O_K."""
+    xs = [x for x in map(F.coerce, xs) if x]
+    if not xs:
+        raise ValueError("the zero ideal has no HNF representation here")
+    d = F.degree
+    den = math.lcm(*(x.den for x in xs))
+    rows = hnf_rows(_scaled_mul_rows(F, xs, den), d)
+    if len(rows) != d:
+        raise RuntimeError("ideal lattice is not full rank")
+    # the least common denominator makes the form canonical
+    g = math.gcd(den, *(c for row in rows for c in row))
+    return FracIdeal(F, den // g, tuple(tuple(c // g for c in row) for row in rows))

@@ -47,14 +47,14 @@ from latmoment.bounds import (
 )
 from latmoment.moments import MomentQuery
 from latmoment.numberfield import abs_norm, cyclotomic_field, fundamental_unit, make_field
-from latmoment.oracle import (
+from latmoment.heights import rred_matrix, weil_height
+from reference import (
     _EULER_CACHE_SIZE,
     _euler_interval,
     _quadratic_ideal_counts,
     _splitting,
     euler_zeta,
 )
-from latmoment.heights import rred_matrix, weil_height
 
 Q = make_field("Q")
 QI = make_field("Q(sqrt,-1)")
@@ -1078,6 +1078,13 @@ def test_second_moment_errors():
         second_moment_bounds(Q, hyp, 20.0, 0.0)
     with pytest.raises(ValueError):
         second_moment_bounds(Q, hyp, 20.0, 1.0, k=1)
+
+
+@pytest.mark.parametrize("V", [math.inf, math.nan])
+def test_second_moment_rejects_a_volume_that_is_not_finite(V):
+    # an infinite V once gave the bracket [inf, inf]
+    with pytest.raises(ValueError, match="finite"):
+        second_moment_bounds(Q, default_hypothesis(Q), 20.0, V)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from latmoment import (
     rred_matrix,
     weil_height,
 )
-from latmoment.numberfield import frak_D, ideal_from_generators, trace_pairing_exact
+from latmoment.numberfield import frak_D, trace_pairing_exact
+from reference import ideal_from_generators
 
 ALL_FIELDS = [
     "Q",

@@ -88,6 +88,17 @@ def test_poisson_moment_rejects_negative():
         poisson_moment(0, 1)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_poisson_moments_reject_a_rate_that_is_not_finite(lam):
+    # nan and inf pass a bare "lam < 0" test; the series would run all its
+    # terms and return nan
+    for moment in (poisson_moment, poisson_moment_series):
+        with pytest.raises(ValueError, match="finite"):
+            moment(3, lam)
+    big = Fraction(10**400)
+    assert poisson_moment(2, big) == big * big + big
+
+
 def test_touchard_vs_series():
     for n in range(1, 9):
         for x in [0.0, 0.3, 1.0, 2.7, 10.0]:
@@ -112,6 +123,14 @@ def test_moment_query_validation():
         MomentQuery(Q, 3, 2, -1.0)
     with pytest.raises(ValueError):
         MomentQuery(Q, 3, 0, 1.0)
+
+
+@pytest.mark.parametrize("V", [math.inf, math.nan])
+def test_moment_query_rejects_a_volume_that_is_not_finite(V):
+    Q = lm.make_field("Q")
+    with pytest.raises(ValueError, match="finite"):
+        MomentQuery(Q, 3, 2, V)
+    MomentQuery(Q, 3, 2, Fraction(10**400))
 
 
 def test_moment_report_validation():

@@ -21,10 +21,8 @@ from hypothesis import given, settings, strategies as st
 import latmoment
 from latmoment.numberfield import (
     FieldElement,
-    FracIdeal,
     NumberField,
     _index_mod,
-    _euler_phi,
     _poly_exact_div,
     abs_norm,
     conjugates,
@@ -34,8 +32,6 @@ from latmoment.numberfield import (
     enumerate_torsion,
     frak_D,
     fundamental_unit,
-    hnf_rows,
-    ideal_from_generators,
     make_field,
     quadratic_field,
     rational_field,
@@ -45,6 +41,7 @@ from latmoment.numberfield import (
 )
 from latmoment.heights import plucker, rred_matrix
 from latmoment.oracle import _bounded_denominator_elements, _norm_form
+from reference import FracIdeal, _euler_phi, hnf_rows, ideal_from_generators
 
 ALL_FIELDS = ["Q", "Q(sqrt,-1)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,-3)", "Q(zeta,5)", "Q(zeta,8)"]
 

@@ -408,6 +408,12 @@ def test_lattice_moments_preconditions():
         random_lattice_moments(6, 1, -1.0, 101, samples=10)
 
 
+@pytest.mark.parametrize("V", [math.inf, math.nan])
+def test_lattice_moments_reject_a_volume_that_is_not_finite(V):
+    with pytest.raises(ValueError, match="finite"):
+        random_lattice_moments(6, 1, V, 101, samples=10)
+
+
 @pytest.mark.parametrize("p", [2, 25, 100, 1001])
 def test_lattice_moments_reject_a_p_that_is_not_an_odd_prime(p):
     # the covolume assumes index p^(t-1), which holds for prime p only
