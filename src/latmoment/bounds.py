@@ -41,15 +41,9 @@ from mpmath.libmp import (
 )
 from mpmath.libmp.libmpi import mpi_cos_sin
 
-from .heights import RredMatrix, h_infty, plucker
+from .heights import h_infty
 from .moments import MomentReport, a1m_bound, main_term
-from .numberfield import (
-    NumberField,
-    _factorize,
-    _field_conductor,
-    abs_norm,
-    denominator_norm,
-)
+from .numberfield import NumberField, _factorize, _field_conductor, abs_norm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,7 +56,6 @@ __all__ = [
     "default_hypothesis",
     "voutier_hypothesis",
     "f_M",
-    "g_M",
     "alpha_M",
     "t0_threshold",
     "best_k_threshold",
@@ -70,9 +63,7 @@ __all__ = [
     "volume_ratio_height_bound",
     "column_height_ratio_bound",
     "unit_count_bound",
-    "proj_unit_sum_bound",
     "ideal_sum_bound",
-    "ball_intersection_sum_terms",
     "second_moment_bounds",
     "cyclotomic_second_moment_constants",
     "a2m_bound",
@@ -162,15 +153,6 @@ def f_M(M: int, x: float) -> float:
     return (math.exp(x) + M * math.exp(-x / M)) / (M + 1)
 
 
-def g_M(M: int, x: float) -> float:
-    """(x + M x^(-1/M)) / (M+1) for x > 0, the multiplicative twin of f_M."""
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
-    if not x > 0:
-        raise ValueError("g_M needs x > 0")
-    return (x + M * x ** (-1.0 / M)) / (M + 1)
-
-
 def alpha_M(M: int, c0: float) -> float:
     """Largest a with f_M(x) >= e^(a x) for all x >= c0/2, rounded down.
 
@@ -213,6 +195,27 @@ def _alpha_exponent(M: int, c0: float) -> float:
 # admissibility thresholds
 
 
+def _rank_entry(numerator: float, log_base: float) -> float:
+    """The unit-rank threshold entry numerator / log_base.
+
+    The base (f_M, cosh or s_base at the height floors) exceeds 1 by
+    about c0^2; below c0 ~ 1e-8 it rounds to 1 or under, the log is not
+    positive, and no t is admissible.
+    """
+    if not log_base > 0:
+        raise ThresholdError(math.inf)
+    return numerator / log_base
+
+
+def _decay_gap(decay: float) -> float:
+    """1 - e^(-decay), the denominator of a leading constant C; it rounds
+    to 0 once the height floors make decay tiny (c0 ~ 1e-300)."""
+    gap = 1.0 - math.exp(-decay)
+    if not gap > 0:
+        raise ValueError("1 - e^(-decay) rounds to 0: the height floors are too small")
+    return gap
+
+
 def t0_threshold(
     M: int,
     k: int,
@@ -231,14 +234,14 @@ def t0_threshold(
     """
     if M < 1 or k < 2:
         raise ValueError("need M >= 1 and k >= 2")
-    if rank_ratio < 0:
-        raise ValueError("rank_ratio must be nonnegative")
+    if not 0 <= rank_ratio < math.inf:
+        raise ValueError("rank_ratio must be nonnegative and finite")
     entries = [k * M + 0.5]
     if rank_ratio > 0:
         x = hyp.c0 * (1.0 - 1.0 / k) if shifted else hyp.c0
-        entries.append(
-            2.0 * rank_ratio * M * math.log(2.0 + 1.0 / (2 * k)) / math.log(f_M(M, x))
-        )
+        entries.append(_rank_entry(
+            2.0 * rank_ratio * M * math.log(2.0 + 1.0 / (2 * k)), math.log(f_M(M, x))
+        ))
     return max(entries)
 
 
@@ -798,11 +801,8 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
     refined by 200 projected-gradient steps on the log bound; every iterate
     is a valid bound, so the minimum, rounded outward for float error, is
     sound regardless of optimizer quality.  Supplied weights are normalized
-    and evaluated as-is.  Row-reduced matrices are accepted and contribute
-    their nonzero minor coordinates.
+    and evaluated as-is.
     """
-    if isinstance(alphas, RredMatrix):
-        alphas = [c for c in plucker(alphas).coords if c]
     alphas = [F.coerce(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one nonzero element")
@@ -943,74 +943,7 @@ def unit_count_bound(F: NumberField, hyp: HeightHypothesis, B, Y=0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# unit and ideal sums
-
-
-def proj_unit_sum_bound(
-    F: NumberField,
-    hyp: HeightHypothesis,
-    t: float,
-    alphas,
-    k: int,
-) -> BoundReport:
-    """Bound for the unit-translate height sum attached to an integral tuple.
-
-    Requires every coordinate norm >= 1 and t above the unit-rank threshold
-    (2 r M / d) log(2 + 1/(2k)) / log f_M(c0(1 - 1/k)).  The report carries
-    epsilon_1 = (1/2) min(c1/8, log f_M(3 c1/4), alpha c0 (k-1)/k) and
-    C = 1 + 1/(1 - e^(-alpha c0 d (t - t0)(k-1)/(4 k^2))) with alpha =
-    alpha_M(M, c0); bound_value is
-    C omega^M N^(-t/(kM)) D^(t/4) e^(-epsilon_1 d (t - t0)).
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    alphas = [F.coerce(a) for a in alphas]
-    if not alphas or any(not a for a in alphas):
-        raise ValueError("need a tuple of nonzero elements")
-    norms = [abs_norm(F, a) for a in alphas]
-    if any(nm < 1 for nm in norms):
-        raise ValueError("every coordinate must have absolute norm >= 1")
-    d = F.degree
-    m = len(alphas)
-    rk = F.unit_rank
-    c0, c1 = hyp.c0, hyp.c1
-    x = c0 * (1.0 - 1.0 / k)
-    t0 = 0.0
-    if rk > 0:
-        t0 = 2.0 * rk * m / d * math.log(2.0 + 1.0 / (2 * k)) / math.log(f_M(m, x))
-    if not t > t0:
-        raise ThresholdError(t0)
-    a = alpha_M(m, c0)
-    eps1 = 0.5 * min(
-        c1 / 8.0, math.log(f_M(m, 0.75 * c1)), a * c0 * (k - 1) / k
-    )
-    decay = a * c0 * d * (t - t0) * (k - 1) / (4.0 * k * k)
-    C = 1.0 + 1.0 / (1.0 - math.exp(-decay))
-    nprod = float(math.prod(norms))
-    dnorm = denominator_norm(F, alphas)
-    value = (
-        C
-        * float(F.omega_K) ** m
-        * nprod ** (-t / (k * m))
-        * float(dnorm) ** (t / 4.0)
-        * math.exp(-eps1 * d * (t - t0))
-    )
-    return BoundReport(
-        t0=t0,
-        epsilon=eps1,
-        C=C,
-        zeta_factor=None,
-        bound_value=value,
-        inputs={
-            "field": F.descriptor,
-            "t": t,
-            "M": m,
-            "k": k,
-            "alpha": a,
-            "norm_product": nprod,
-            "denominator_norm": dnorm,
-        },
-    )
+# ideal sums
 
 
 def _composite_zeta(
@@ -1067,7 +1000,7 @@ def ideal_sum_bound(
     a = alpha_M(M, c0)
     eps = 0.5 * min(c1 / 8.0, math.log(f_M(M, 0.75 * c1)), a * c0 * (k - 1) / k)
     decay = a * c0 * d * (t - t0) * (k - 1) / (4.0 * k * k)
-    C = (2 * M + 1) * (1.0 + 1.0 / (1.0 - math.exp(-decay)))
+    C = (2 * M + 1) * (1.0 + 1.0 / _decay_gap(decay))
     zeta_factor, _, z_hi = _composite_zeta(
         F,
         [(t * (0.75 - 1.0 / k), 1.0), (t / (k * M), float(M)), (0.75 * t, -1.0)],
@@ -1088,25 +1021,6 @@ def ideal_sum_bound(
             "t0_effective": t0_eff,
         },
     )
-
-
-def ball_intersection_sum_terms(
-    F: NumberField,
-    hyp: HeightHypothesis,
-    t: float,
-    V: float,
-    M: int,
-    k: int,
-) -> tuple[float, float]:
-    """Main and error addends of the intersection-volume sum over M-tuples.
-
-    The sum equals V omega^M (1 + relative error); the first return value is
-    exactly V omega^M and the second is its product with the relative factor
-    from ideal_sum_bound, always strictly positive.
-    """
-    rel = ideal_sum_bound(F, hyp, t, M, k).bound_value
-    main = V * float(F.omega_K) ** M
-    return main, main * rel
 
 
 # ---------------------------------------------------------------------------
@@ -1136,13 +1050,10 @@ def second_moment_bounds(
     c0, c1 = hyp.c0, hyp.c1
     entries = [k + 0.5]
     if F.unit_rank > 0:
-        entries.append(
-            2.0
-            * F.unit_rank
-            / d
-            * math.log(2.0 + 1.0 / (2 * k))
-            / math.log(math.cosh(c0 * (1.0 - 1.0 / k)))
-        )
+        entries.append(_rank_entry(
+            2.0 * F.unit_rank / d * math.log(2.0 + 1.0 / (2 * k)),
+            math.log(math.cosh(c0 * (1.0 - 1.0 / k))),
+        ))
     t0 = max(entries)
     t0_eff = max(t0, 4.0 * k / (3.0 * k - 4.0))
     if not t > t0_eff:
@@ -1153,7 +1064,7 @@ def second_moment_bounds(
         0.8 * c0 * (k - 1) / k,
     )
     decay = c0 * d * (t - t0) * (k - 1) / (10.0 * k * k)
-    C = 3.0 + 3.0 / (1.0 - math.exp(-decay))
+    C = 3.0 + 3.0 / _decay_gap(decay)
     zeta_factor, z_lo, z_hi = _composite_zeta(
         F,
         [(t * (0.75 - 1.0 / k), 1.0), (t / k, 1.0), (0.75 * t, -1.0)],
@@ -1234,13 +1145,11 @@ def _pair_tail_threshold(
     s_base = min(64.0 / 27.0, math.exp(c1 / 3.0), math.cosh(c1) ** 3)
     entries = [float(m * m + m)]
     if rank_ratio > 0:
-        entries.append(
-            rank_ratio
-            * (m * m + m)
-            * math.log(2.0 + 12.0 / c0 + 2.0 * math.log(n - m) / c0)
-            / math.log(s_base)
-        )
-        entries.append(rank_ratio * _LOG2 / math.log(f_M(n - m, 0.75 * c0)))
+        entries.append(_rank_entry(
+            rank_ratio * (m * m + m) * math.log(2.0 + 12.0 / c0 + 2.0 * math.log(n - m) / c0),
+            math.log(s_base),
+        ))
+        entries.append(_rank_entry(rank_ratio * _LOG2, math.log(f_M(n - m, 0.75 * c0))))
     return 2.0 * (n - m) * max(entries)
 
 
@@ -1395,16 +1304,13 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         entries = [0.0]
         if rr > 0:
             s_base = min(64.0 / 27.0, math.exp(c1 / 3.0), math.cosh(c1) ** 3)
-            entries.append(
-                rr
-                * n
-                * (n + 1) ** 2
-                * math.log(2.0 + 12.0 / c0 + 2.0 * math.log(n - 1) / c0)
-                / math.log(s_base)
-            )
-            entries.append(
-                2.0 * rr * (n - 1) * math.log(17.0 / 8.0) / math.log(f_M(n - 1, 0.75 * c0))
-            )
+            entries.append(_rank_entry(
+                rr * n * (n + 1) ** 2 * math.log(2.0 + 12.0 / c0 + 2.0 * math.log(n - 1) / c0),
+                math.log(s_base),
+            ))
+            entries.append(_rank_entry(
+                2.0 * rr * (n - 1) * math.log(17.0 / 8.0), math.log(f_M(n - 1, 0.75 * c0))
+            ))
         t0 = max(entries)
         eps = 0.5 * math.log(
             min(4.0 / 3.0, math.exp(c1 / (3.0 * n + 2.0)), f_M(n - 1, 0.75 * c1))

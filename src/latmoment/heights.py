@@ -41,14 +41,12 @@ __all__ = [
     "ProjPoint",
     "RredMatrix",
     "ValueInterval",
-    "proj_point",
     "rred_matrix",
     "weil_height",
     "h_infty",
     "proj_height_l2",
     "proj_height_linf",
     "plucker",
-    "gr_height",
     "gr_height_factors",
     "det_lattice",
     "M_invariant",
@@ -107,10 +105,6 @@ class ProjPoint:
         """(d, N) complex array of embedding values of the coordinates."""
         import numpy as np
         return np.array([conjugates(self.field, c) for c in self.coords]).T
-
-
-def proj_point(F: NumberField, coords: Sequence[FieldElement | Rational]) -> ProjPoint:
-    return ProjPoint(F, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -272,11 +266,6 @@ def plucker(D: RredMatrix) -> ProjPoint:
     F = D.field
     rows, den = _scaled_rows(D)
     return ProjPoint(F, tuple(F._reduced(num, den) for num in _minors(F, rows).values()))
-
-
-def gr_height(D: RredMatrix) -> float:
-    """Height of the row space: the l2 projective height of the Pluecker point."""
-    return proj_height_l2(plucker(D))
 
 
 def det_lattice(D: RredMatrix) -> float:

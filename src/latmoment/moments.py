@@ -2,8 +2,8 @@
 
 Stirling numbers, moments of Poisson variables in Touchard form, the
 main-term assembly for the n-th moment of the lattice-point count, ball
-volumes, the volume-ratio estimate, the classical ZZ-lattice error term,
-and the normalized two-ball intersection volume.
+volumes, the classical ZZ-lattice error term, and the normalized two-ball
+intersection volume.
 
 Everything here is pure arithmetic on the query parameters; no lattices
 are touched.  Exact rational inputs give exact rational outputs where the
@@ -27,14 +27,12 @@ __all__ = [
     "MomentReport",
     "a1m_bound",
     "ball_volume",
-    "count_Am",
     "main_term",
     "poisson_moment",
     "poisson_moment_series",
     "rogers_error",
     "stirling2",
     "two_ball_intersection",
-    "volume_ratio_bound",
 ]
 
 _SERIES_TOL = 1e-12  # absolute truncation error of poisson_moment_series
@@ -156,14 +154,6 @@ def poisson_moment_series(n: int, lam: float) -> float:
         return float(total)
 
 
-def count_Am(F: NumberField, n: int, m: int) -> int:
-    """Number of row-reduced m x n matrices with entries in the roots of
-    unity and zero, one nonzero entry per column: omega_K^(n-m) S(n,m)."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    return F.omega_K ** (n - m) * stirling2(n, m)
-
-
 def main_term(q: MomentQuery):
     """Poisson main term of the n-th moment: omega^n m_n(V / omega).
 
@@ -183,25 +173,6 @@ def ball_volume(N: int) -> float:
     if N < 1:
         raise ValueError("dimension must be >= 1")
     return math.pi ** (N / 2) / math.gamma(N / 2 + 1)
-
-
-def volume_ratio_bound(m: int, t: int, d: int, as_log: bool = False) -> float:
-    """Upper bound for V(m t d) / V(t d)^m:
-
-        (t d pi)^((m-1)/2) e^(m/(6 t d)) / m^((m t d + 1)/2)
-
-    computed in log space; pass as_log=True for the logarithm (the value
-    itself underflows for large m t d).
-    """
-    td = t * d
-    if m < 1 or td < 1:
-        raise ValueError("need m >= 1 and t*d >= 1")
-    log_val = (
-        0.5 * (m - 1) * math.log(td * math.pi)
-        + m / (6 * td)
-        - 0.5 * (m * td + 1) * math.log(m)
-    )
-    return log_val if as_log else math.exp(log_val)
 
 
 def rogers_error(n: int, t: float) -> float:
@@ -232,7 +203,7 @@ def two_ball_intersection(N: int, delta: float) -> float:
     """
     if N < 2:
         raise ValueError("dimension must be >= 2")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("center distance must be nonnegative")
     if delta >= 2:
         return 0.0

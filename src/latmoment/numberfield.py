@@ -33,7 +33,6 @@ __all__ = [
     "make_field",
     "conjugates",
     "abs_norm",
-    "trace_pairing",
     "denominator_norm",
     "frak_D",
     "enumerate_torsion",
@@ -675,16 +674,6 @@ def abs_norm(F: NumberField, x: FieldElement) -> Fraction:
 def trace_pairing_exact(F: NumberField, x: FieldElement, y: FieldElement) -> Fraction:
     """Tr(x * conj(y)), without the discriminant normalization."""
     return F.trace(F.coerce(x) * F.coerce(y).conj())
-
-
-def trace_pairing(F: NumberField, x: FieldElement, y: FieldElement) -> float:
-    """The normalized positive-definite pairing; O_K gets unit covolume.
-
-    The scale factor |disc|^(-1/d) makes the Gram determinant of the
-    integral basis exactly 1 (the test suite checks det T = |disc|).
-    """
-    scale = F.abs_discriminant ** (-1.0 / F.degree)
-    return scale * float(trace_pairing_exact(F, x, y))
 
 
 def _scaled_mul_rows(F: NumberField, xs: Sequence[FieldElement], den: int) -> list[list[int]]:

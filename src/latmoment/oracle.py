@@ -46,7 +46,6 @@ __all__ = [
     "McEstimate",
     "TruncationReport",
     "mc_intersection_ratio",
-    "mc_column_sum_ratio",
     "dirichlet_intersection",
     "truncated_second_moment_rhs",
     "random_lattice_moments",
@@ -163,48 +162,6 @@ def mc_intersection_ratio(
         for j, (_, off, width) in enumerate(blocks):
             r2[:, j] = (g[:, off : off + width] ** 2).sum(axis=1)
         return int(np.count_nonzero((r2 @ W.T <= 1.0).all(axis=1)))
-
-    return _hit_rate(samples, seed, hits)
-
-
-def mc_column_sum_ratio(
-    F: NumberField,
-    t: int,
-    alphas,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> McEstimate:
-    """Monte Carlo estimate of the normalized column integral
-
-        int f(x_1) ... f(x_M) f(alpha_1 x_1 + ... + alpha_M x_M) / V^M
-
-    with f the unit-ball indicator: the chance that the alpha-weighted sum
-    of M independent uniform ball points stays in the ball.  At M = 1 this
-    is the same quantity as mc_intersection_ratio.  Scaling acts per place,
-    so complex-place blocks combine with full complex multiplication.
-    Same preconditions as mc_intersection_ratio.
-    """
-    N, alphas = _mc_inputs(F, t, alphas, samples)
-    import numpy as np
-    scales = [[complex(conjugates(F, a)[row]) for row, _ in F.places] for a in alphas]
-    blocks = _place_blocks(F, t)
-
-    def hits(rng, b):
-        pts = [_ball_points(rng, b, N) for _ in alphas]
-        r2 = np.zeros(b)
-        for j, (_, off, width) in enumerate(blocks):
-            if width == t:
-                y = np.zeros((b, t))
-                for i, g in enumerate(pts):
-                    y += scales[i][j].real * g[:, off : off + width]
-                r2 += (y**2).sum(axis=1)
-            else:
-                y = np.zeros((b, t), dtype=complex)
-                for i, g in enumerate(pts):
-                    block = g[:, off : off + t] + 1j * g[:, off + t : off + width]
-                    y += scales[i][j] * block
-                r2 += (np.abs(y) ** 2).sum(axis=1)
-        return int(np.count_nonzero(r2 <= 1.0))
 
     return _hit_rate(samples, seed, hits)
 

@@ -1,11 +1,13 @@
 """Independent references that only the tests use.
 
 The truncated Euler product of the Dedekind zeta function, Euler's phi,
-quadratic ideal counts by norm, and fractional ideals in integer Hermite
-normal form.  The package computes the same quantities by other routes
-(Dirichlet L-functions, the Kronecker symbol, lattice indices modulo q), so
-agreement with these is evidence.  pytest puts this directory on sys.path,
-so the test modules import it as `reference`.
+quadratic ideal counts by norm, fractional ideals in integer Hermite
+normal form, and a Monte Carlo estimate of the column integral.  The
+package computes the same quantities by other routes (Dirichlet
+L-functions, the Kronecker symbol, lattice indices modulo q) or bounds
+them (the column-form height bound), so agreement with these is
+evidence.  pytest puts this directory on sys.path, so the test modules
+import it as `reference`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from latmoment.bounds import (
     _quadratic_splitting,
     _zeta_key,
 )
-from latmoment.numberfield import FieldElement, NumberField, _factorize, _scaled_mul_rows
+from latmoment.numberfield import (
+    FieldElement,
+    NumberField,
+    _factorize,
+    _scaled_mul_rows,
+    conjugates,
+)
+from latmoment.oracle import McEstimate, _ball_points, _hit_rate, _mc_inputs, _place_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +280,48 @@ def ideal_from_generators(F: NumberField, xs: Sequence[FieldElement]) -> FracIde
     # the least common denominator makes the form canonical
     g = math.gcd(den, *(c for row in rows for c in row))
     return FracIdeal(F, den // g, tuple(tuple(c // g for c in row) for row in rows))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo column integral
+
+
+def mc_column_sum_ratio(
+    F: NumberField,
+    t: int,
+    alphas,
+    samples: int = 100_000,
+    seed: int = 0,
+) -> McEstimate:
+    """Monte Carlo estimate of the normalized column integral
+
+        int f(x_1) ... f(x_M) f(alpha_1 x_1 + ... + alpha_M x_M) / V^M
+
+    with f the unit-ball indicator: the chance that the alpha-weighted sum
+    of M independent uniform ball points stays in the ball.  At M = 1 this
+    is the same quantity as mc_intersection_ratio.  Scaling acts per place,
+    so complex-place blocks combine with full complex multiplication.
+    Same preconditions as mc_intersection_ratio.
+    """
+    N, alphas = _mc_inputs(F, t, alphas, samples)
+    scales = [[complex(conjugates(F, a)[row]) for row, _ in F.places] for a in alphas]
+    blocks = _place_blocks(F, t)
+
+    def hits(rng, b):
+        pts = [_ball_points(rng, b, N) for _ in alphas]
+        r2 = np.zeros(b)
+        for j, (_, off, width) in enumerate(blocks):
+            if width == t:
+                y = np.zeros((b, t))
+                for i, g in enumerate(pts):
+                    y += scales[i][j].real * g[:, off : off + width]
+                r2 += (y**2).sum(axis=1)
+            else:
+                y = np.zeros((b, t), dtype=complex)
+                for i, g in enumerate(pts):
+                    block = g[:, off : off + t] + 1j * g[:, off + t : off + width]
+                    y += scales[i][j] * block
+                r2 += (np.abs(y) ** 2).sum(axis=1)
+        return int(np.count_nonzero(r2 <= 1.0))
+
+    return _hit_rate(samples, seed, hits)

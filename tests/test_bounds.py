@@ -26,7 +26,6 @@ from latmoment.bounds import (
     _zeta_endpoints,
     a2m_bound,
     alpha_M,
-    ball_intersection_sum_terms,
     best_k_threshold,
     column_height_ratio_bound,
     cyclotomic_second_moment_constants,
@@ -35,10 +34,8 @@ from latmoment.bounds import (
     default_hypothesis,
     ellipsoid_intersection_bound,
     f_M,
-    g_M,
     ideal_sum_bound,
     moment_bounds,
-    proj_unit_sum_bound,
     second_moment_bounds,
     t0_threshold,
     unit_count_bound,
@@ -47,7 +44,7 @@ from latmoment.bounds import (
 )
 from latmoment.moments import MomentQuery
 from latmoment.numberfield import abs_norm, cyclotomic_field, fundamental_unit, make_field
-from latmoment.heights import rred_matrix, weil_height
+from latmoment.heights import weil_height
 from reference import (
     _EULER_CACHE_SIZE,
     _euler_interval,
@@ -79,19 +76,14 @@ def test_f_M_values():
     assert f_M(5, 0.24) == pytest.approx(1.006153, abs=1e-6)
 
 
-def test_f_M_matches_g_M_on_exponentials():
-    for m in (1, 2, 4):
-        for x in (-1.5, 0.2, 3.0):
-            assert f_M(m, x) == pytest.approx(g_M(m, math.exp(x)), rel=1e-12)
-
-
 def test_f_g_domain_errors():
     with pytest.raises(ValueError):
         f_M(0, 1.0)
+    # f_M in the multiplicative variable y = e^x: y = 0 is outside its domain
     with pytest.raises(ValueError):
-        g_M(2, 0.0)
+        f_M(2, math.log(0.0))
     with pytest.raises(ValueError):
-        g_M(0, 1.0)
+        f_M(0, math.log(1.0))
 
 
 @given(st.integers(1, 8), st.floats(-30, 30))
@@ -788,12 +780,6 @@ def test_ellipsoid_single_element_never_below_exact_value(descriptor):
         assert 1.0 <= v <= 1.0 + 1e-12
 
 
-def test_ellipsoid_matrix_input():
-    mat = rred_matrix(QI, [[QI.one, QI.gen + QI.one]])
-    direct = ellipsoid_intersection_bound(QI, 3, (QI.one, QI.gen + QI.one))
-    assert ellipsoid_intersection_bound(QI, 3, mat) == pytest.approx(direct, rel=1e-9)
-
-
 def test_ellipsoid_errors():
     with pytest.raises(ValueError):
         ellipsoid_intersection_bound(Q, 4, ())
@@ -824,7 +810,7 @@ def test_simplex_projection_fixes_simplex_points():
 
 @pytest.mark.parametrize("entry", [
     "ellipsoid_intersection_bound", "volume_ratio_height_bound",
-    "column_height_ratio_bound", "proj_unit_sum_bound",
+    "column_height_ratio_bound",
 ])
 def test_bound_inputs_reject_elements_of_another_field(entry):
     # a Q(zeta,5) element offered to Q(sqrt,5) once failed inside numpy
@@ -833,8 +819,6 @@ def test_bound_inputs_reject_elements_of_another_field(entry):
         "ellipsoid_intersection_bound": lambda: ellipsoid_intersection_bound(Q5, 4, [a]),
         "volume_ratio_height_bound": lambda: volume_ratio_height_bound(Q5, 4, [a]),
         "column_height_ratio_bound": lambda: column_height_ratio_bound(Q5, 4, [2, a]),
-        "proj_unit_sum_bound": lambda: proj_unit_sum_bound(
-            Q5, default_hypothesis(Q5), 500.0, [a], 26),
     }[entry]
     with pytest.raises(ValueError, match="elements belong to different fields"):
         call()
@@ -955,47 +939,31 @@ def test_unit_count_errors():
 
 
 # ---------------------------------------------------------------------------
-# unit-translate sum
-
-
-def test_proj_unit_sum_thresholds_below_table():
-    hyp = default_hypothesis(Z5)
-    for M, k, target in TABLE:
-        rep = proj_unit_sum_bound(Z5, hyp, float(target), tuple(Z5.one for _ in range(M)), k)
-        assert rep.t0 < target
-        assert rep.C > 2.0
-        assert rep.bound_value > 0
-
-
-def test_proj_unit_sum_decreasing_in_t():
-    hyp = default_hypothesis(Z5)
-    vals = [proj_unit_sum_bound(Z5, hyp, t, (Z5.one,), 26).bound_value
-            for t in (30.0, 60.0, 120.0)]
-    assert vals[0] > vals[1] > vals[2] > 0
-
-
-def test_proj_unit_sum_threshold_error():
-    hyp = default_hypothesis(Z5)
-    with pytest.raises(ThresholdError) as exc:
-        proj_unit_sum_bound(Z5, hyp, 5.0, (Z5.one,), 26)
-    assert exc.value.t0 == pytest.approx(13.2456, abs=1e-3)
-    assert "requires t >" in str(exc.value)
-
-
-def test_proj_unit_sum_rejects_small_norm():
-    hyp = default_hypothesis(Q)
-    with pytest.raises(ValueError):
-        proj_unit_sum_bound(Q, hyp, 10.0, (Q.from_rational(Fraction(1, 2)),), 4)
-
-
-def test_proj_unit_sum_rank_zero_field_has_no_threshold():
-    hyp = default_hypothesis(QI)
-    rep = proj_unit_sum_bound(QI, hyp, 3.0, (QI.one,), 4)
-    assert rep.t0 == 0.0
-
-
-# ---------------------------------------------------------------------------
 # ideal sums
+
+
+def test_height_floors_too_small_raise_instead_of_dividing_by_zero():
+    # log f_M, log cosh and log s_base round to 0 below c0 ~ 1e-8: no t
+    # is admissible; 1 - e^(-decay) rounds to 0 near c0 = 1e-300
+    tiny = HeightHypothesis(1e-9, 1e-9)
+    for call in (
+        lambda: t0_threshold(2, 4, tiny, rank_ratio=0.5),
+        lambda: ideal_sum_bound(Q5, tiny, 4000.0, 2, 4),
+        lambda: a2m_bound(Q5, tiny, 4000.0, 3, 2),
+        lambda: second_moment_bounds(Q5, tiny, 400.0, 1.0),
+        lambda: moment_bounds(MomentQuery(Q5, 4000, 3, 1.0), tiny),
+    ):
+        with pytest.raises(ThresholdError) as exc:
+            call()
+        assert exc.value.t0 == math.inf
+    zero = HeightHypothesis(1e-300, 1e-300)
+    for call in (
+        lambda: ideal_sum_bound(Q, zero, 4000.0, 2, 4),
+        lambda: second_moment_bounds(Q, zero, 400.0, 1.0),
+        lambda: moment_bounds(MomentQuery(Q, 4000, 3, 1.0), zero),
+    ):
+        with pytest.raises(ValueError, match="height floors are too small"):
+            call()
 
 
 def test_ideal_sum_rational_example():
@@ -1026,16 +994,6 @@ def test_ideal_sum_decreasing_in_t():
     hyp = default_hypothesis(QI)
     vals = [ideal_sum_bound(QI, hyp, t, 1, 3).bound_value for t in (4.0, 6.0, 10.0)]
     assert vals[0] > vals[1] > vals[2] > 0
-
-
-def test_ball_intersection_terms_shape():
-    hyp = default_hypothesis(QI)
-    main, err = ball_intersection_sum_terms(QI, hyp, 4.0, 2.0, 1, 3)
-    assert main == 2.0 * QI.omega_K
-    assert err > 0
-    main2, err2 = ball_intersection_sum_terms(QI, hyp, 8.0, 2.0, 2, 3)
-    assert main2 == 2.0 * QI.omega_K**2
-    assert err2 > 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import latmoment as lm
 from latmoment import (
     M_invariant,
+    ProjPoint,
     det_lattice,
     enumerate_p1_rationals,
-    gr_height,
     gr_height_factors,
     h_infty,
     height_gap_rhs,
@@ -22,7 +22,6 @@ from latmoment import (
     plucker,
     proj_height_l2,
     proj_height_linf,
-    proj_point,
     rred_matrix,
     weil_height,
 )
@@ -150,7 +149,7 @@ def test_h_infty_drops_denominator_part():
 def test_proj_point_rejects_zero():
     Q = make_field("Q")
     with pytest.raises(ValueError):
-        proj_point(Q, [0, 0])
+        ProjPoint(Q, (0, 0))
 
 
 @pytest.mark.parametrize("entry", ["weil_height", "h_infty", "rred_matrix"])
@@ -169,14 +168,14 @@ def test_heights_reject_elements_of_another_field(entry):
 def test_proj_point_rejects_mixed_fields():
     Q, Z5 = make_field("Q"), make_field("Q(zeta,5)")
     with pytest.raises(ValueError, match="elements belong to different fields"):
-        proj_point(Z5, [Q.one, Z5.one])
+        ProjPoint(Z5, (Q.one, Z5.one))
 
 
 def test_proj_point_constructor_coerces_its_coordinates():
     Q5, Z5 = make_field("Q(sqrt,5)"), make_field("Q(zeta,5)")
     x = lm.ProjPoint(Q5, (1, Fraction(2, 3)))
     assert x.coords == (Q5.one, Q5.from_rational(Fraction(2, 3)))
-    assert x == proj_point(Q5, [1, Fraction(2, 3)])
+    assert x == ProjPoint(Q5, (1, Fraction(2, 3)))
     with pytest.raises(ValueError, match="elements belong to different fields"):
         lm.ProjPoint(Q5, (Q5.one, Z5.gen))
 
@@ -202,7 +201,7 @@ def test_ideal_norm_matches_the_ideal_hnf(desc):
 
 def test_height_example_34():
     Q = make_field("Q")
-    x = proj_point(Q, [3, 4])
+    x = ProjPoint(Q, (3, 4))
     assert proj_height_l2(x) == pytest.approx(5.0, rel=1e-12)
     assert proj_height_linf(x) == pytest.approx(4.0, rel=1e-12)
     assert M_invariant(x) == 12
@@ -211,7 +210,7 @@ def test_height_example_34():
 
 def test_height_example_gaussian_ones():
     F = make_field("Q(sqrt,-1)")
-    x = proj_point(F, [1, 1])
+    x = ProjPoint(F, (1, 1))
     assert proj_height_l2(x) == pytest.approx(2.0, rel=1e-12)
     assert proj_height_linf(x) == pytest.approx(1.0, rel=1e-12)
 
@@ -258,9 +257,9 @@ def test_proj_height_at_least_one(desc):
 
 def test_M_invariant_examples():
     Q = make_field("Q")
-    assert M_invariant(proj_point(Q, [2, 4])) == 2
-    assert M_invariant(proj_point(Q, [2, 3])) == 6
-    assert M_invariant(proj_point(Q, [0, 5])) == 0
+    assert M_invariant(ProjPoint(Q, (2, 4))) == 2
+    assert M_invariant(ProjPoint(Q, (2, 3))) == 6
+    assert M_invariant(ProjPoint(Q, (0, 5))) == 0
     F = make_field("Q(sqrt,-1)")
     i = F.gen
     x = lm.ProjPoint(F, (F.one + i, F.from_rational(2)))
@@ -295,15 +294,15 @@ def test_height_gap_inequality(desc):
 def test_height_gap_sharp_for_coprime_pairs():
     Q = make_field("Q")
     for a, b in [(3, 4), (1, 1), (2, 5), (7, 12)]:
-        x = proj_point(Q, [a, b])
+        x = ProjPoint(Q, (a, b))
         assert height_gap_rhs(x) == pytest.approx(a * a + b * b, rel=1e-12)
 
 
 def test_height_gap_degenerate_cases():
     Q = make_field("Q")
-    x = proj_point(Q, [5])
+    x = ProjPoint(Q, (5,))
     assert height_gap_rhs(x) == pytest.approx(proj_height_linf(x) ** 2, rel=1e-12)
-    y = proj_point(Q, [0, 3])
+    y = ProjPoint(Q, (0, 3))
     assert height_gap_rhs(y) == pytest.approx(proj_height_linf(y) ** 2, rel=1e-12)
 
 
@@ -368,7 +367,7 @@ def test_plucker_example():
     D = rred_matrix(Q, [[1, 0, 1], [0, 1, 1]])
     p = plucker(D)
     assert [c.as_rational() for c in p.coords] == [1, 1, -1]
-    assert gr_height(D) == pytest.approx(math.sqrt(3), rel=1e-12)
+    assert proj_height_l2(plucker(D)) == pytest.approx(math.sqrt(3), rel=1e-12)
 
 
 @pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,5)", "Q(zeta,5)"])
@@ -392,7 +391,7 @@ def test_gr_height_identity_is_one():
     for desc in ALL_FIELDS:
         F = make_field(desc)
         D = rred_matrix(F, [[1, 0], [0, 1]])
-        assert gr_height(D) == pytest.approx(1.0, rel=1e-10)
+        assert proj_height_l2(plucker(D)) == pytest.approx(1.0, rel=1e-10)
         assert det_lattice(D) == pytest.approx(1.0, rel=1e-10)
 
 
@@ -528,7 +527,7 @@ def test_gr_height_row_space_invariant():
         ]
         D2 = rred_matrix(Q, rows2)
         assert D2.rows == D.rows
-        assert gr_height(D2) == gr_height(D)
+        assert proj_height_l2(plucker(D2)) == proj_height_l2(plucker(D))
 
 
 # ---------------------------------------------------------------------------

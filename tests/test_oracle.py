@@ -16,7 +16,6 @@ from latmoment.oracle import (
     dirichlet_intersection,
     lower_bound_sum_check,
     mahler_sequence,
-    mc_column_sum_ratio,
     mc_intersection_ratio,
     random_lattice_moments,
     truncated_second_moment_rhs,
@@ -26,6 +25,7 @@ from latmoment.oracle import (
 from latmoment.moments import MomentQuery, main_term
 from latmoment.numberfield import abs_norm, conjugates, fundamental_unit, make_field
 from latmoment.heights import weil_height
+from reference import mc_column_sum_ratio
 
 Q = make_field("Q")
 QI = make_field("Q(sqrt,-1)")
