@@ -245,6 +245,10 @@ def t0_threshold(
     return max(entries)
 
 
+# how many k below the crossing best_k_threshold scans one by one
+_BEST_K_WINDOW = 64
+
+
 def best_k_threshold(
     M: int,
     hyp: HeightHypothesis,
@@ -253,16 +257,41 @@ def best_k_threshold(
 ) -> tuple[int, float]:
     """Minimize t0_threshold over integer k >= 2; returns (k, threshold).
 
-    The counting entry grows linearly in k while the rank entry decreases,
-    so the scan stops once k M + 1/2 passes the best value found.
+    The counting entry k M + 1/2 grows in k and the rank entry does not
+    (log(2 + 1/(2k)) falls and f_M grows in x), so the threshold falls until
+    the counting entry binds, at some k_c, and grows after it.  Doubling and
+    bisection find k_c.  The k returned is the first that attains the
+    minimum, as a scan over k = 2, 3, ... that keeps strict improvements
+    finds it.  That scan's rule runs over the _BEST_K_WINDOW k up to k_c,
+    where rounding noise in the rank entry can place the minimum; where the
+    rounded rank entry is constant over a run of k reaching back past the
+    window, one more bisection finds the start of the run.
     """
-    best_k, best = 2, math.inf
-    k = 2
-    while k * M + 0.5 < best:
-        t0 = t0_threshold(M, k, hyp, rank_ratio, shifted)
-        if t0 < best:
-            best, best_k = t0, k
-        k += 1
+    def t0(k: int) -> float:
+        return t0_threshold(M, k, hyp, rank_ratio, shifted)
+
+    def first(pred, lo: int, hi: int) -> int:
+        # the least k in (lo, hi] with pred(k), given pred(hi) and a monotone pred
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+        return hi
+
+    def counting_binds(k: int) -> bool:
+        return t0(k) == k * M + 0.5
+
+    lo, hi = 1, 2
+    while not counting_binds(hi):
+        lo, hi = hi, 2 * hi
+    k_c = first(counting_binds, lo, hi)
+    start = max(2, k_c - _BEST_K_WINDOW)
+    best_k, best = start, math.inf
+    for k in range(start, k_c + 1):
+        value = t0(k)
+        if value < best:
+            best_k, best = k, value
+    if best_k == start > 2:
+        best_k = first(lambda k: t0(k) <= best, 1, start)
     return best_k, best
 
 

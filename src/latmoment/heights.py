@@ -26,6 +26,7 @@ from .numberfield import (
     FieldElement,
     NumberField,
     Rational,
+    _embed_rows,
     abs_norm,
     conjugates,
     denominator_norm,
@@ -103,8 +104,7 @@ class ProjPoint:
     @cached_property
     def conj_matrix(self) -> np.ndarray:
         """(d, N) complex array of embedding values of the coordinates."""
-        import numpy as np
-        return np.array([conjugates(self.field, c) for c in self.coords]).T
+        return _embed_rows(self.field, [c.floats() for c in self.coords]).T
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,15 @@ def weil_height(F: NumberField, alpha: FieldElement) -> float:
     """
     if not alpha:
         raise ValueError("height of zero is undefined")
-    return _height_from_conjugates(F, conjugates(F, alpha), denominator_norm(F, [alpha]))
+    conj = conjugates(F, alpha)
+    return _heights_from_conjugates(F, conj[None], [denominator_norm(F, [alpha])])[0]
 
 
-def _height_from_conjugates(F: NumberField, conj: np.ndarray, D: int) -> float:
-    # weil_height from the embedding values of alpha and D(alpha)
+def _heights_from_conjugates(F: NumberField, conj: np.ndarray, Ds: Sequence[int]) -> list[float]:
+    # weil_height of N elements from their (N, d) embedding values and their D
     import numpy as np
-    arch = float(np.log(np.maximum(np.abs(conj), 1.0)).sum())
-    return (arch + math.log(D)) / F.degree
+    arch = np.log(np.maximum(np.abs(conj), 1.0)).sum(axis=1).tolist()
+    return [(a + math.log(D)) / F.degree for a, D in zip(arch, Ds)]
 
 
 def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:
@@ -198,7 +199,7 @@ def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:
     if not alphas:
         raise ValueError("empty tuple")
     import numpy as np
-    mat = np.array([np.abs(conjugates(F, a)) for a in alphas])  # (N, d)
+    mat = np.abs(_embed_rows(F, [F.coerce(a).floats() for a in alphas]))  # (N, d)
     per_embedding = np.maximum(mat.max(axis=0), 1.0)
     return float(np.sum(np.log(per_embedding))) / F.degree
 

@@ -42,6 +42,7 @@ __all__ = [
 _EMBED_BITS = 100
 
 Rational = int | Fraction
+_EXACT = (int, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,9 @@ class NumberField:
     # -- basic elements
 
     def element(self, coords: Sequence[Rational]) -> FieldElement:
-        cs = [Fraction(c) for c in coords]
+        # ints and Fractions are exact as they are; Fraction converts and
+        # checks anything else
+        cs = [c if type(c) in _EXACT else Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
         den = math.lcm(*(c.denominator for c in cs))
@@ -660,8 +663,17 @@ ElementTuple = tuple[FieldElement, ...]
 
 def conjugates(F: NumberField, x: FieldElement) -> np.ndarray:
     """All d complex embedding values of x, conjugate pairs adjacent."""
+    return _embed_rows(F, [F.coerce(x).floats()])[0]
+
+
+def _embed_rows(F: NumberField, rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """(N, d) embedding values of N elements, given as rows of float
+    coordinates (x.floats()).  The stacked product runs one matrix-vector
+    product per row, so row i is bit for bit F.embed_matrix @ rows[i]; the
+    plain product X @ F.embed_matrix.T can differ in the last bit."""
     import numpy as np
-    return F.embed_matrix @ np.array(F.coerce(x).floats())
+    X = np.array(rows, dtype=float).reshape(-1, F.degree)
+    return (F.embed_matrix @ X[:, :, None])[:, :, 0]
 
 
 def abs_norm(F: NumberField, x: FieldElement) -> Fraction:

@@ -6,8 +6,10 @@ normal form, and a Monte Carlo estimate of the column integral.  The
 package computes the same quantities by other routes (Dirichlet
 L-functions, the Kronecker symbol, lattice indices modulo q) or bounds
 them (the column-form height bound), so agreement with these is
-evidence.  pytest puts this directory on sys.path, so the test modules
-import it as `reference`.
+evidence.  The box oracles' term-by-term loops and the one-k-at-a-time
+threshold scan are here too: the package skips terms and bisects, and
+must return the same floats.  pytest puts this directory on sys.path, so
+the test modules import it as `reference`.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import numpy as np
 from mpmath import iv
 
 from latmoment.bounds import (
+    HeightHypothesis,
     ZetaInterval,
     _enclose,
     _precision_cutoff,
     _quadratic_splitting,
     _zeta_key,
+    t0_threshold,
 )
 from latmoment.numberfield import (
     FieldElement,
@@ -36,7 +40,16 @@ from latmoment.numberfield import (
     _scaled_mul_rows,
     conjugates,
 )
-from latmoment.oracle import McEstimate, _ball_points, _hit_rate, _mc_inputs, _place_blocks
+from latmoment.oracle import (
+    McEstimate,
+    _ball_points,
+    _bounded_denominator_elements,
+    _dirichlet_value,
+    _hit_rate,
+    _mc_inputs,
+    _norm_form,
+    _place_blocks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +338,72 @@ def mc_column_sum_ratio(
         return int(np.count_nonzero(r2 <= 1.0))
 
     return _hit_rate(samples, seed, hits)
+
+
+# ---------------------------------------------------------------------------
+# box oracles term by term
+
+
+def truncated_partial_sum(F: NumberField, t: int, cutoff: int) -> float:
+    """The partial sum of truncated_second_moment_rhs with every term
+    evaluated, each element embedded by its own matrix-vector product."""
+    d = F.degree
+    embed = F.embed_matrix if len(F.places) > 1 else None
+    total = 0.0
+    for num, c in _bounded_denominator_elements(F, cutoff):
+        conj = None if embed is None else embed @ [x / c for x in num]
+        D = c**d // math.gcd(c, _norm_form(F, num))
+        total += float(D) ** -t * _dirichlet_value(F, t, num, c, conj)
+    return total
+
+
+def lower_bound_terms(F: NumberField, t: int, elems) -> dict:
+    """lower_bound_sum_check's result over elems, triples (num, den, D),
+    one embedding product and one height per element."""
+    d = F.degree
+    embed = F.embed_matrix
+    checked = 0
+    min_margin = math.inf
+    sum_lhs = 0.0
+    sum_rhs = 0.0
+    for num, den, D in elems:
+        conj = embed @ [x / den for x in num]
+        arch = float(np.log(np.maximum(np.abs(conj), 1.0)).sum())
+        lhs = math.exp(-t * d * ((arch + math.log(D)) / d))
+        rhs = float(D) ** (-float(t)) * _dirichlet_value(F, t, num, den, conj)
+        min_margin = min(min_margin, rhs - lhs)
+        sum_lhs += lhs
+        sum_rhs += rhs
+        checked += 1
+    return {
+        "checked": checked,
+        "min_margin": float(min_margin),
+        "sum_lhs": float(sum_lhs),
+        "sum_rhs": float(sum_rhs),
+    }
+
+
+def box_elements(F: NumberField, cutoff: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The (num, den, D) triples of the bounded denominator box."""
+    d = F.degree
+    return [(num, c, c**d // math.gcd(c, _norm_form(F, num)))
+            for num, c in _bounded_denominator_elements(F, cutoff)]
+
+
+# ---------------------------------------------------------------------------
+# splitting parameter scan
+
+
+def best_k_scan(
+    M: int, hyp: HeightHypothesis, rank_ratio: float = 0.5, shifted: bool = False
+) -> tuple[int, float]:
+    """best_k_threshold one k at a time: k = 2, 3, ... keeping strict
+    improvements, until the counting entry k M + 1/2 passes the best."""
+    best_k, best = 2, math.inf
+    k = 2
+    while k * M + 0.5 < best:
+        t0 = t0_threshold(M, k, hyp, rank_ratio, shifted)
+        if t0 < best:
+            best, best_k = t0, k
+        k += 1
+    return best_k, best

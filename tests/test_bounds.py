@@ -50,6 +50,7 @@ from reference import (
     _euler_interval,
     _quadratic_ideal_counts,
     _splitting,
+    best_k_scan,
     euler_zeta,
 )
 
@@ -251,6 +252,51 @@ def test_best_k_beats_fixed_k():
     k, t0 = best_k_threshold(4, HC, rank_ratio=0.5)
     assert t0 <= t0_threshold(4, 92, HC, rank_ratio=0.5) + 1e-12
     assert t0 == t0_threshold(4, k, HC, rank_ratio=0.5)
+
+
+# the one-k-at-a-time scan ends near k = t0 / M; below this it takes
+# under about 0.1 s
+_SCAN_K_MAX = 50_000
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+def test_best_k_equals_the_linear_scan(M, shifted):
+    compared = 0
+    for c0 in (0.01, 0.02, 0.05, 0.1203, 0.24, 0.5, 1.0, 3.0, 20.0):
+        for rank_ratio in (0.0, 0.25, 0.5, 1.0, 3.0):
+            hyp = HeightHypothesis(c0, c0)
+            k, t0 = best_k_threshold(M, hyp, rank_ratio, shifted)
+            if t0 / M > _SCAN_K_MAX:
+                continue
+            assert (k, t0) == best_k_scan(M, hyp, rank_ratio, shifted), (c0, rank_ratio)
+            compared += 1
+    assert compared >= 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.floats(0.02, 10.0), st.floats(0.0, 4.0), st.booleans())
+def test_best_k_equals_the_linear_scan_at_random_floors(M, c0, rank_ratio, shifted):
+    hyp = HeightHypothesis(c0, c0)
+    k, t0 = best_k_threshold(M, hyp, rank_ratio, shifted)
+    if t0 / M <= _SCAN_K_MAX:
+        assert (k, t0) == best_k_scan(M, hyp, rank_ratio, shifted)
+
+
+def test_best_k_at_small_height_floors():
+    # the scan's own results at c0 = 1e-3 (1.4 million k, about 2 s each)
+    hyp = HeightHypothesis(1e-3, 1e-3)
+    assert best_k_threshold(1, hyp) == (1386294, 1386294.9524335572)
+    assert best_k_threshold(1, hyp, shifted=True) == (1386296, 1386296.9526451644)
+    # near 10^12 k the scan never ends; the rounded rank entry is constant
+    # over runs of k there, and the first k of the binding run is returned
+    hyp = HeightHypothesis(1e-6, 1e-6)
+    for shifted in (False, True):
+        k, t0 = best_k_threshold(1, hyp, shifted=shifted)
+        assert 10**12 < k <= t0 < 2 * 10**12
+        assert t0 == t0_threshold(1, k, hyp, shifted=shifted)
+        assert t0_threshold(1, k - 1, hyp, shifted=shifted) > t0
+        assert t0_threshold(1, math.ceil(t0), hyp, shifted=shifted) > t0
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,22 @@ def test_coerce_keeps_elements_and_embeds_rationals():
         x + G.gen
 
 
+def test_element_keeps_exact_coordinates_and_converts_the_rest():
+    F = make_field("Q(sqrt,5)")
+    want = F.element((Fraction(3), Fraction(-1, 2)))
+    assert (want.num, want.den) == ((6, -1), 2)
+    for coords in ((3, Fraction(-1, 2)), (3.0, -0.5), ("3", "-1/2"),
+                   (Fraction(6, 2), Fraction(-2, 4))):
+        assert F.element(coords) == want
+    assert F.element((True, False)) == F.one
+    for coords, error in (
+        ((math.nan, 0), ValueError), ((math.inf, 0), OverflowError), (("x", 0), ValueError),
+        ((None, 0), TypeError), ((Fraction(1, 2),), ValueError), ((1, 2, 3), ValueError),
+    ):
+        with pytest.raises(error):
+            F.element(coords)
+
+
 # each entry point that takes a field and elements of it; unchecked, a
 # Q(zeta,5) element offered to Q(sqrt,5) yields a number or a numpy error
 _FOREIGN_CALLS = {

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latmoment as lm
 from latmoment.oracle import (
@@ -23,9 +25,23 @@ from latmoment.oracle import (
     verification_report,
 )
 from latmoment.moments import MomentQuery, main_term
-from latmoment.numberfield import abs_norm, conjugates, fundamental_unit, make_field
+from latmoment.bounds import ThresholdError
+from latmoment.numberfield import (
+    _embed_rows,
+    abs_norm,
+    conjugates,
+    denominator_norm,
+    enumerate_torsion,
+    fundamental_unit,
+    make_field,
+)
 from latmoment.heights import weil_height
-from reference import mc_column_sum_ratio
+from reference import (
+    box_elements,
+    lower_bound_terms,
+    mc_column_sum_ratio,
+    truncated_partial_sum,
+)
 
 Q = make_field("Q")
 QI = make_field("Q(sqrt,-1)")
@@ -288,6 +304,16 @@ def test_dirichlet_three_places_permutation_invariant():
             assert max(values) == pytest.approx(min(values), rel=1e-12, abs=0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(2.0**-30, 2.0**30), st.floats(2.0**-30, 2.0**30), st.integers(2, 200))
+def test_dirichlet_two_places_never_exceeds_the_skip_margin(w1, w2, t):
+    # truncated_second_moment_rhs skips a term when its weight times
+    # 1 + 2^-40 is under half an ulp of the sum, which needs every computed
+    # two-place ratio (two real places, exponents t/2) at most that factor
+    r = _dirichlet_ratio((w1, w2), (t / 2.0, t / 2.0))
+    assert 0.0 <= r <= 1.0 + 2.0**-40
+
+
 def test_dirichlet_two_places_vs_mc():
     s = Q2.element((1, 1))
     det = dirichlet_intersection(Q2, 6, s)
@@ -526,6 +552,75 @@ def test_box_oracle_golden_values():
         "checked": 22, "min_margin": 0.0,
         "sum_lhs": 2.0203050891043537, "sum_rhs": 2.2011024657757803,
     }
+
+
+# the box fields of the term-by-term comparison and its t grid; no cutoff
+# from 2 to 4 takes longer than a few ms per call
+_BOX_FIELDS = ("Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,13)")
+_BOX_TS = (*range(2, 20), 27, 40, 60)
+
+
+@pytest.mark.parametrize("desc", _BOX_FIELDS)
+def test_box_oracles_equal_the_term_by_term_reference(desc):
+    # skipped terms and stacked embeddings leave every float as it was
+    F = make_field(desc)
+    admitted = 0
+    for cutoff in (2, 3, 4):
+        elems = box_elements(F, cutoff)
+        for t in _BOX_TS:
+            assert lower_bound_sum_check(F, t, cutoff, "all") == lower_bound_terms(F, t, elems)
+            try:
+                rep = truncated_second_moment_rhs(F, t, cutoff)
+            except ThresholdError:
+                continue
+            admitted += 1
+            assert rep.partial_sum == truncated_partial_sum(F, t, cutoff), (t, cutoff)
+            assert rep.terms == len(elems)
+            assert 0 <= rep.skipped < rep.terms
+    assert admitted > 0
+
+
+@pytest.mark.parametrize("desc", ["Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,13)"])
+def test_lower_bound_units_family_equals_the_term_by_term_reference(desc):
+    F = make_field(desc)
+    eps = fundamental_unit(F)
+    for t, cutoff in ((2, 3), (6, 5), (17, 2)):
+        powers = [0] + [s * k for k in range(1, cutoff + 1) for s in (1, -1)]
+        units = [tor * eps**k for tor in enumerate_torsion(F) for k in powers]
+        elems = [(u.num, u.den, denominator_norm(F, [u])) for u in units]
+        assert lower_bound_sum_check(F, t, cutoff, "units") == lower_bound_terms(F, t, elems)
+
+
+def test_truncated_sum_skips_terms_that_cannot_move_it():
+    # most of the 128 Q(sqrt,5) box terms at cutoff 3 weigh under half an
+    # ulp of the running sum
+    Q5 = make_field("Q(sqrt,5)")
+    for t in (27, 60):
+        rep = truncated_second_moment_rhs(Q5, t, 3)
+        assert rep.terms == 128
+        assert rep.skipped > 0
+        assert rep.partial_sum == truncated_partial_sum(Q5, t, 3)
+
+
+@pytest.mark.parametrize("desc", [
+    "Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,2)", "Q(sqrt,5)",
+    "Q(zeta,5)", "Q(zeta,7)", "Q(zeta,8)", "Q(zeta,11)",
+])
+def test_stacked_embeddings_equal_one_product_per_element(desc):
+    # bit for bit: the box oracles and the heights rely on it
+    F = make_field(desc)
+    rng = random.Random(desc)
+    xs = [F.element([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(F.degree)])
+          for _ in range(400)]
+    rows = [x.floats() for x in xs]
+    stacked = _embed_rows(F, rows)
+    assert stacked.shape == (len(xs), F.degree)
+    assert np.array_equal(stacked, np.array([F.embed_matrix @ np.array(r) for r in rows]))
+    assert all(np.array_equal(conjugates(F, x), F.embed_matrix @ np.array(r))
+               for x, r in zip(xs, rows))
+    if F.degree <= 2:
+        box = [[x / c for x in num] for num, c, _ in box_elements(F, 4)]
+        assert np.array_equal(_embed_rows(F, box), np.array([F.embed_matrix @ r for r in box]))
 
 
 # ---------------------------------------------------------------------------
