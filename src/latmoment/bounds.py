@@ -250,10 +250,7 @@ _BEST_K_WINDOW = 64
 
 
 def best_k_threshold(
-    M: int,
-    hyp: HeightHypothesis,
-    rank_ratio: float = 0.5,
-    shifted: bool = False,
+    M: int, hyp: HeightHypothesis, rank_ratio: float = 0.5
 ) -> tuple[int, float]:
     """Minimize t0_threshold over integer k >= 2; returns (k, threshold).
 
@@ -268,7 +265,7 @@ def best_k_threshold(
     window, one more bisection finds the start of the run.
     """
     def t0(k: int) -> float:
-        return t0_threshold(M, k, hyp, rank_ratio, shifted)
+        return t0_threshold(M, k, hyp, rank_ratio)
 
     def first(pred, lo: int, hi: int) -> int:
         # the least k in (lo, hi] with pred(k), given pred(hi) and a monotone pred
@@ -820,7 +817,7 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -> float:
+def ellipsoid_intersection_bound(F: NumberField, t: int, alphas) -> float:
     """Upper bound for vol(ellipsoid intersection)/vol(ball) by convex weights.
 
     Each nonzero alpha scales the per-place block radii by its conjugate
@@ -829,8 +826,7 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
     prod_places (sum_i c_i |alpha_i|_place^2)^(-t e/2).  Uniform weights are
     refined by 200 projected-gradient steps on the log bound; every iterate
     is a valid bound, so the minimum, rounded outward for float error, is
-    sound regardless of optimizer quality.  Supplied weights are normalized
-    and evaluated as-is.
+    sound regardless of optimizer quality.
     """
     alphas = [F.coerce(a) for a in alphas]
     if not alphas:
@@ -858,11 +854,6 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
     def log_bound(c: np.ndarray) -> float:
         return float(-(exps * np.log(A.T @ c)).sum())
 
-    if weights is not None:
-        c = np.asarray(weights, dtype=float)
-        if c.shape != (m,) or (c < 0).any() or c.sum() <= 0:
-            raise ValueError("weights must be nonnegative, one per element")
-        return math.exp(log_bound(c / c.sum()) + eta) * (1 + 2 * u)
     c = np.full(m, 1.0 / m)
     best = log_bound(c)
     for j in range(200):
@@ -873,25 +864,25 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas, weights=None) -
     return math.exp(best + eta) * (1 + 2 * u)
 
 
-def volume_ratio_height_bound(F: NumberField, t: int, alphas, k: int | None = 2) -> float:
+def volume_ratio_height_bound(F: NumberField, t: int, alphas, k: int = 2) -> float:
     """Height-driven bound for the relative volume of the intersection.
 
     With H the exponential joint house of the tuple and N the product of the
     absolute norms: for N >= 1 and k >= 2 the bound is
     N^(-t/(kM)) ((H^(2(k-1)/(kd)) + M H^(-2(k-1)/(kMd)))/(M+1))^(-dt/2);
-    when the norm assumption fails (or k is None) the plain form
+    when the norm assumption fails the plain form
     ((H^(2/d) + M H^(-2/(dM)) N^(2/(dM)))/(M+1))^(-dt/2) applies instead.
     """
     alphas = [F.coerce(a) for a in alphas]
     if not alphas or any(not a for a in alphas):
         raise ValueError("need a tuple of nonzero elements")
-    if k is not None and k < 2:
-        raise ValueError("need k >= 2 (or None for the plain form)")
+    if k < 2:
+        raise ValueError("need k >= 2")
     d = F.degree
     m = len(alphas)
     norm = float(math.prod(abs_norm(F, a) for a in alphas))
     house = math.exp(d * h_infty(F, alphas))
-    if k is not None and norm >= 1.0:
+    if norm >= 1.0:
         mid = (
             house ** (2.0 * (k - 1) / (k * d))
             + m * house ** (-2.0 * (k - 1) / (k * m * d))
@@ -939,36 +930,18 @@ def column_height_ratio_bound(F: NumberField, t: int, alphas) -> float:
 # unit counting
 
 
-def unit_count_bound(F: NumberField, hyp: HeightHypothesis, B, Y=0.0) -> float:
+def unit_count_bound(F: NumberField, hyp: HeightHypothesis, B: float) -> float:
     """Box bound for units with constrained archimedean size.
 
-    Scalar B: units u with h_infty(u alpha) <= B (alpha of norm e^Y) number
-    at most omega ((B + c0/2 + max(0, -Y/d)) / (c0/2))^r with r the unit
-    rank: the log embedding packs them in an r-cube of that side count.  A
-    tuple B (with an optional matching tuple Y) multiplies per-coordinate
-    factors instead, one per constrained coordinate; at least r coordinates
-    are required.
+    Units u with h_infty(u) <= B number at most omega ((B + c0/2) / (c0/2))^r
+    with r the unit rank: the log embedding packs them in an r-cube of that
+    side count.
     """
+    B = float(B)
+    if not B >= 0:
+        raise ValueError("size bound B must be nonnegative")
     half = hyp.c0 / 2.0
-    d = F.degree
-    r = F.unit_rank
-
-    def factor(b: float, y: float) -> float:
-        if b < 0:
-            raise ValueError("size bound B must be nonnegative")
-        return (b + half + max(0.0, -y / d)) / half
-
-    if isinstance(B, (tuple, list)):
-        ys = tuple(Y) if isinstance(Y, (tuple, list)) else (float(Y),) * len(B)
-        if len(ys) != len(B):
-            raise ValueError("Y tuple must match B tuple")
-        if len(B) < r:
-            raise ValueError(f"need at least unit-rank ({r}) coordinate constraints")
-        prod = 1.0
-        for b, y in zip(B, ys):
-            prod *= factor(float(b), float(y))
-        return F.omega_K * prod
-    return F.omega_K * factor(float(B), float(Y)) ** r
+    return F.omega_K * ((B + half) / half) ** F.unit_rank
 
 
 # ---------------------------------------------------------------------------

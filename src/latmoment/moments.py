@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _SERIES_TOL = 1e-12  # absolute truncation error of poisson_moment_series
+_SERIES_TERMS = 100000  # poisson_moment_series sums at most this many terms
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +139,14 @@ def poisson_moment_series(n: int, lam: float) -> float:
         raise ValueError("Poisson parameter must be nonnegative and finite")
     if lam == 0:
         return 0.0
+    if 2 * (lam + n) >= _SERIES_TERMS:
+        raise ValueError(f"need 2 (lam + n) < {_SERIES_TERMS}: the series stops by then")
     with mp.workdps(40):
         L = mp.mpf(lam)
         term = mp.e ** (-L) * L
         total = term
         r = 1
-        while r < 100000:
+        while r < _SERIES_TERMS:
             r += 1
             term = term * (mp.mpf(r) / (r - 1)) ** n * L / r
             total += term

@@ -24,6 +24,8 @@ import mpmath
 if TYPE_CHECKING:
     import numpy as np
 
+    from .heights import RredMatrix
+
 __all__ = [
     "NumberField",
     "FieldElement",
@@ -361,6 +363,17 @@ class NumberField:
             e.append(sum((-1) ** i * x * y for i, (x, y) in enumerate(zip(reversed(e), s))) // k)
         return powers[:d], e
 
+    def _abs_norm_int(self, num: Sequence[int]) -> int:
+        """|N(num)| for an integer vector num.  Up to degree 2 this is the
+        norm form: |p| over Q, |p^2 + e p q - f q^2| for the basis {1, w}
+        with w^2 = e w + f; above that the last _charpoly coefficient."""
+        if self.degree == 1:
+            return abs(num[0])
+        if self.degree == 2:
+            p, q = num
+            return abs(p * p - self.min_poly[1] * p * q + self.min_poly[0] * q * q)
+        return abs(self._charpoly(num)[1][-1])
+
     def _inverse(self, x: FieldElement) -> FieldElement:
         """x^-1 by Cayley-Hamilton on the numerator a = den * x:
         a * sum_{k<d} (-1)^k e_k a^(d-1-k) = (-1)^(d+1) e_d."""
@@ -508,10 +521,8 @@ def cyclotomic_field(n: int) -> NumberField:
 _DESCRIPTOR_RE = re.compile(r"\s*Q(?:\(\s*(sqrt|zeta)\s*,\s*(-?\d+)\s*\))?\s*$")
 
 
-def make_field(descriptor: str | NumberField) -> NumberField:
+def make_field(descriptor: str) -> NumberField:
     """Build a field from the descriptor grammar "Q", "Q(sqrt,D)", "Q(zeta,n)"."""
-    if isinstance(descriptor, NumberField):
-        return descriptor
     m = _DESCRIPTOR_RE.match(descriptor)
     if not m:
         raise ValueError(f"unrecognized field descriptor: {descriptor!r}")
@@ -677,10 +688,10 @@ def _embed_rows(F: NumberField, rows: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def abs_norm(F: NumberField, x: FieldElement) -> Fraction:
-    """|N(x)| as an exact rational: |e_d| / den^d, with e_d = N(den * x) the
-    last coefficient of the characteristic polynomial of the numerator."""
+    """|N(x)| as an exact rational: |N(den * x)| / den^d, the integer norm
+    of the numerator from F._abs_norm_int."""
     x = F.coerce(x)
-    return Fraction(abs(F._charpoly(x.num)[1][-1]), x.den**F.degree)
+    return Fraction(F._abs_norm_int(x.num), x.den**F.degree)
 
 
 def trace_pairing_exact(F: NumberField, x: FieldElement, y: FieldElement) -> Fraction:
@@ -738,23 +749,18 @@ def row_reduce(rows: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement
     return mat[:rank]
 
 
-def frak_D(F: NumberField, D) -> int:
+def frak_D(F: NumberField, D: RredMatrix) -> int:
     """Index of {C in O_K^(1 x m) : C D is integral} inside O_K^(1 x m).
 
     Computed exactly as an index of (d*m)-dimensional ZZ-lattices: the
     integrality constraints from the non-integral columns are reduced
     modulo their common denominator q and the image size is read off an
     integer lattice index.  Equals 1 when all entries are integral.
-    D is an RredMatrix, whose constructor proved full rank from its
-    pivots, or a plain list of rows, which is row-reduced to check it.
+    D is an RredMatrix, whose constructor proved full rank from its pivots.
     """
-    rows = [[F.coerce(e) for e in r] for r in getattr(D, "rows", D)]
-    if not rows:
-        raise ValueError("empty matrix")
+    rows = [[F.coerce(e) for e in r] for r in D.rows]
     m = len(rows)
     n = len(rows[0])
-    if not hasattr(D, "pivot_columns") and len(row_reduce(rows)) < m:
-        raise ValueError("matrix must have full row rank")
     d = F.degree
     cols = [j for j in range(n) if not all(rows[i][j].is_integral for i in range(m))]
     if not cols:

@@ -272,24 +272,15 @@ def _dirichlet_ratio(w: tuple[float, ...], a: tuple[float, ...]) -> float:
     return total
 
 
-def _norm_form(F: NumberField, num: tuple[int, ...]) -> int:
-    # N(num) as an integer form: |p| over Q; p^2 + e p q - f q^2 for the
-    # basis {1, w} with w^2 = e w + f, positive on an imaginary quadratic field
-    if F.degree == 1:
-        return abs(num[0])
-    p, q = num
-    return p * p - F.min_poly[1] * p * q + F.min_poly[0] * q * q
-
-
 def _dirichlet_value(F: NumberField, t: int, num: tuple[int, ...], den: int, conj,
                      norm: int | None = None) -> float:
     # dirichlet_intersection at alpha = num/den, reduced and nonzero; conj
     # holds the embedding values of alpha and is read only on two or three
-    # places, norm (if the caller has it) is _norm_form(F, num)
+    # places, norm (if the caller has it) is F._abs_norm_int(num)
     places = F.places
     if len(places) == 1:
         if norm is None:
-            norm = _norm_form(F, num)
+            norm = F._abs_norm_int(num)
         return min(1.0, den**F.degree / norm) ** t
     w = tuple(float(abs(conj[row])) ** 2 for row, _ in places)
     return _dirichlet_ratio(w, tuple(t * e / 2.0 for _, e in places))
@@ -307,7 +298,7 @@ def dirichlet_intersection(F: NumberField, t: int, alpha: FieldElement) -> float
     alpha = F.coerce(alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    if t < 2:
+    if not t >= 2:
         raise ValueError("need t >= 2")
     if len(F.places) > 3:
         raise ValueError("more than three archimedean places: use mc_intersection_ratio instead")
@@ -371,7 +362,7 @@ def truncated_second_moment_rhs(
     total = 0.0
     skipped = 0
     for (num, c), conj in zip(elems, conjs):
-        norm = _norm_form(F, num)
+        norm = F._abs_norm_int(num)
         w = float(c**d // math.gcd(c, norm)) ** -t
         if w * (1.0 + 2.0**-40) < math.ulp(total) / 2:
             skipped += 1
@@ -499,7 +490,7 @@ def unit_enumeration_check(F: NumberField, B: float) -> tuple[int, float]:
     """
     if F.kind != "quadratic" or F.unit_rank != 1:
         raise ValueError("exhaustive unit census needs a real quadratic field")
-    if B < 0:
+    if not B >= 0:
         raise ValueError("need B >= 0")
     eps = fundamental_unit(F)
     h_eps = weil_height(F, eps)
@@ -569,7 +560,7 @@ def lower_bound_sum_check(
     its element's height and its ratio.  Needs t >= 2 and
     cutoff >= 1.  Returns counts, the minimum margin, and both sums.
     """
-    if t < 2:
+    if not t >= 2:
         raise ValueError("need t >= 2")
     if cutoff < 1:
         raise ValueError("need cutoff >= 1")
@@ -580,20 +571,21 @@ def lower_bound_sum_check(
         eps = fundamental_unit(F)
         powers = [0] + [s * k for k in range(1, cutoff + 1) for s in (1, -1)]
         units = [tor * eps**k for tor in enumerate_torsion(F) for k in powers]
-        elems = [(u.num, u.den, denominator_norm(F, [u])) for u in units]
+        elems = [(u.num, u.den, denominator_norm(F, [u]), None) for u in units]
     elif family == "all":
-        elems = [(num, c, c**d // math.gcd(c, _norm_form(F, num)))
-                 for num, c in _bounded_denominator_elements(F, cutoff)]
+        elems = [(num, c, c**d // math.gcd(c, norm), norm)
+                 for num, c in _bounded_denominator_elements(F, cutoff)
+                 for norm in (F._abs_norm_int(num),)]
     else:
         raise ValueError("family is 'units' or 'all'")
-    conjs = _embed_rows(F, [[x / den for x in num] for num, den, _ in elems])
-    heights = _heights_from_conjugates(F, conjs, [D for _, _, D in elems])
+    conjs = _embed_rows(F, [[x / den for x in num] for num, den, _, _ in elems])
+    heights = _heights_from_conjugates(F, conjs, [D for _, _, D, _ in elems])
     min_margin = math.inf
     sum_lhs = 0.0
     sum_rhs = 0.0
-    for (num, den, D), conj, h in zip(elems, conjs, heights):
+    for (num, den, D, norm), conj, h in zip(elems, conjs, heights):
         lhs = math.exp(-t * d * h)
-        rhs = float(D) ** (-float(t)) * _dirichlet_value(F, t, num, den, conj)
+        rhs = float(D) ** (-float(t)) * _dirichlet_value(F, t, num, den, conj, norm)
         if lhs > rhs * (1.0 + 1e-9):
             raise AssertionError(
                 f"termwise inequality fails at {FieldElement(F, num, den)}: {lhs} > {rhs}"

@@ -47,7 +47,6 @@ from latmoment.oracle import (
     _dirichlet_value,
     _hit_rate,
     _mc_inputs,
-    _norm_form,
     _place_blocks,
 )
 
@@ -352,7 +351,7 @@ def truncated_partial_sum(F: NumberField, t: int, cutoff: int) -> float:
     total = 0.0
     for num, c in _bounded_denominator_elements(F, cutoff):
         conj = None if embed is None else embed @ [x / c for x in num]
-        D = c**d // math.gcd(c, _norm_form(F, num))
+        D = c**d // math.gcd(c, F._abs_norm_int(num))
         total += float(D) ** -t * _dirichlet_value(F, t, num, c, conj)
     return total
 
@@ -386,7 +385,7 @@ def lower_bound_terms(F: NumberField, t: int, elems) -> dict:
 def box_elements(F: NumberField, cutoff: int) -> list[tuple[tuple[int, ...], int, int]]:
     """The (num, den, D) triples of the bounded denominator box."""
     d = F.degree
-    return [(num, c, c**d // math.gcd(c, _norm_form(F, num)))
+    return [(num, c, c**d // math.gcd(c, F._abs_norm_int(num)))
             for num, c in _bounded_denominator_elements(F, cutoff)]
 
 
@@ -394,15 +393,13 @@ def box_elements(F: NumberField, cutoff: int) -> list[tuple[tuple[int, ...], int
 # splitting parameter scan
 
 
-def best_k_scan(
-    M: int, hyp: HeightHypothesis, rank_ratio: float = 0.5, shifted: bool = False
-) -> tuple[int, float]:
+def best_k_scan(M: int, hyp: HeightHypothesis, rank_ratio: float = 0.5) -> tuple[int, float]:
     """best_k_threshold one k at a time: k = 2, 3, ... keeping strict
     improvements, until the counting entry k M + 1/2 passes the best."""
     best_k, best = 2, math.inf
     k = 2
     while k * M + 0.5 < best:
-        t0 = t0_threshold(M, k, hyp, rank_ratio, shifted)
+        t0 = t0_threshold(M, k, hyp, rank_ratio)
         if t0 < best:
             best, best_k = t0, k
         k += 1

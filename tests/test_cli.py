@@ -573,7 +573,9 @@ _PENDING = {
 }
 
 
-def test_every_public_name_is_reached():
+def _caller_trees():
+    # the files whose uses count as callers: the package, the benchmark, the
+    # tools and the acceptance criteria, never the unit tests
     import ast
 
     root = Path(__file__).resolve().parents[1]
@@ -581,12 +583,50 @@ def test_every_public_name_is_reached():
              *sorted((root / "perfbench").glob("*.py")),
              *sorted((root / "tools").glob("*.py")),
              root / "tests" / "test_acceptance.py"]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in files]
+
+
+def test_every_public_name_is_reached():
+    import ast
+
     used = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     unreached = {name for name in latmoment.__all__ if name not in used}
     assert unreached == _PENDING
+
+
+def test_every_optional_parameter_is_passed():
+    # every defaulted parameter of a public function or class is passed, by
+    # keyword or by position, somewhere a caller lives; functools.partial(f,
+    # ...) passes f's parameters with the positions shifted by one
+    import ast
+    import inspect
+
+    passed: dict[str, set] = {}
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "partial" and args:
+                func, args = args[0], args[1:]
+                name = getattr(func, "id", getattr(func, "attr", None))
+            slots = passed.setdefault(name, set())
+            slots.update(kw.arg for kw in node.keywords)
+            slots.update(range(len(args)))
+    unpassed = set()
+    for name in latmoment.__all__:
+        obj = getattr(latmoment, name)
+        if not callable(obj):
+            continue
+        params = list(inspect.signature(obj).parameters.values())
+        for i, prm in enumerate(params):
+            if prm.default is not prm.empty and not {i, prm.name} & passed.get(name, set()):
+                unpassed.add(f"{name}.{prm.name}")
+    assert unpassed == set()

@@ -97,6 +97,13 @@ def test_poisson_moments_reject_a_rate_that_is_not_finite(lam):
     assert poisson_moment(2, big) == big * big + big
 
 
+def test_poisson_series_rejects_a_rate_beyond_its_term_cap():
+    # the stop rule needs r > 2 (lam + n), which the 10^5-term cap never
+    # reaches here: the sum would end early and return 0.0
+    with pytest.raises(ValueError, match="series stops"):
+        poisson_moment_series(1, 2e5)
+
+
 def test_touchard_vs_series():
     for n in range(1, 9):
         for x in [0.0, 0.3, 1.0, 2.7, 10.0]:

@@ -349,6 +349,9 @@ def test_dirichlet_preconditions():
         dirichlet_intersection(Q, 1, Q.one)
     with pytest.raises(ValueError):
         dirichlet_intersection(Q, 4, Q.zero)
+    # a bare "t < 2" lets nan through, and the ratio comes out nan
+    with pytest.raises(ValueError, match="t >= 2"):
+        dirichlet_intersection(QI, math.nan, QI.gen + QI.one)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +526,9 @@ def test_lower_bound_family_errors():
         lower_bound_sum_check(Q, 6, 5, family="nope")
     with pytest.raises(ValueError):
         lower_bound_sum_check(QI, 4, 5, family="units")
+    # with t = nan every term compares false, so the check would read as a pass
+    with pytest.raises(ValueError, match="t >= 2"):
+        lower_bound_sum_check(QI, math.nan, 2)
     # an empty walk would pass vacuously
     for F, family in ((Q, "all"), (Q2, "units")):
         for cutoff in (0, -3):

@@ -22,7 +22,9 @@ the per-layer metrics, to show where a change's time goes.  Each side also
 gets the median duration of every operation kind, pooled over its runs
 from perfbench/out/<workload>-seed<seed>-trace0.json: the labels with
 digits collapsed to '#', each duration divided by its run's operation
-speed factor, so the file shows which operations moved the tail.
+speed factor, so the file shows which operations moved the tail.  The
+same medians of the raw durations, with no speed factor, sit beside them
+(op_kind_median_ms_raw), to tell a moved operation from a moved factor.
 
 Tier-1 runs TIER1_RUNS (3) times per side, alternating, with
 `pytest --durations=0`; the file records the wall time of each run, their
@@ -71,15 +73,15 @@ def bench_run(root: Path, workload: str, seed: int, seconds: int, env: dict,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def op_durations(root: Path, workload: str, seed: int) -> dict[str, list[float]]:
-    """A run's calibrated operation durations in ms, by operation kind."""
+def op_durations(root: Path, workload: str, seed: int) -> tuple[dict[str, list[float]], float]:
+    """A run's raw operation durations in ms, by operation kind, and its
+    operation speed factor."""
     record = json.loads((root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
     worker = record["worker"]
-    op_speed = worker["speed_factors"][0]
     out: dict[str, list[float]] = {}
     for label, ns in zip(worker["labels"], worker["durations_ns"]):
-        out.setdefault(DIGITS.sub("#", label), []).append(ns / 1e6 / op_speed)
-    return out
+        out.setdefault(DIGITS.sub("#", label), []).append(ns / 1e6)
+    return out, worker["speed_factors"][0]
 
 
 def spread(values: list[float]) -> dict:
@@ -113,19 +115,25 @@ def workload_pairs(roots: dict[str, Path], workload: str, seeds: list[int],
                    seconds: int, metrics: list[dict]) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     kinds: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    raw: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(bench_run(roots[side], workload, seed, seconds, dict(os.environ)))
-            for kind, ms in op_durations(roots[side], workload, seed).items():
-                kinds[side].setdefault(kind, []).extend(ms)
+            durations, op_speed = op_durations(roots[side], workload, seed)
+            for kind, ms in durations.items():
+                kinds[side].setdefault(kind, []).extend(x / op_speed for x in ms)
+                raw[side].setdefault(kind, []).extend(ms)
             r = runs[side][-1]
             print(f"{workload} seed {seed} {side}: failed {r['failed']}/{r['attempted']} "
                   + " ".join(f"{k}={v['value']:.5g}" for k, v in r["metrics"].items()),
                   file=sys.stderr)
+    def medians(by_side):
+        return {side: {kind: statistics.median(ms) for kind, ms in sorted(k.items())}
+                for side, k in by_side.items()}
+
     out = {"seeds": seeds, "pairs": len(seeds), "metrics": summarize(metrics, runs),
-           "op_kind_median_ms": {side: {kind: statistics.median(ms) for kind, ms in sorted(k.items())}
-                                 for side, k in kinds.items()}}
+           "op_kind_median_ms": medians(kinds), "op_kind_median_ms_raw": medians(raw)}
     for side in runs:
         out[f"{side}_attempted"] = runs[side][0]["attempted"]
         out[f"{side}_failed"] = [r["failed"] for r in runs[side]]
