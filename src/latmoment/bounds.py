@@ -35,11 +35,13 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pi,
+    mpf_sub,
     round_ceiling,
     round_floor,
     to_fixed,
+    to_float,
 )
-from mpmath.libmp.libmpi import mpi_cos_sin
+from mpmath.libmp.libmpi import mpi_add, mpi_cos_sin, mpi_div, mpi_exp, mpi_mul, mpi_pow, mpi_sub
 
 from .heights import h_infty
 from .moments import MomentReport, a1m_bound, main_term
@@ -364,6 +366,10 @@ _ONE = 1 << _FIX_BITS
 # logarithms, exponentials, cos and sin are enclosed at this many bits by
 # directed rounding in mpmath.libmp before they are rounded to that grid
 _EVAL_PREC = 160
+# e^(-s log p) is rounded down at this many bits and trusted to within
+# 2^-180 relative; the slack is 2^180 (1 + 2^-180) (see _inverse_powers)
+_EXP_PREC = 192
+_EXP_SLACK = (1 << 180) + 1
 # a tail below 2^-100 cannot move a float endpoint
 _CUTOFF_BITS = 100
 # L(s, chi) mod q sums n <= N q directly and the rest by Euler-Maclaurin
@@ -375,22 +381,26 @@ _EM_TERMS = 12
 _ZETA_CACHE_SIZE = 4096
 
 
-def _enclose(compute) -> tuple[float, float]:
-    """The iv interval compute() returns at 80 bits, as outward floats.
+def _outward(x: tuple) -> tuple[float, float]:
+    """The libmp interval x as outward floats: to_float rounds toward zero,
+    so one float further out contains each end, and the width is never 0."""
+    return math.nextafter(to_float(x[0]), -math.inf), math.nextafter(to_float(x[1]), math.inf)
 
-    float() of an endpoint lies within one float of it (mpmath rounds
-    toward zero), so moving it one float further out makes the pair
-    contain the interval, and its width is never 0; the caller's iv.prec
-    is restored.
-    """
+
+def _enclose(compute) -> tuple[float, float]:
+    """The iv interval compute() returns at 80 bits, as outward floats."""
     old_prec = iv.prec
     iv.prec = _ZETA_PREC
     try:
-        x = compute()
-        return (math.nextafter(float(x.a), -math.inf),
-                math.nextafter(float(x.b), math.inf))
+        return _outward(compute()._mpi_)
     finally:
         iv.prec = old_prec
+
+
+def _mpi(x: float) -> tuple:
+    # x as iv converts it at 80 bits (floats exactly)
+    conv = from_int if isinstance(x, int) else from_float
+    return conv(x, _ZETA_PREC, round_floor), conv(x, _ZETA_PREC, round_ceiling)
 
 
 def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
@@ -565,10 +575,13 @@ def _root_of_unity(x: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def _inverse_powers(s: float, size: int) -> tuple[list[int], list[int]]:
     """The lower and upper ends of n^-s for n = 0..size (entry 0 unused),
-    on the fixed-point grid: at each prime e^(-s log p) with the exponent
-    and the exponential rounded down for the lower end and up for the
-    upper, elsewhere the product of two smaller entries (a prime factor
-    p <= sqrt(n) comes from a sieve)."""
+    on the fixed-point grid.  At a prime, with s log p in [a_lo, a_hi] and
+    E = e^-a_hi rounded down at 192 bits (trusted to 2^-180 relative), the
+    ends are floor(2^128 E) and ceil(2^128 E (1 + 2^-180)(1 + 2 delta)), as
+    e^-a_lo = e^-a_hi e^delta <= e^-a_hi (1 + 2 delta) for the exact
+    delta = a_hi - a_lo <= 1 (larger only where p^-s < 2^-128 is below every
+    upper end).  Elsewhere the product of two smaller entries (a prime
+    factor p <= sqrt(n) comes from a sieve)."""
     factor = list(range(size + 1))
     for p in range(2, math.isqrt(size) + 1):
         if factor[p] == p:
@@ -580,12 +593,14 @@ def _inverse_powers(s: float, size: int) -> tuple[list[int], list[int]]:
         p = factor[n]
         if p == n:
             log_lo, log_hi = _log_bounds(p)
-            lo, hi = _fix_mpf(
-                mpf_exp(mpf_neg(mpf_mul(s, log_hi, prec, round_ceiling)), prec, round_floor),
-                mpf_exp(mpf_neg(mpf_mul(s, log_lo, prec, round_floor)), prec, round_ceiling),
-            )
-            low.append(lo)
-            high.append(hi)
+            a_hi = mpf_mul(s, log_hi, prec, round_ceiling)
+            _, dm, de, _ = mpf_sub(a_hi, mpf_mul(s, log_lo, prec, round_floor))
+            _, m, e, _ = E = mpf_exp(mpf_neg(a_hi), _EXP_PREC, round_floor)
+            # 2^128 E (1 + 2^-180)(1 + 2 dm 2^de) = num 2^(128 + e - 180 - g)
+            g = max(-de - 1, 0)
+            num = m * _EXP_SLACK * ((1 << g) + (dm << (de + 1 + g)))
+            low.append(to_fixed(E, _FIX_BITS))
+            high.append(-(-num >> (180 + g - e - _FIX_BITS)))
         else:
             low.append(low[p] * low[n // p] >> _FIX_BITS)
             high.append(-(-high[p] * high[n // p] >> _FIX_BITS))
@@ -713,8 +728,13 @@ def _dirichlet_product(characters, s_float: float) -> tuple[int, int]:
 @lru_cache(maxsize=_ZETA_CACHE_SIZE)
 def _zeta_endpoints(key: tuple[str, int], s: float) -> tuple[float, float]:
     # rounded as _enclose rounds: the largest float at or below each end,
-    # then one float further out, so the width is never 0
-    lo, hi = _dirichlet_product(_characters(key), s)
+    # then one float further out.  eps = 2^-s (1 + 2/(s - 1)) >= zeta(s) - 1
+    # and d <= 2 len(characters) give zeta_K(s) - 1 <= e^(d eps) - 1; when
+    # d eps < 2^-60 the upper end stays under 1 + 2^-52 and both round to 1
+    characters = _characters(key)
+    if 2 * len(characters) * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60:
+        return math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf)
+    lo, hi = _dirichlet_product(characters, s)
     return (math.nextafter(_fix_float_floor(lo), -math.inf),
             math.nextafter(_fix_float_floor(hi), math.inf))
 
@@ -772,17 +792,19 @@ def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
     first omitted term (all even derivatives of the summand are
     positive; Johansson, arXiv:1309.2877).  Past the cutoff X is the
     cutoff, and the tail is the interval [-T, T], T = X^(1-s)/(s-1)
-    <= 2^-100.  The powers n^-s are computed at primes, extended
-    multiplicatively and shared across the characters.
+    <= 2^-100.  The powers n^-s are computed at primes, by one exponential
+    each, extended multiplicatively and shared across the characters.
+    Where d 2^-s (1 + 2/(s - 1)) < 2^-60 bounds zeta_K(s) - 1, the
+    endpoints are the floats on either side of 1 and no sum is taken.
 
     Every quantity is a pair of Python integers at the fixed scale 2^-128,
     the lower end floored and the upper ceiled by every operation; p^-s,
-    cos and sin enter as 160-bit mpmath.libmp values under directed
-    rounding, so neither iv.prec nor mp.prec matters.  The float endpoints
-    are rounded outward, so the width is never 0; results are memoized per
-    (n, s).  Conductors 2 mod 4 normalize
-    to their odd part.  P must be at least 1 and changes nothing: it is kept
-    for the benchmark's call shape until the next benchmark change.
+    cos and sin enter as mpmath.libmp values under directed rounding, so
+    neither iv.prec nor mp.prec matters.  The float endpoints are rounded
+    outward, so the width is never 0; results are memoized per (n, s).
+    Conductors 2 mod 4 normalize to their odd part.  P must be at least 1
+    and changes nothing: it is kept for the benchmark's call shape until
+    the next benchmark change.
     """
     _check_pinned_P(P)
     return _zeta_interval(n, s)
@@ -817,6 +839,17 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _ratio_inputs(F: NumberField, t: int, alphas) -> list:
+    """The tuple of a volume-ratio bound coerced into F, once t >= 2 (not
+    nan) and every entry nonzero are checked."""
+    if not t >= 2:
+        raise ValueError("need t >= 2")
+    alphas = [F.coerce(a) for a in alphas]
+    if not alphas or any(not a for a in alphas):
+        raise ValueError("need a tuple of nonzero elements")
+    return alphas
+
+
 def ellipsoid_intersection_bound(F: NumberField, t: int, alphas) -> float:
     """Upper bound for vol(ellipsoid intersection)/vol(ball) by convex weights.
 
@@ -828,11 +861,7 @@ def ellipsoid_intersection_bound(F: NumberField, t: int, alphas) -> float:
     is a valid bound, so the minimum, rounded outward for float error, is
     sound regardless of optimizer quality.
     """
-    alphas = [F.coerce(a) for a in alphas]
-    if not alphas:
-        raise ValueError("need at least one nonzero element")
-    if any(not a for a in alphas):
-        raise ValueError("zero entry in tuple")
+    alphas = _ratio_inputs(F, t, alphas)
     import numpy as np
     places = F.places
     E = F.embed_matrix[[row for row, _ in places]]
@@ -873,9 +902,7 @@ def volume_ratio_height_bound(F: NumberField, t: int, alphas, k: int = 2) -> flo
     when the norm assumption fails the plain form
     ((H^(2/d) + M H^(-2/(dM)) N^(2/(dM)))/(M+1))^(-dt/2) applies instead.
     """
-    alphas = [F.coerce(a) for a in alphas]
-    if not alphas or any(not a for a in alphas):
-        raise ValueError("need a tuple of nonzero elements")
+    alphas = _ratio_inputs(F, t, alphas)
     if k < 2:
         raise ValueError("need k >= 2")
     d = F.degree
@@ -908,9 +935,7 @@ def column_height_ratio_bound(F: NumberField, t: int, alphas) -> float:
     all constraints except the chosen entries, which is what the pair-tail
     assembly consumes.  Coincides with the plain height form at M = 1.
     """
-    alphas = [F.coerce(a) for a in alphas]
-    if not alphas or any(not a for a in alphas):
-        raise ValueError("need a tuple of nonzero elements")
+    alphas = _ratio_inputs(F, t, alphas)
     d = F.degree
     m = len(alphas)
     half_dim = t * d / 2.0
@@ -953,19 +978,16 @@ def _composite_zeta(
 ) -> tuple[ZetaInterval, float, float]:
     """Product of zeta powers prod_i zeta_F(s_i)^{e_i} as one interval.
 
-    The powers (negative exponents divide) are composed in iv at 80 bits
-    from the factor intervals and the endpoints rounded outward, so the
-    result contains every product of values inside the factors.
+    The powers (negative exponents divide) are composed by the libmp
+    interval operations of iv at 80 bits and the endpoints rounded outward,
+    so the result contains every product of values inside the factors.
     """
-    zetas = [dedekind_zeta_field(F, s_i) for s_i, _ in parts]
-
-    def product():
-        out = iv.mpf(1)
-        for z, (_, e_i) in zip(zetas, parts):
-            out *= iv.mpf([z.value_low, z.value_high]) ** e_i
-        return out
-
-    lo, hi = _enclose(product)
+    out = _mpi(1)
+    for s_i, e_i in parts:
+        z = dedekind_zeta_field(F, s_i)
+        z = from_float(z.value_low), from_float(z.value_high)
+        out = mpi_mul(out, mpi_pow(z, _mpi(e_i), _ZETA_PREC), _ZETA_PREC)
+    lo, hi = _outward(out)
     zres = ZetaInterval(
         s=tuple(s_i for s_i, _ in parts),
         conductor=_zeta_key(F)[1],
@@ -1098,11 +1120,12 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float) -> dict:
     epsilon = 1/400, and C = (3 + 3/(1 - e^(-d(t - 267/10)/1124)))
     zeta(37t/52) zeta(t/25).  The scalar in front of the zeta product stays
     below 5625 and is reported as a float; C_low and C_high are the exact
-    scalar times the two zeta intervals, composed in iv at 80 bits and
-    rounded outward (the float scalar can sit 1e-13 off near t = 27, where
-    1 - e^(-x) cancels).  The general second-moment epsilon formula under
-    the family defaults evaluates to (1/2) log cosh(3 c1/4) ~ 0.0025253 >=
-    1/400, which is checked here before the rounded constants are returned.
+    scalar times the two zeta intervals, composed by the libmp interval
+    operations of iv at 80 bits and rounded outward (the float scalar can
+    sit 1e-13 off near t = 27, where 1 - e^(-x) cancels).  The general
+    second-moment epsilon formula under the family defaults evaluates to
+    (1/2) log cosh(3 c1/4) ~ 0.0025253 >= 1/400, which is checked here
+    before the rounded constants are returned.
     """
     if F.kind not in ("cyclotomic", "quadratic"):
         raise ValueError("cyclotomic-family constants need a degree >= 2 field")
@@ -1119,11 +1142,13 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float) -> dict:
     scalar = 3.0 + 3.0 / (1.0 - math.exp(-d * (t - t0) / 1124.0))
     z1 = dedekind_zeta_field(F, 37.0 * t / 52.0)
     z2 = dedekind_zeta_field(F, t / 25.0)
-    C_low, C_high = _enclose(
-        lambda: (3 + 3 / (1 - iv.exp(-d * (t - iv.mpf(267) / 10) / 1124)))
-        * iv.mpf([z1.value_low, z1.value_high])
-        * iv.mpf([z2.value_low, z2.value_high])
-    )
+    prec = _ZETA_PREC
+    x = mpi_mul(_mpi(-d), mpi_sub(_mpi(t), mpi_div(_mpi(267), _mpi(10), prec), prec), prec)
+    x = mpi_exp(mpi_div(x, _mpi(1124), prec), prec)
+    C = mpi_add(_mpi(3), mpi_div(_mpi(3), mpi_sub(_mpi(1), x, prec), prec), prec)
+    for z in (z1, z2):
+        C = mpi_mul(C, (from_float(z.value_low), from_float(z.value_high)), prec)
+    C_low, C_high = _outward(C)
     return {
         "t0": t0,
         "epsilon": 1.0 / 400.0,

@@ -8,7 +8,10 @@ L-functions, the Kronecker symbol, lattice indices modulo q) or bounds
 them (the column-form height bound), so agreement with these is
 evidence.  The box oracles' term-by-term loops and the one-k-at-a-time
 threshold scan are here too: the package skips terms and bisects, and
-must return the same floats.  pytest puts this directory on sys.path, so
+must return the same floats.  So are the zeta kernel's prime powers by
+two exponentials and the zeta compositions in mpmath.iv, which the
+package replaced by one exponential per prime and raw libmp intervals
+with equal results.  pytest puts this directory on sys.path, so
 the test modules import it as `reference`.
 """
 
@@ -23,14 +26,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from mpmath import iv
+from mpmath.libmp import from_float, mpf_exp, mpf_mul, mpf_neg, round_ceiling, round_floor
 
 from latmoment.bounds import (
+    _EVAL_PREC,
+    _FIX_BITS,
+    _ONE,
     HeightHypothesis,
     ZetaInterval,
     _enclose,
+    _fix_mpf,
+    _log_bounds,
     _precision_cutoff,
     _quadratic_splitting,
     _zeta_key,
+    dedekind_zeta_field,
     t0_threshold,
 )
 from latmoment.numberfield import (
@@ -130,6 +140,15 @@ def _splitting(key: tuple[str, int], p: int) -> tuple[int, int]:
     return _quadratic_splitting(param, p)
 
 
+@lru_cache(maxsize=32)
+def _prime_powers(s: float, Q: int) -> list:
+    """The 80-bit intervals p^-s for the primes p <= Q, shared by every
+    field's product at s; only _euler_interval's product calls it, inside
+    _enclose's precision."""
+    s_iv = iv.mpf(s)
+    return [iv.mpf(p) ** -s_iv for p in _primes_upto(Q)]
+
+
 @lru_cache(maxsize=_EULER_CACHE_SIZE)
 def _euler_interval(
     splitting: tuple[str, int],
@@ -156,9 +175,9 @@ def _euler_interval(
         one = iv.mpf(1)
         s_iv = iv.mpf(s)
         partial = one
-        for p in _primes_upto(Q):
+        for p, power in zip(_primes_upto(Q), _prime_powers(s, Q)):
             f, g = _splitting(splitting, p)
-            partial *= (one - iv.mpf(p) ** (-s_iv * f)) ** (-g)
+            partial *= (one - power**f) ** (-g)
         high = partial * (one + iv.mpf(Q) ** (one - s_iv) / (s_iv - one)) ** d
         return iv.mpf([partial.a, high.b])
 
@@ -404,3 +423,60 @@ def best_k_scan(M: int, hyp: HeightHypothesis, rank_ratio: float = 0.5) -> tuple
             best, best_k = t0, k
         k += 1
     return best_k, best
+
+
+# ---------------------------------------------------------------------------
+# zeta kernel routes the package replaced
+
+
+def inverse_powers_two_exps(s: float, size: int) -> tuple[list[int], list[int]]:
+    """bounds._inverse_powers with two exponentials per prime: e^(-s log p)
+    with the exponent and the exponential rounded down for the lower end
+    and up for the upper, both at 160 bits; elsewhere the product of two
+    smaller entries, split as the package splits them."""
+    factor = list(range(size + 1))
+    for p in range(2, math.isqrt(size) + 1):
+        if factor[p] == p:
+            factor[p * p::p] = [p] * len(range(p * p, size + 1, p))
+    s = from_float(s)
+    prec = _EVAL_PREC
+    low, high = [0, _ONE], [0, _ONE]
+    for n in range(2, size + 1):
+        p = factor[n]
+        if p == n:
+            log_lo, log_hi = _log_bounds(p)
+            lo, hi = _fix_mpf(
+                mpf_exp(mpf_neg(mpf_mul(s, log_hi, prec, round_ceiling)), prec, round_floor),
+                mpf_exp(mpf_neg(mpf_mul(s, log_lo, prec, round_floor)), prec, round_ceiling),
+            )
+            low.append(lo)
+            high.append(hi)
+        else:
+            low.append(low[p] * low[n // p] >> _FIX_BITS)
+            high.append(-(-high[p] * high[n // p] >> _FIX_BITS))
+    return low, high
+
+
+def composite_zeta_iv(F: NumberField, parts: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """The endpoints of bounds._composite_zeta, composed in mpmath.iv."""
+    zetas = [dedekind_zeta_field(F, s_i) for s_i, _ in parts]
+
+    def product():
+        out = iv.mpf(1)
+        for z, (_, e_i) in zip(zetas, parts):
+            out *= iv.mpf([z.value_low, z.value_high]) ** e_i
+        return out
+
+    return _enclose(product)
+
+
+def cyclotomic_constants_iv(
+    d: int, t: float, z1: ZetaInterval, z2: ZetaInterval
+) -> tuple[float, float]:
+    """C_low and C_high of bounds.cyclotomic_second_moment_constants at
+    degree d, composed in mpmath.iv from its two zeta intervals."""
+    return _enclose(
+        lambda: (3 + 3 / (1 - iv.exp(-d * (t - iv.mpf(267) / 10) / 1124)))
+        * iv.mpf([z1.value_low, z1.value_high])
+        * iv.mpf([z2.value_low, z2.value_high])
+    )

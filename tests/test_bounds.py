@@ -17,7 +17,9 @@ from latmoment.bounds import (
     _FIX_BITS,
     _ONE as _FIX_ONE,
     _ZETA_CACHE_SIZE,
+    _characters,
     _composite_zeta,
+    _dirichlet_product,
     _fix_float_floor,
     _fix_mul,
     _fix_ratio,
@@ -51,7 +53,10 @@ from reference import (
     _quadratic_ideal_counts,
     _splitting,
     best_k_scan,
+    composite_zeta_iv,
+    cyclotomic_constants_iv,
     euler_zeta,
+    inverse_powers_two_exps,
 )
 
 Q = make_field("Q")
@@ -576,6 +581,35 @@ def test_zeta_backend_prime_powers_enclose_50_digit_values():
                 assert low[n] <= exact <= high[n], (n, s)
 
 
+def test_one_exponential_per_prime_equals_the_two_exponential_route():
+    rng = np.random.default_rng(2801)
+    for s in ZETA_S + tuple(float(x) for x in rng.uniform(1, 120, 40)):
+        for size in (17, 136, 1000):
+            assert _inverse_powers(s, size) == inverse_powers_two_exps(s, size), (s, size)
+
+
+def _zeta_key_of(target):
+    return ("cyclotomic", target) if isinstance(target, int) else ("quadratic", target.disc)
+
+
+def test_zeta_endpoints_equal_the_rounded_product_across_the_skip():
+    # the skip bound d 2^-s (1 + 2/(s - 1)), d <= 2 len(characters),
+    # crosses 2^-60 inside [55, 80] for every key, so the grid has products
+    # that are taken and products that are skipped; from s = 40 up it also
+    # has endpoints above the floats beside 1, which a skip taken too early
+    # would miss
+    targets = list(ZETA_CONDUCTORS) + [make_field(f"Q(sqrt,{D})") for D in ZETA_QUADRATIC_D]
+    for key in map(_zeta_key_of, targets):
+        skipped = 0
+        for s in (40 + 0.25 * i for i in range(161)):
+            lo, hi = _dirichlet_product(_characters(key), s)
+            want = (math.nextafter(_fix_float_floor(lo), -math.inf),
+                    math.nextafter(_fix_float_floor(hi), math.inf))
+            assert _zeta_endpoints(key, s) == want, (key, s)
+            skipped += 2 * len(_characters(key)) * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60
+        assert 0 < skipped < 101, key
+
+
 def _characters_by_search(n):
     # every character mod n as {unit: k}, chi(unit) = e^(2 pi i k/m), found
     # by trying all values on a greedy generating set and keeping the ones
@@ -690,6 +724,17 @@ def test_composed_zeta_factors_round_outward():
             want_lo, want_hi = _factor_products(factors)
             assert lo <= want_lo and want_hi <= hi, (F.descriptor, t)
             assert (z.value_low, z.value_high) == (lo, hi)
+
+
+def test_composed_zeta_factors_equal_the_iv_route():
+    for F in (Q, QI, Q5, Z5, make_field("Q(zeta,7)")):
+        for t in range(27, 67, 2):
+            parts = [(t * 0.5, 1.0), (t / 9.0, 2.25), (0.75 * t, -1.0), (t / 13.0, 3.0)]
+            assert _composite_zeta(F, parts)[1:] == composite_zeta_iv(F, parts), (F, t)
+            if F.degree >= 2:
+                c = cyclotomic_second_moment_constants(F, float(t))
+                want = cyclotomic_constants_iv(F.degree, float(t), c["zeta1"], c["zeta2"])
+                assert (c["C_low"], c["C_high"]) == want, (F.descriptor, t)
 
 
 @pytest.mark.parametrize("desc,conductor", [
@@ -819,6 +864,13 @@ def test_ellipsoid_errors():
         ellipsoid_intersection_bound(Q, 4, (0, 2))
 
 
+@pytest.mark.parametrize("t", [math.nan, 1])
+def test_ellipsoid_rejects_t_below_2(t):
+    # nan used to raise IndexError from the simplex projection
+    with pytest.raises(ValueError, match="need t >= 2"):
+        ellipsoid_intersection_bound(QI, t, (QI.element((1, 1)),))
+
+
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_simplex_projection_lands_on_simplex(v):
@@ -887,6 +939,13 @@ def test_volume_ratio_errors():
         volume_ratio_height_bound(Q, 4, (Q.one,), k=1)
 
 
+@pytest.mark.parametrize("t", [math.nan, 1])
+def test_volume_ratio_rejects_t_below_2(t):
+    # nan used to return a nan bound
+    with pytest.raises(ValueError, match="need t >= 2"):
+        volume_ratio_height_bound(QI, t, (QI.element((1, 1)),))
+
+
 def test_column_form_matches_plain_form_at_single_entry():
     # at M=1 the gamma-ratio prefactor is 1 and the two displays coincide:
     # 0.16 is the plain form at 2, which volume_ratio_height_bound takes as
@@ -922,6 +981,13 @@ def test_column_form_errors():
         column_height_ratio_bound(Q, 4, (Q.zero,))
     with pytest.raises(ValueError):
         column_height_ratio_bound(Q, 4, ())
+
+
+@pytest.mark.parametrize("t", [math.nan, 1])
+def test_column_form_rejects_t_below_2(t):
+    # nan used to return a nan bound
+    with pytest.raises(ValueError, match="need t >= 2"):
+        column_height_ratio_bound(QI, t, (QI.element((1, 1)),))
 
 
 # ---------------------------------------------------------------------------
