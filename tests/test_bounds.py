@@ -26,6 +26,7 @@ from latmoment.bounds import (
     _inverse_powers,
     _simplex_project,
     _zeta_endpoints,
+    _zeta_key,
     a2m_bound,
     alpha_M,
     best_k_threshold,
@@ -588,10 +589,6 @@ def test_one_exponential_per_prime_equals_the_two_exponential_route():
             assert _inverse_powers(s, size) == inverse_powers_two_exps(s, size), (s, size)
 
 
-def _zeta_key_of(target):
-    return ("cyclotomic", target) if isinstance(target, int) else ("quadratic", target.disc)
-
-
 def test_zeta_endpoints_equal_the_rounded_product_across_the_skip():
     # the skip bound d 2^-s (1 + 2/(s - 1)), d <= 2 len(characters),
     # crosses 2^-60 inside [55, 80] for every key, so the grid has products
@@ -599,7 +596,7 @@ def test_zeta_endpoints_equal_the_rounded_product_across_the_skip():
     # has endpoints above the floats beside 1, which a skip taken too early
     # would miss
     targets = list(ZETA_CONDUCTORS) + [make_field(f"Q(sqrt,{D})") for D in ZETA_QUADRATIC_D]
-    for key in map(_zeta_key_of, targets):
+    for key, _ in map(_zeta_key, targets):
         skipped = 0
         for s in (40 + 0.25 * i for i in range(161)):
             lo, hi = _dirichlet_product(_characters(key), s)
