@@ -376,8 +376,9 @@ _CUTOFF_BITS = 100
 # with 12 terms: at N = 16 the first omitted term is below 1e-26 near s = 1
 _EM_SHIFT = 16
 _EM_TERMS = 12
-# the memo holds one endpoint pair per (field, s); a bound assembly requests
-# a handful, a sweep over t a few thousand
+# the memo holds one endpoint pair per (field, s), and the composition memo
+# one product per tuple of factor endpoints; a bound assembly requests a
+# handful, a sweep over t a few thousand
 _ZETA_CACHE_SIZE = 4096
 
 
@@ -973,6 +974,17 @@ def unit_count_bound(F: NumberField, hyp: HeightHypothesis, B: float) -> float:
 # ideal sums
 
 
+@lru_cache(maxsize=_ZETA_CACHE_SIZE)
+def _zeta_power_product(factors: tuple[tuple[float, float, float], ...]) -> tuple[float, float]:
+    # prod [low, high]^e by the libmp interval operations of iv at 80 bits,
+    # rounded outward; the key is every input the product reads
+    out = _mpi(1)
+    for low, high, e in factors:
+        z = from_float(low), from_float(high)
+        out = mpi_mul(out, mpi_pow(z, _mpi(e), _ZETA_PREC), _ZETA_PREC)
+    return _outward(out)
+
+
 def _composite_zeta(
     F: NumberField, parts: Sequence[tuple[float, float]]
 ) -> tuple[ZetaInterval, float, float]:
@@ -981,13 +993,20 @@ def _composite_zeta(
     The powers (negative exponents divide) are composed by the libmp
     interval operations of iv at 80 bits and the endpoints rounded outward,
     so the result contains every product of values inside the factors.
+
+    The composition is memoized (up to _ZETA_CACHE_SIZE entries) by the
+    tuple ((value_low, value_high, e_i), ...) of the factor endpoints and
+    exponents.  That tuple is all the composition reads, at a fixed
+    precision, so a hit returns the floats a fresh composition would; no
+    field, t or s enters the key, and calls whose factors match share an
+    entry (above the zeta cutoff every factor is the floats beside 1).
+    An exponent given as an int and as the equal float compose alike.
     """
-    out = _mpi(1)
+    factors = []
     for s_i, e_i in parts:
         z = dedekind_zeta_field(F, s_i)
-        z = from_float(z.value_low), from_float(z.value_high)
-        out = mpi_mul(out, mpi_pow(z, _mpi(e_i), _ZETA_PREC), _ZETA_PREC)
-    lo, hi = _outward(out)
+        factors.append((z.value_low, z.value_high, e_i))
+    lo, hi = _zeta_power_product(tuple(factors))
     zres = ZetaInterval(
         s=tuple(s_i for s_i, _ in parts),
         conductor=_zeta_key(F)[1],
@@ -1051,6 +1070,18 @@ def ideal_sum_bound(
 # second moment
 
 
+def _finite_float(x, what: str) -> float:
+    """x as a float, or ValueError when that is not finite: a bracket whose
+    main term or endpoint overflows a float has nothing to report."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the {what} is not a finite float")
+    return value
+
+
 def second_moment_bounds(
     F: NumberField,
     hyp: HeightHypothesis,
@@ -1095,12 +1126,13 @@ def second_moment_bounds(
     )
     omega = F.omega_K
     lower = V * V + omega * V
+    main = _finite_float(lower, "main term")
     err = omega * omega * C * z_hi * math.exp(-eps * d * (t - t0)) * V
     return MomentReport(
         main_term=lower,
         lower=lower,
-        upper=lower + err,
-        components={"main": float(lower), "unit_ideal_tail": err},
+        upper=_finite_float(lower + err, "upper endpoint"),
+        components={"main": main, "unit_ideal_tail": err},
         constants={
             "t0": t0,
             "t0_effective": t0_eff,
@@ -1352,9 +1384,9 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
     if not t > t0_eff:
         raise ThresholdError(t0_eff)
 
-    main = main_term(q)
+    main = _finite_float(main_term(q), "main term")
     poly = (t * d) ** ((n - 2) / 2.0) * (V + 1.0) ** (n - 1)
-    components: dict[str, float] = {"main": float(main)}
+    components: dict[str, float] = {"main": main}
     components["torsion_tail"] = a1m_bound(F, n, q.t)
     components["rank_one_tail"] = ideal_sum_bound(F, hyp, t, n - 1, k).bound_value
     for m in range(2, n):
@@ -1399,9 +1431,9 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
             * z_hi
         )
     return MomentReport(
-        main_term=float(main),
-        lower=float(main),
-        upper=float(main) + err,
+        main_term=main,
+        lower=main,
+        upper=_finite_float(main + err, "upper endpoint"),
         components=components,
         constants=constants,
     )

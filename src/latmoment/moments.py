@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from mpmath import mp
 
@@ -37,6 +37,7 @@ __all__ = [
 
 _SERIES_TOL = 1e-12  # absolute truncation error of poisson_moment_series
 _SERIES_TERMS = 100000  # poisson_moment_series sums at most this many terms
+_MAIN_TERM_CACHE_SIZE = 1024  # main terms memoized by (omega, n, V)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +162,20 @@ def main_term(q: MomentQuery):
     """Poisson main term of the n-th moment: omega^n m_n(V / omega).
 
     Returns a Fraction for rational V, a float otherwise.
+
+    Memoized (up to _MAIN_TERM_CACHE_SIZE entries) by (omega_K, n, V) with
+    the type of V in the key: the value reads nothing else of the query,
+    so a hit returns what a fresh evaluation would.  The type must be part
+    of the key because Fraction(5, 2) == 2.5 with equal hashes, and the
+    first gives a Fraction, the second a float.
     """
-    w = q.field.omega_K
-    V = Fraction(q.V) if isinstance(q.V, (int, Fraction)) else float(q.V)
-    return w**q.n * poisson_moment(q.n, V / w)
+    return _main_term(q.field.omega_K, q.n, q.V)
+
+
+@lru_cache(maxsize=_MAIN_TERM_CACHE_SIZE, typed=True)
+def _main_term(w: int, n: int, V):
+    V = Fraction(V) if isinstance(V, (int, Fraction)) else float(V)
+    return w**n * poisson_moment(n, V / w)
 
 
 # ---------------------------------------------------------------------------

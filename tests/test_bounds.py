@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -27,6 +28,7 @@ from latmoment.bounds import (
     _simplex_project,
     _zeta_endpoints,
     _zeta_key,
+    _zeta_power_product,
     a2m_bound,
     alpha_M,
     best_k_threshold,
@@ -45,6 +47,7 @@ from latmoment.bounds import (
     volume_ratio_height_bound,
     voutier_hypothesis,
 )
+from latmoment import bounds as bounds_module, moments as moments_module
 from latmoment.moments import MomentQuery
 from latmoment.numberfield import abs_norm, cyclotomic_field, fundamental_unit, make_field
 from latmoment.heights import weil_height
@@ -743,6 +746,66 @@ def test_composed_zeta_reports_the_factor_conductor(desc, conductor):
     assert z.conductor == dedekind_zeta_field(F, 2.0).conductor == conductor
 
 
+# the eight fields of the benchmark's bracket sweep, and one of degree 46
+MEMO_FIELDS = ("Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,2)", "Q(sqrt,5)",
+               "Q(zeta,5)", "Q(zeta,7)", "Q(zeta,8)", "Q(zeta,47)")
+
+
+def _clear_memos():
+    for module in (bounds_module, moments_module):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+
+
+def _memo_sweep_calls(F, n: int, t: int, V) -> list:
+    hyp = default_hypothesis(F)
+    calls = [partial(moment_bounds, MomentQuery(F, t, n, V), hyp),
+             partial(second_moment_bounds, F, hyp, float(t), V)]
+    if n >= 3:
+        calls.append(partial(ideal_sum_bound, F, hyp, float(t), n - 1, 4))
+    calls.extend(partial(a2m_bound, F, hyp, float(t), n, m) for m in range(2, n))
+    return calls
+
+
+def test_memoized_reports_equal_reports_from_cleared_memos():
+    # from the threshold, where the zeta factors are wide, to t = 5000,
+    # where each rounds to the floats beside 1
+    _clear_memos()
+    calls = []
+    for desc in MEMO_FIELDS:
+        F = make_field(desc)
+        for n in (2, 3, 4):
+            with pytest.raises(ThresholdError) as exc:
+                moment_bounds(MomentQuery(F, n + 1, n, 1), default_hypothesis(F))
+            t_min = math.floor(exc.value.t0) + 1
+            for t in sorted({t_min, t_min + 37, max(t_min, 5000)}):
+                for V in (1, 4, Fraction(5, 2)):
+                    calls.extend(_memo_sweep_calls(F, n, t, V))
+    warm = [call() for call in calls]
+    assert _zeta_power_product.cache_info().hits > 0
+    assert moments_module._main_term.cache_info().hits > 0
+    for call, report in zip(calls, warm):
+        _clear_memos()
+        assert call() == report, call
+
+
+def test_composition_memo_is_shared_across_t():
+    hyp = default_hypothesis(Z5)
+    _zeta_power_product.cache_clear()
+    moment_bounds(MomentQuery(Z5, 4000, 3, 1), hyp)
+    before = _zeta_power_product.cache_info()
+    rep = moment_bounds(MomentQuery(Z5, 6000, 3, 4), hyp)
+    after = _zeta_power_product.cache_info()
+    beside_1 = (math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf))
+    assert (dedekind_zeta_field(Z5, 6000 / 9).value_low,
+            dedekind_zeta_field(Z5, 6000 / 9).value_high) == beside_1
+    assert rep.constants["zeta_high"] > 1
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    assert after.maxsize == _ZETA_CACHE_SIZE
+
+
 def test_fields_and_zeta_share_the_conductor_rule():
     for n in range(1, 41):
         assert dedekind_zeta(n, 2.0).conductor == (cyclotomic_field(n).conductor or 1), n
@@ -1117,6 +1180,31 @@ def test_second_moment_rejects_a_volume_that_is_not_finite(V):
     # an infinite V once gave the bracket [inf, inf]
     with pytest.raises(ValueError, match="finite"):
         second_moment_bounds(Q, default_hypothesis(Q), 20.0, V)
+
+
+@pytest.mark.parametrize("n,V", [
+    (2, 1e156), (2, Fraction(10) ** 156), (2, 1e300),
+    (3, 1e104), (3, Fraction(10) ** 104), (3, 1e156), (3, Fraction(10) ** 156),
+])
+def test_brackets_reject_a_main_term_past_the_float_range(n, V):
+    # n = 3 once returned upper = inf from V = 1e104 and raised
+    # OverflowError from 1e156; n = 2 returned inf from 1e156
+    hyp = default_hypothesis(Z5)
+    with pytest.raises(ValueError, match="main term is not a finite float") as exc:
+        moment_bounds(MomentQuery(Z5, 4000, n, V), hyp)
+    assert not isinstance(exc.value, ThresholdError)
+    if n == 2:
+        with pytest.raises(ValueError, match="main term is not a finite float"):
+            second_moment_bounds(Z5, hyp, 4000.0, V)
+
+
+def test_moment_bounds_rejects_an_upper_endpoint_past_the_float_range():
+    # a finite main term with an error term that overflows
+    hyp = default_hypothesis(Z5)
+    q = MomentQuery(Z5, 1809, 3, 1)
+    assert math.isfinite(moment_bounds(q, hyp, {"C": 1e300}).upper)
+    with pytest.raises(ValueError, match="upper endpoint is not a finite float"):
+        moment_bounds(q, hyp, {"C": 1e304})
 
 
 # ---------------------------------------------------------------------------

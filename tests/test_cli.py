@@ -183,6 +183,18 @@ def test_rate_or_volume_that_is_not_finite_exits_2(runner, args):
     assert "finite" in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["moment-bounds", "Q(zeta,5)", "--t", "4000", "--n", "3", "--volume", "1e150"],
+    ["second-moment", "Q(zeta,5)", "--t", "4000", "--volume", "1e300"],
+])
+def test_volume_with_a_main_term_past_the_float_range_exits_2(runner, args):
+    # both once exited 1 with an OverflowError traceback
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "invalid configuration: the main term is not a finite float" in r.stderr
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_t0_table_rank_ratio_that_is_not_finite_exits_2(runner, value):
     r = runner.invoke(main, ["t0-table", "--rank-ratio", value])

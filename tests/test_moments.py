@@ -10,6 +10,7 @@ import latmoment as lm
 from latmoment.moments import (
     MomentQuery,
     MomentReport,
+    _main_term,
     a1m_bound,
     ball_volume,
     main_term,
@@ -172,6 +173,24 @@ def test_main_term_matches_stirling_sum(desc):
             assert main_term(MomentQuery(F, 9, n, V)) == expansion
         expansion = sum(stirling2(n, m) * w ** (n - m) * 2.5**m for m in range(1, n + 1))
         assert main_term(MomentQuery(F, 9, n, 2.5)) == pytest.approx(expansion, rel=1e-12)
+
+
+def test_main_term_memo_keeps_the_type_of_V():
+    # Fraction(5, 2) == 2.5 and 1 == 1.0 with equal hashes, but rational V
+    # gives a Fraction and float V a float, whichever the memo saw first
+    F = lm.make_field("Q(zeta,5)")
+    w = F.omega_K
+    pairs = []
+    for rational, real in ((Fraction(5, 2), 2.5), (1, 1.0)):
+        exact = sum(stirling2(3, m) * w ** (3 - m) * Fraction(rational) ** m for m in range(1, 4))
+        pairs.append([(rational, Fraction, exact),
+                      (real, float, w**3 * poisson_moment(3, real / w))])
+    for reverse in (False, True):
+        _main_term.cache_clear()
+        for pair in pairs:
+            for V, kind, value in pair[::-1] if reverse else pair:
+                out = main_term(MomentQuery(F, 9, 3, V))
+                assert type(out) is kind and out == value, (reverse, V)
 
 
 @pytest.mark.parametrize("desc", ["Q", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(zeta,5)"])
