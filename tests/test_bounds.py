@@ -797,9 +797,9 @@ def test_composition_memo_is_shared_across_t():
     before = _zeta_power_product.cache_info()
     rep = moment_bounds(MomentQuery(Z5, 6000, 3, 4), hyp)
     after = _zeta_power_product.cache_info()
-    beside_1 = (math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf))
-    assert (dedekind_zeta_field(Z5, 6000 / 9).value_low,
-            dedekind_zeta_field(Z5, 6000 / 9).value_high) == beside_1
+    z = dedekind_zeta_field(Z5, 6000 / 9)
+    assert (z.value_low, z.value_high) == (math.nextafter(1.0, -math.inf),
+                                           math.nextafter(1.0, math.inf))
     assert rep.constants["zeta_high"] > 1
     assert after.misses == before.misses
     assert after.hits > before.hits
