@@ -380,6 +380,11 @@ _EM_TERMS = 12
 # one product per tuple of factor endpoints; a bound assembly requests a
 # handful, a sweep over t a few thousand
 _ZETA_CACHE_SIZE = 4096
+# p^-s per (s, p), about 0.3 KB an entry, and the residue sums of conductor
+# q per (s, q, X), phi(q) pairs at about 0.23 KB each; dedekind_zeta gives
+# the worst-case memory of each
+_PRIME_POWER_CACHE_SIZE = 4096
+_RESIDUE_CACHE_SIZE = 32
 
 
 def _outward(x: tuple) -> tuple[float, float]:
@@ -539,6 +544,13 @@ def _fix_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return min(ends) >> _FIX_BITS, -(-max(ends) >> _FIX_BITS)
 
 
+def _fix_mul_positive(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """_fix_mul(a, b) for 0 <= b[0] <= b[1], by two products: each end of
+    the product comes from the end of b that _fix_mul's min or max picks."""
+    (a0, a1), (b0, b1) = a, b
+    return a0 * (b0 if a0 >= 0 else b1) >> _FIX_BITS, -(-a1 * (b1 if a1 >= 0 else b0) >> _FIX_BITS)
+
+
 def _fix_mpf(lo, hi) -> tuple[int, int]:
     """The pair enclosing the libmp interval [lo, hi]."""
     return to_fixed(lo, _FIX_BITS), -to_fixed(mpf_neg(hi), _FIX_BITS)
@@ -574,34 +586,43 @@ def _root_of_unity(x: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return _fix_mpf(*c), _fix_mpf(*d)
 
 
+@lru_cache(maxsize=_PRIME_POWER_CACHE_SIZE)
+def _prime_power(s: float, p: int) -> tuple[int, int]:
+    """The pair enclosing p^-s for a prime p.  With s log p in [a_lo, a_hi]
+    and E = e^-a_hi rounded down at 192 bits (trusted to 2^-180 relative),
+    the ends are floor(2^128 E) and ceil(2^128 E (1 + 2^-180)(1 + 2 delta)),
+    as e^-a_lo = e^-a_hi e^delta <= e^-a_hi (1 + 2 delta) for the exact
+    delta = a_hi - a_lo <= 1 (larger only where p^-s < 2^-128 is below every
+    upper end).  Every field and table at this s shares it."""
+    s = from_float(s)
+    prec = _EVAL_PREC
+    log_lo, log_hi = _log_bounds(p)
+    a_hi = mpf_mul(s, log_hi, prec, round_ceiling)
+    _, dm, de, _ = mpf_sub(a_hi, mpf_mul(s, log_lo, prec, round_floor))
+    _, m, e, _ = E = mpf_exp(mpf_neg(a_hi), _EXP_PREC, round_floor)
+    # 2^128 E (1 + 2^-180)(1 + 2 dm 2^de) = num 2^(128 + e - 180 - g)
+    g = max(-de - 1, 0)
+    num = m * _EXP_SLACK * ((1 << g) + (dm << (de + 1 + g)))
+    return to_fixed(E, _FIX_BITS), -(-num >> (180 + g - e - _FIX_BITS))
+
+
 def _inverse_powers(s: float, size: int) -> tuple[list[int], list[int]]:
     """The lower and upper ends of n^-s for n = 0..size (entry 0 unused),
-    on the fixed-point grid.  At a prime, with s log p in [a_lo, a_hi] and
-    E = e^-a_hi rounded down at 192 bits (trusted to 2^-180 relative), the
-    ends are floor(2^128 E) and ceil(2^128 E (1 + 2^-180)(1 + 2 delta)), as
-    e^-a_lo = e^-a_hi e^delta <= e^-a_hi (1 + 2 delta) for the exact
-    delta = a_hi - a_lo <= 1 (larger only where p^-s < 2^-128 is below every
-    upper end).  Elsewhere the product of two smaller entries (a prime
-    factor p <= sqrt(n) comes from a sieve)."""
+    on the fixed-point grid: _prime_power at a prime, elsewhere the product
+    of two smaller entries.  The sieve gives n its largest prime factor
+    p <= sqrt(n), whatever the size, so entry n is the same in every
+    table at this s."""
     factor = list(range(size + 1))
     for p in range(2, math.isqrt(size) + 1):
         if factor[p] == p:
             factor[p * p::p] = [p] * len(range(p * p, size + 1, p))
-    s = from_float(s)
-    prec = _EVAL_PREC
     low, high = [0, _ONE], [0, _ONE]
     for n in range(2, size + 1):
         p = factor[n]
         if p == n:
-            log_lo, log_hi = _log_bounds(p)
-            a_hi = mpf_mul(s, log_hi, prec, round_ceiling)
-            _, dm, de, _ = mpf_sub(a_hi, mpf_mul(s, log_lo, prec, round_floor))
-            _, m, e, _ = E = mpf_exp(mpf_neg(a_hi), _EXP_PREC, round_floor)
-            # 2^128 E (1 + 2^-180)(1 + 2 dm 2^de) = num 2^(128 + e - 180 - g)
-            g = max(-de - 1, 0)
-            num = m * _EXP_SLACK * ((1 << g) + (dm << (de + 1 + g)))
-            low.append(to_fixed(E, _FIX_BITS))
-            high.append(-(-num >> (180 + g - e - _FIX_BITS)))
+            lo, hi = _prime_power(s, p)
+            low.append(lo)
+            high.append(hi)
         else:
             low.append(low[p] * low[n // p] >> _FIX_BITS)
             high.append(-(-high[p] * high[n // p] >> _FIX_BITS))
@@ -633,10 +654,12 @@ def _em_weights(N: int, D: int) -> tuple[tuple[int, int], ...]:
     return tuple(weights)
 
 
-def _residue_sums(powers, s: tuple[int, int], q: int, X: int) -> tuple[dict, tuple[int, int]]:
-    """Sums of n^-s over n = a mod q, n >= 1, one pair per unit a in 1..q,
-    and the pair that every sum_a chi(a) (sum for a) misses L(s, chi) by;
-    s is the exact ratio (N, D) of the float s.
+@lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
+def _residue_sums(s: float, q: int, X: int) -> tuple[dict, tuple[int, int]]:
+    """Sums of n^-s over n = a mod q, n > 1, one pair per unit a in 1..q,
+    and the pair that every sum_a chi(a) (sum for a) misses L(s, chi) - 1
+    by; every character of conductor q at this s shares them, whatever
+    its field.
 
     When X = 16 q is within the precision cutoff, the terms n <= X are
     summed directly and the rest, sum_k (y + k q)^-s with y = X + a, by
@@ -649,12 +672,15 @@ def _residue_sums(powers, s: tuple[int, int], q: int, X: int) -> tuple[dict, tup
     in (q/y)^2, and the sums are exact up to rounding (the returned pair
     is 0).  Past the cutoff only n <= X is summed and the pair is [-T, T],
     since |sum_{n>X} chi(n) n^-s| <= int_X^oo x^-s dx = X X^-s/(s-1), which
-    T bounds from the upper end of X^-s (about 2^-100).
+    T bounds from the upper end of X^-s (about 2^-100).  The memo hands
+    every caller the same dict, which callers only read.
     """
-    low, high = powers
-    N, D = s
+    low, high = _inverse_powers(s, X + q if X == _EM_SHIFT * q else X)
+    N, D = s.as_integer_ratio()
     units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
     sums = {a: (sum(low[a:X + 1:q]), sum(high[a:X + 1:q])) for a in units}
+    # n = 1 is left out: L(s, chi) starts with the exact term 1
+    sums[1] = (sums[1][0] - _ONE, sums[1][1] - _ONE)
     if X < _EM_SHIFT * q:
         T = -(-X * high[X] * D // (N - D))
         return sums, (-T, T)
@@ -664,7 +690,7 @@ def _residue_sums(powers, s: tuple[int, int], q: int, X: int) -> tuple[dict, tup
         r = _fix_ratio(q * q, y * y)
         poly = weights[-1]
         for w in reversed(weights[:-1]):
-            lo, hi = _fix_mul(poly, r)
+            lo, hi = _fix_mul_positive(poly, r)
             poly = (lo + w[0], hi + w[1])
         # y^(1-s)/(q(s-1)) + y^-s/2 = y^-s (2 y D + q (N - D))/(2 q (N - D))
         lo, hi = _fix_mul(_fix_ratio(N * q, D * y), poly)
@@ -674,7 +700,7 @@ def _residue_sums(powers, s: tuple[int, int], q: int, X: int) -> tuple[dict, tup
     return sums, (0, 0)
 
 
-def _dirichlet_product(characters, s_float: float) -> tuple[int, int]:
+def _dirichlet_product(characters, s: float) -> tuple[int, int]:
     """zeta_K(s) as the product of L(s, chi) over the characters (complex
     ones as |L|^2), a fixed-point pair.
 
@@ -688,15 +714,9 @@ def _dirichlet_product(characters, s_float: float) -> tuple[int, int]:
     unity costs one product for cos and one for sin; the roots themselves
     are enclosed once per process.
     """
-    s = s_float.as_integer_ratio()
-    limits = {q: _precision_cutoff(s_float, _EM_SHIFT * q) for q, _, _ in characters}
-    size = max(X + q if X == _EM_SHIFT * q else X for q, X in limits.items())
-    low, high = powers = _inverse_powers(s_float, size)
-    low[1] = high[1] = 0
-    sums = {q: _residue_sums(powers, s, q, X) for q, X in limits.items()}
     excess = (0, 0)
     for q, m, phases in characters:
-        by_residue, tail = sums[q]
+        by_residue, tail = _residue_sums(s, q, _precision_cutoff(s, _EM_SHIFT * q))
         by_phase = {}
         for a, (lo, hi) in by_residue.items():
             x = phases[a % q]
@@ -794,15 +814,25 @@ def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
     positive; Johansson, arXiv:1309.2877).  Past the cutoff X is the
     cutoff, and the tail is the interval [-T, T], T = X^(1-s)/(s-1)
     <= 2^-100.  The powers n^-s are computed at primes, by one exponential
-    each, extended multiplicatively and shared across the characters.
-    Where d 2^-s (1 + 2/(s - 1)) < 2^-60 bounds zeta_K(s) - 1, the
-    endpoints are the floats on either side of 1 and no sum is taken.
+    each, and extended multiplicatively.  Where d 2^-s (1 + 2/(s - 1))
+    < 2^-60 bounds zeta_K(s) - 1, the endpoints are the floats on either
+    side of 1 and no sum is taken.
 
     Every quantity is a pair of Python integers at the fixed scale 2^-128,
     the lower end floored and the upper ceiled by every operation; p^-s,
     cos and sin enter as mpmath.libmp values under directed rounding, so
     neither iv.prec nor mp.prec matters.  The float endpoints are rounded
-    outward, so the width is never 0; results are memoized per (n, s).
+    outward, so the width is never 0.
+
+    Three memos hold the results, each bounded by its entry count.  The
+    endpoints are memoized per (field, s), the last 4096.  What depends on
+    s but not on the field is shared by every field asked for the same s:
+    each p^-s (the last 4096 (s, p), at most 1.3 MB) and each conductor's
+    residue sums (the last 32 (s, q, X): 2 KB an entry for conductors up
+    to 8, and 0.17 MB for conductor 1001 of Q(sqrt,1001) near s = 1, the
+    worst case in the tests, where 32 entries take 5.3 MB).  Every entry
+    is formed from the same integers in the same order however the memos
+    stand, so the endpoints do not depend on the call order.
     Conductors 2 mod 4 normalize to their odd part.  P must be at least 1
     and changes nothing: it is kept for the benchmark's call shape until
     the next benchmark change.
@@ -1128,10 +1158,16 @@ def second_moment_bounds(
     lower = V * V + omega * V
     main = _finite_float(lower, "main term")
     err = omega * omega * C * z_hi * math.exp(-eps * d * (t - t0)) * V
+    upper = _finite_float(lower + err, "upper endpoint")
+    if upper < lower:
+        # lower + err rounded to nearest fell below an exact lower that is
+        # not a float (the comparison is exact); the next float up is at
+        # least lower + err
+        upper = math.nextafter(upper, math.inf)
     return MomentReport(
         main_term=lower,
         lower=lower,
-        upper=_finite_float(lower + err, "upper endpoint"),
+        upper=upper,
         components={"main": main, "unit_ideal_tail": err},
         constants={
             "t0": t0,
@@ -1385,7 +1421,10 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         raise ThresholdError(t0_eff)
 
     main = _finite_float(main_term(q), "main term")
-    poly = (t * d) ** ((n - 2) / 2.0) * (V + 1.0) ** (n - 1)
+    try:
+        poly = (t * d) ** ((n - 2) / 2.0) * (V + 1.0) ** (n - 1)
+    except OverflowError:
+        raise ValueError("the upper endpoint is not a finite float") from None
     components: dict[str, float] = {"main": main}
     components["torsion_tail"] = a1m_bound(F, n, q.t)
     components["rank_one_tail"] = ideal_sum_bound(F, hyp, t, n - 1, k).bound_value

@@ -231,11 +231,15 @@ def a1m_bound(F: NumberField, n: int, t: int) -> float:
     classes to the normalized n-th moment error:
 
         sum_m S(n,m) (1 + omega_K)^((n-m) m) * 2 (sqrt3/2)^(t d)
+
+    ValueError when the integer sum is past the float range.
     """
     if n >= t:
         raise ValueError("need n < t")
     w = F.omega_K
     decay = 2 * (math.sqrt(3) / 2) ** (t * F.degree)
-    return sum(
-        stirling2(n, m) * (1 + w) ** ((n - m) * m) for m in range(1, n + 1)
-    ) * decay
+    total = sum(stirling2(n, m) * (1 + w) ** ((n - m) * m) for m in range(1, n + 1))
+    try:
+        return total * decay
+    except OverflowError:
+        raise ValueError("the torsion tail is not a finite float") from None

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -17,14 +18,19 @@ from latmoment.bounds import (
     ZetaInterval,
     _FIX_BITS,
     _ONE as _FIX_ONE,
+    _PRIME_POWER_CACHE_SIZE,
+    _RESIDUE_CACHE_SIZE,
     _ZETA_CACHE_SIZE,
     _characters,
     _composite_zeta,
     _dirichlet_product,
     _fix_float_floor,
     _fix_mul,
+    _fix_mul_positive,
     _fix_ratio,
     _inverse_powers,
+    _prime_power,
+    _residue_sums,
     _simplex_project,
     _zeta_endpoints,
     _zeta_key,
@@ -576,6 +582,13 @@ def test_zeta_backend_pair_arithmetic_encloses_exact_results(a, b, u, v, num, de
     assert Fraction(f) <= Fraction(n, _FIX_ONE) < Fraction(math.nextafter(f, math.inf))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_fix_pairs(), st.integers(0, 2**260), st.integers(0, 2**260))
+def test_positive_pair_product_equals_the_four_product_route(a, u, v):
+    b = (min(u, v), max(u, v))
+    assert _fix_mul_positive(a, b) == _fix_mul(a, b)
+
+
 def test_zeta_backend_prime_powers_enclose_50_digit_values():
     with mpmath.workdps(50):
         for s in ZETA_S:
@@ -586,10 +599,16 @@ def test_zeta_backend_prime_powers_enclose_50_digit_values():
 
 
 def test_one_exponential_per_prime_equals_the_two_exponential_route():
+    # a prime's entry comes from the memo whatever table first asked for it,
+    # so a table equals a fresh one in either order of sizes and across s
     rng = np.random.default_rng(2801)
-    for s in ZETA_S + tuple(float(x) for x in rng.uniform(1, 120, 40)):
-        for size in (17, 136, 1000):
-            assert _inverse_powers(s, size) == inverse_powers_two_exps(s, size), (s, size)
+    grid = ZETA_S + tuple(float(x) for x in rng.uniform(1, 120, 40))
+    for sizes in ((17, 1000, 136), (136, 1000, 17)):
+        _clear_memos()
+        for s in grid:
+            for size in sizes:
+                assert _inverse_powers(s, size) == inverse_powers_two_exps(s, size), (s, size)
+        assert _prime_power.cache_info().hits > 0
 
 
 def test_zeta_endpoints_equal_the_rounded_product_across_the_skip():
@@ -804,6 +823,43 @@ def test_composition_memo_is_shared_across_t():
     assert after.misses == before.misses
     assert after.hits > before.hits
     assert after.maxsize == _ZETA_CACHE_SIZE
+
+
+def test_zeta_endpoints_do_not_depend_on_the_fields_before_them():
+    # fields sharing an s share p^-s and residue sums (conductor 1 always,
+    # 5 between Q(sqrt,5) and Q(zeta,5), 8 between Q(sqrt,2) and Q(zeta,8));
+    # the grid straddles the skip rule, which crosses 2^-60 inside [55, 80]
+    fields = [make_field(d) for d in MEMO_FIELDS + ("Q(sqrt,1001)",)]
+    calls = [(F, s) for F in fields for s in (1.5, 2.0625, 13.7, 40.5, 57.25, 66.0, 80.0)]
+    random.Random(3002).shuffle(calls)
+    _clear_memos()
+    warm = [dedekind_zeta_field(F, s) for F, s in calls]
+    assert _residue_sums.cache_info().hits > 0
+    assert _prime_power.cache_info().hits > 0
+    for (F, s), z in zip(calls, warm):
+        _clear_memos()
+        assert dedekind_zeta_field(F, s) == z, (F.descriptor, s)
+
+
+def test_zeta_calls_leave_entry_one_of_every_table_at_one():
+    # L(s, chi) - 1 leaves n = 1 out of the sums without changing any table
+    for desc in ("Q", "Q(zeta,8)", "Q(sqrt,5)", "Q(zeta,47)"):
+        _clear_memos()
+        for s in (1.5, 13.7):
+            dedekind_zeta_field(make_field(desc), s)
+            for size in (17, 136, 1000):
+                low, high = _inverse_powers(s, size)
+                assert low[1] == high[1] == _FIX_ONE, (desc, s, size)
+
+
+def test_shared_kernel_memos_are_bounded_lru_caches():
+    dedekind_zeta_field(make_field("Q(zeta,7)"), 2.5)
+    for memo, size in ((_prime_power, _PRIME_POWER_CACHE_SIZE),
+                       (_residue_sums, _RESIDUE_CACHE_SIZE)):
+        assert memo.cache_info().currsize > 0
+        assert memo.cache_info().maxsize == size
+    _clear_memos()
+    assert _prime_power.cache_info().currsize == _residue_sums.cache_info().currsize == 0
 
 
 def test_fields_and_zeta_share_the_conductor_rule():
@@ -1205,6 +1261,38 @@ def test_moment_bounds_rejects_an_upper_endpoint_past_the_float_range():
     assert math.isfinite(moment_bounds(q, hyp, {"C": 1e300}).upper)
     with pytest.raises(ValueError, match="upper endpoint is not a finite float"):
         moment_bounds(q, hyp, {"C": 1e304})
+
+
+@pytest.mark.parametrize("desc,n,t,what", [
+    ("Q(sqrt,-1)", 40, 19657, "torsion tail"),
+    ("Q", 49, 35905, "torsion tail"),
+    ("Q", 120, 518401, "upper endpoint"),
+])
+def test_moment_bounds_rejects_tails_past_the_float_range(desc, n, t, what):
+    # each once raised OverflowError: a1m_bound's integer sum past 1.8e308
+    # met a float, or (t d)^((n - 2)/2) overflowed
+    F = make_field(desc)
+    with pytest.raises(ValueError, match=f"{what} is not a finite float") as exc:
+        moment_bounds(MomentQuery(F, t, n, 1), default_hypothesis(F))
+    assert not isinstance(exc.value, ThresholdError)
+
+
+def test_second_moment_upper_is_never_below_an_exact_lower():
+    # lower = V^2 + omega V is an exact Fraction; 9 of these 40 volumes once
+    # rounded lower + err below it and MomentReport refused the bracket
+    hyp = default_hypothesis(Z5)
+    stepped = 0
+    for a in range(10001, 10041):
+        V = Fraction(a, 3)
+        rep = second_moment_bounds(Z5, hyp, 4000.0, V)
+        nearest = float(rep.lower + rep.components["unit_ideal_tail"])
+        assert Fraction(rep.upper) >= rep.lower
+        if nearest < rep.lower:
+            assert rep.upper == math.nextafter(nearest, math.inf), a
+            stepped += 1
+        else:
+            assert rep.upper == nearest, a
+    assert stepped == 9
 
 
 # ---------------------------------------------------------------------------

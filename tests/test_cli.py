@@ -195,6 +195,23 @@ def test_volume_with_a_main_term_past_the_float_range_exits_2(runner, args):
     assert "invalid configuration: the main term is not a finite float" in r.stderr
 
 
+def test_moment_bounds_with_a_torsion_tail_past_the_float_range_exits_2(runner):
+    # once exited 1 with an OverflowError traceback
+    r = runner.invoke(main, ["moment-bounds", "Q(sqrt,-1)", "--t", "19657", "--n", "40",
+                             "--volume", "1"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "invalid configuration: the torsion tail is not a finite float" in r.stderr
+
+
+def test_second_moment_with_a_tail_under_half_an_ulp_exits_0(runner):
+    # upper = lower + err once rounded below the exact lower and exited 2
+    r = runner.invoke(main, ["second-moment", "Q(zeta,5)", "--t", "4000", "--volume", "10004/3"])
+    assert r.exit_code == 0, r.stderr
+    # lower, main and upper, the next float above the nearest one
+    assert ",100380136/9,100380136/9,11153348.444444446," in r.stdout
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_t0_table_rank_ratio_that_is_not_finite_exits_2(runner, value):
     r = runner.invoke(main, ["t0-table", "--rank-ratio", value])

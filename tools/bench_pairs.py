@@ -25,6 +25,10 @@ digits collapsed to '#', each duration divided by its run's operation
 speed factor, so the file shows which operations moved the tail.  The
 same medians of the raw durations, with no speed factor, sit beside them
 (op_kind_median_ms_raw), to tell a moved operation from a moved factor.
+op_kind_tail_counts counts, per side, the operations of each kind that
+lie beyond their run's tail percentile (the one op_tail_ms reads, chosen
+by perfbench/stats.py), summed over the side's runs, so the file shows
+which kinds make up the tail and which left it.
 
 Tier-1 runs TIER1_RUNS (3) times per side, alternating, with
 `pytest --durations=0`; the file records the wall time of each run, their
@@ -46,7 +50,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from stats import percentile, tail_percentile  # noqa: E402
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "--durations=0", "-p", "no:cacheprovider"]
@@ -73,15 +81,24 @@ def bench_run(root: Path, workload: str, seed: int, seconds: int, env: dict,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def op_durations(root: Path, workload: str, seed: int) -> tuple[dict[str, list[float]], float]:
-    """A run's raw operation durations in ms, by operation kind, and its
-    operation speed factor."""
+def op_durations(root: Path, workload: str,
+                 seed: int) -> tuple[dict[str, list[float]], float, Counter]:
+    """A run's raw operation durations in ms, by operation kind, its
+    operation speed factor, and how many operations of each kind lie
+    beyond the run's tail percentile (one speed factor scales every
+    duration, so raw durations pick the same operations)."""
     record = json.loads((root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
     worker = record["worker"]
+    ms = [ns / 1e6 for ns in worker["durations_ns"]]
+    tail = percentile(ms, tail_percentile(len(ms)))
     out: dict[str, list[float]] = {}
-    for label, ns in zip(worker["labels"], worker["durations_ns"]):
-        out.setdefault(DIGITS.sub("#", label), []).append(ns / 1e6)
-    return out, worker["speed_factors"][0]
+    beyond = Counter()
+    for label, x in zip(worker["labels"], ms):
+        kind = DIGITS.sub("#", label)
+        out.setdefault(kind, []).append(x)
+        if x > tail:
+            beyond[kind] += 1
+    return out, worker["speed_factors"][0], beyond
 
 
 def spread(values: list[float]) -> dict:
@@ -116,14 +133,16 @@ def workload_pairs(roots: dict[str, Path], workload: str, seeds: list[int],
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     kinds: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     raw: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    tails: dict[str, Counter] = {"parent": Counter(), "change": Counter()}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(bench_run(roots[side], workload, seed, seconds, dict(os.environ)))
-            durations, op_speed = op_durations(roots[side], workload, seed)
+            durations, op_speed, beyond = op_durations(roots[side], workload, seed)
             for kind, ms in durations.items():
                 kinds[side].setdefault(kind, []).extend(x / op_speed for x in ms)
                 raw[side].setdefault(kind, []).extend(ms)
+            tails[side].update(beyond)
             r = runs[side][-1]
             print(f"{workload} seed {seed} {side}: failed {r['failed']}/{r['attempted']} "
                   + " ".join(f"{k}={v['value']:.5g}" for k, v in r["metrics"].items()),
@@ -133,7 +152,8 @@ def workload_pairs(roots: dict[str, Path], workload: str, seeds: list[int],
                 for side, k in by_side.items()}
 
     out = {"seeds": seeds, "pairs": len(seeds), "metrics": summarize(metrics, runs),
-           "op_kind_median_ms": medians(kinds), "op_kind_median_ms_raw": medians(raw)}
+           "op_kind_median_ms": medians(kinds), "op_kind_median_ms_raw": medians(raw),
+           "op_kind_tail_counts": {side: dict(sorted(t.items())) for side, t in tails.items()}}
     for side in runs:
         out[f"{side}_attempted"] = runs[side][0]["attempted"]
         out[f"{side}_failed"] = [r["failed"] for r in runs[side]]
