@@ -202,11 +202,13 @@ def _rank_entry(numerator: float, log_base: float) -> float:
 
     The base (f_M, cosh or s_base at the height floors) exceeds 1 by
     about c0^2; below c0 ~ 1e-8 it rounds to 1 or under, the log is not
-    positive, and no t is admissible.
+    positive, and no t is admissible.  Neither is one when the quotient
+    overflows (a rank ratio near the float range).
     """
-    if not log_base > 0:
+    entry = numerator / log_base if log_base > 0 else math.inf
+    if not entry < math.inf:
         raise ThresholdError(math.inf)
-    return numerator / log_base
+    return entry
 
 
 def _decay_gap(decay: float) -> float:
@@ -300,14 +302,13 @@ def best_k_threshold(
 
 @dataclass(frozen=True)
 class ZetaInterval:
-    """A rigorous enclosure of a (product of) Dedekind zeta value(s).
+    """A rigorous enclosure of a Dedekind zeta value.
 
-    s is the evaluation point, or a tuple of points for composite factors;
-    conductor identifies the field (an integer conductor or a descriptor
-    string).
+    s is the evaluation point; conductor identifies the field (an integer
+    conductor or a descriptor string).
     """
 
-    s: float | tuple
+    s: float
     conductor: int | str
     value_low: float
     value_high: float
@@ -332,13 +333,13 @@ class BoundReport:
     statement leaves it to the user (bound_value is then the evaluation at
     C = 1).  t0 is the statement's own printed threshold; any extra
     requirements folded into the precondition are recorded in inputs under
-    "t0_effective".
+    "t0_effective", and the endpoints of the composed zeta factor under
+    "zeta_low" and "zeta_high".
     """
 
     t0: float
     epsilon: float
     C: float | str
-    zeta_factor: ZetaInterval | None
     bound_value: float
     inputs: dict = _field(default_factory=dict)
 
@@ -788,11 +789,17 @@ def _check_pinned_P(P: int) -> None:
         raise ValueError(f"need P >= 1, got P = {P}")
 
 
-def _zeta_interval(target: int | NumberField, s: float) -> ZetaInterval:
-    key, conductor = _zeta_key(target)
+def _zeta_arg(s: float) -> float:
+    """s as a float, or ValueError unless 1 < s < inf."""
     s = float(s)
     if not 1 < s < math.inf:
         raise ValueError(f"need finite s > 1, got s = {s}")
+    return s
+
+
+def _zeta_interval(target: int | NumberField, s: float) -> ZetaInterval:
+    key, conductor = _zeta_key(target)
+    s = _zeta_arg(s)
     lo, hi = _zeta_endpoints(key, s)
     return ZetaInterval(s=s, conductor=conductor, value_low=lo, value_high=hi)
 
@@ -1015,14 +1022,14 @@ def _zeta_power_product(factors: tuple[tuple[float, float, float], ...]) -> tupl
     return _outward(out)
 
 
-def _composite_zeta(
-    F: NumberField, parts: Sequence[tuple[float, float]]
-) -> tuple[ZetaInterval, float, float]:
-    """Product of zeta powers prod_i zeta_F(s_i)^{e_i} as one interval.
+def _composite_zeta(F: NumberField, parts: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Endpoints (low, high) of the product prod_i zeta_F(s_i)^{e_i}.
 
-    The powers (negative exponents divide) are composed by the libmp
-    interval operations of iv at 80 bits and the endpoints rounded outward,
-    so the result contains every product of values inside the factors.
+    Each factor is read from the endpoint memo of dedekind_zeta_field,
+    under the same check that 1 < s_i < inf.  The powers (negative
+    exponents divide) are composed by the libmp interval operations of iv
+    at 80 bits and the endpoints rounded outward, so the result contains
+    every product of values inside the factors.
 
     The composition is memoized (up to _ZETA_CACHE_SIZE entries) by the
     tuple ((value_low, value_high, e_i), ...) of the factor endpoints and
@@ -1032,18 +1039,19 @@ def _composite_zeta(
     entry (above the zeta cutoff every factor is the floats beside 1).
     An exponent given as an int and as the equal float compose alike.
     """
-    factors = []
-    for s_i, e_i in parts:
-        z = dedekind_zeta_field(F, s_i)
-        factors.append((z.value_low, z.value_high, e_i))
-    lo, hi = _zeta_power_product(tuple(factors))
-    zres = ZetaInterval(
-        s=tuple(s_i for s_i, _ in parts),
-        conductor=_zeta_key(F)[1],
-        value_low=lo,
-        value_high=hi,
-    )
-    return zres, lo, hi
+    key = _zeta_key(F)[0]
+    return _zeta_power_product(tuple(
+        (*_zeta_endpoints(key, _zeta_arg(s_i)), e_i) for s_i, e_i in parts
+    ))
+
+
+def _ideal_sum_threshold(
+    hyp: HeightHypothesis, M: int, k: int, rank_ratio: float
+) -> tuple[float, float]:
+    """(t0, t0_effective) of ideal_sum_bound at rank_ratio: the shifted
+    t0_threshold, and its maximum with the zeta floor 4k/(3k-4)."""
+    t0 = t0_threshold(M, k, hyp, rank_ratio=rank_ratio, shifted=True)
+    return t0, max(t0, 4.0 * k / (3.0 * k - 4.0))
 
 
 def ideal_sum_bound(
@@ -1061,29 +1069,26 @@ def ideal_sum_bound(
     is zeta(t(3/4 - 1/k)) zeta(t/(kM))^M / zeta(3t/4), consumed at the high
     endpoint; bound_value is the relative error factor
     C Z e^(-epsilon d (t - t0)) that multiplies the main term omega^M.
+    M < 1 or k < 2 raises ValueError (from t0_threshold).
     """
-    if M < 1 or k < 2:
-        raise ValueError("need M >= 1 and k >= 2")
     d = F.degree
     c0, c1 = hyp.c0, hyp.c1
-    t0 = t0_threshold(M, k, hyp, rank_ratio=F.unit_rank / d, shifted=True)
-    t0_eff = max(t0, 4.0 * k / (3.0 * k - 4.0))
+    t0, t0_eff = _ideal_sum_threshold(hyp, M, k, F.unit_rank / d)
     if not t > t0_eff:
         raise ThresholdError(t0_eff)
     a = alpha_M(M, c0)
     eps = 0.5 * min(c1 / 8.0, math.log(f_M(M, 0.75 * c1)), a * c0 * (k - 1) / k)
     decay = a * c0 * d * (t - t0) * (k - 1) / (4.0 * k * k)
     C = (2 * M + 1) * (1.0 + 1.0 / _decay_gap(decay))
-    zeta_factor, _, z_hi = _composite_zeta(
+    z_lo, z_hi = _composite_zeta(
         F,
         [(t * (0.75 - 1.0 / k), 1.0), (t / (k * M), float(M)), (0.75 * t, -1.0)],
     )
-    value = C * z_hi * math.exp(-eps * d * (t - t0))
+    value = _finite_float(C * z_hi * math.exp(-eps * d * (t - t0)), f"ideal-sum tail M={M}")
     return BoundReport(
         t0=t0,
         epsilon=eps,
         C=C,
-        zeta_factor=zeta_factor,
         bound_value=value,
         inputs={
             "field": F.descriptor,
@@ -1092,6 +1097,8 @@ def ideal_sum_bound(
             "k": k,
             "alpha": a,
             "t0_effective": t0_eff,
+            "zeta_low": z_lo,
+            "zeta_high": z_hi,
         },
     )
 
@@ -1150,7 +1157,7 @@ def second_moment_bounds(
     )
     decay = c0 * d * (t - t0) * (k - 1) / (10.0 * k * k)
     C = 3.0 + 3.0 / _decay_gap(decay)
-    zeta_factor, z_lo, z_hi = _composite_zeta(
+    z_lo, z_hi = _composite_zeta(
         F,
         [(t * (0.75 - 1.0 / k), 1.0), (t / k, 1.0), (0.75 * t, -1.0)],
     )
@@ -1233,27 +1240,30 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float) -> dict:
 # higher moments
 
 
+def _s_base(c1: float) -> float:
+    """min(64/27, e^(c1/3), cosh(c1)^3), the base of the pair-tail rank
+    entries.  From c1 = 3 on both transcendental terms exceed 64/27, so
+    they are evaluated at min(c1, 3), where neither can overflow."""
+    x = min(c1, 3.0)
+    return min(64.0 / 27.0, math.exp(x / 3.0), math.cosh(x) ** 3)
+
+
 def _pair_tail_threshold(
     hyp: HeightHypothesis, n: int, m: int, rank_ratio: float
-) -> float:
-    c0, c1 = hyp.c0, hyp.c1
-    s_base = min(64.0 / 27.0, math.exp(c1 / 3.0), math.cosh(c1) ** 3)
+) -> tuple[float, float]:
+    """(t0, t0_effective) of a2m_bound: the printed 2(n-m) sup(m^2+m, rank
+    entries), and its maximum with the floors that keep every zeta argument
+    above 1."""
+    c0 = hyp.c0
     entries = [float(m * m + m)]
     if rank_ratio > 0:
         entries.append(_rank_entry(
             rank_ratio * (m * m + m) * math.log(2.0 + 12.0 / c0 + 2.0 * math.log(n - m) / c0),
-            math.log(s_base),
+            math.log(_s_base(hyp.c1)),
         ))
         entries.append(_rank_entry(rank_ratio * _LOG2, math.log(f_M(n - m, 0.75 * c0))))
-    return 2.0 * (n - m) * max(entries)
-
-
-def _pair_zeta_floors(n: int, m: int) -> list[float]:
-    return [
-        2.0 * (m + 1) * (1.0 + m * (n - m) / math.e),
-        4.0 * m * (n - m),
-        2.0,
-    ]
+    t0 = 2.0 * (n - m) * max(entries)
+    return t0, max(t0, 2.0 * (m + 1) * (1.0 + m * (n - m) / math.e), 4.0 * m * (n - m), 2.0)
 
 
 def _rank_ratio(F: NumberField, rank_ratio: float | None) -> float:
@@ -1261,7 +1271,7 @@ def _rank_ratio(F: NumberField, rank_ratio: float | None) -> float:
 
     A ratio below the field's own would understate the pair-tail
     precondition, and the rank-one tail uses the field's own ratio anyway,
-    so it is rejected.
+    so it is rejected; so is an infinite one, as t0_threshold rejects it.
     """
     own = F.unit_rank / F.degree
     if rank_ratio is None:
@@ -1270,6 +1280,8 @@ def _rank_ratio(F: NumberField, rank_ratio: float | None) -> float:
         raise ValueError(
             f"rank_ratio {rank_ratio} is below the field's unit rank / degree {own}"
         )
+    if not float(rank_ratio) < math.inf:
+        raise ValueError("rank_ratio must be nonnegative and finite")
     return float(rank_ratio)
 
 
@@ -1299,35 +1311,26 @@ def a2m_bound(
     d = F.degree
     c1 = hyp.c1
     rr = _rank_ratio(F, rank_ratio)
-    t0 = _pair_tail_threshold(hyp, n, m, rr)
-    t0_eff = max([t0] + _pair_zeta_floors(n, m))
+    t0, t0_eff = _pair_tail_threshold(hyp, n, m, rr)
     if not t > t0_eff:
         raise ThresholdError(t0_eff)
     eps = 0.5 * math.log(
         min(4.0 / 3.0, math.exp(c1 / (3.0 * (m + 1))), f_M(n - m, 0.75 * c1))
     )
     w = m * (n - m)
-    zeta_factor, _, z_hi = _composite_zeta(
-        F,
-        [
-            (t / (2.0 * (m + 1)) - w / math.e, 1.0),
-            (t / (4.0 * w), float(w)),
-            (t - 1.0, -1.0),
-        ],
+    z_lo, z_hi = _composite_zeta(
+        F, [(t / (2.0 * (m + 1)) - w / math.e, 1.0), (t / (4.0 * w), float(w)), (t - 1.0, -1.0)]
     )
     cs = 1.0 if C_S is None else float(C_S)
-    value = (
-        cs
-        * float(F.omega_K) ** w
-        * (t * d) ** ((m - 1) / 2.0)
-        * z_hi
-        * math.exp(-eps * d * (t - t0))
-    )
+    try:
+        value = cs * float(F.omega_K) ** w * (t * d) ** ((m - 1) / 2.0) * z_hi
+    except OverflowError:
+        value = math.inf
+    value = _finite_float(value * math.exp(-eps * d * (t - t0)), f"pair tail m={m}")
     return BoundReport(
         t0=t0,
         epsilon=eps,
         C="unresolved" if C_S is None else cs,
-        zeta_factor=zeta_factor,
         bound_value=value,
         inputs={
             "field": F.descriptor,
@@ -1336,6 +1339,8 @@ def a2m_bound(
             "m": m,
             "t0_effective": t0_eff,
             "rank_ratio": rr,
+            "zeta_low": z_lo,
+            "zeta_high": z_hi,
         },
     )
 
@@ -1398,10 +1403,9 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
     else:
         entries = [0.0]
         if rr > 0:
-            s_base = min(64.0 / 27.0, math.exp(c1 / 3.0), math.cosh(c1) ** 3)
             entries.append(_rank_entry(
                 rr * n * (n + 1) ** 2 * math.log(2.0 + 12.0 / c0 + 2.0 * math.log(n - 1) / c0),
-                math.log(s_base),
+                math.log(_s_base(c1)),
             ))
             entries.append(_rank_entry(
                 2.0 * rr * (n - 1) * math.log(17.0 / 8.0), math.log(f_M(n - 1, 0.75 * c0))
@@ -1410,13 +1414,13 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         eps = 0.5 * math.log(
             min(4.0 / 3.0, math.exp(c1 / (3.0 * n + 2.0)), f_M(n - 1, 0.75 * c1))
         )
-    floors = [t0, float(n * n), 2.0]
-    floors.append(t0_threshold(n - 1, k, hyp, rank_ratio=rr, shifted=True))
-    floors.append(4.0 * k / (3.0 * k - 4.0))
-    for m in range(2, n):
-        floors.append(_pair_tail_threshold(hyp, n, m, rr))
-        floors.extend(_pair_zeta_floors(n, m))
-    t0_eff = max(floors)
+    t0_eff = max(
+        t0,
+        float(n * n),
+        2.0,
+        _ideal_sum_threshold(hyp, n - 1, k, rr)[1],
+        *(_pair_tail_threshold(hyp, n, m, rr)[1] for m in range(2, n)),
+    )
     if not t > t0_eff:
         raise ThresholdError(t0_eff)
 
@@ -1441,34 +1445,18 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         "C_unresolved": 0.0 if user_C is not None else 1.0,
         "k": float(k),
     }
+    z_hi = 1.0
+    if mode == "general":
+        s1 = min(t / (2.0 * (m + 1)) - m * (n - m) / math.e for m in range(2, n))
+        parts = [(s1, 1.0), (t / (n * n), n * n / 4.0), (t - 1.0, -1.0)]
+        constants["zeta_low"], z_hi = _composite_zeta(F, parts)
+    constants["zeta_high"] = z_hi
     if mode == "fixed-field":
         err = cval * t ** ((n - 2) / 2.0) * math.exp(-eps * (t - t0)) * (V + 1.0) ** (
             n - 1
         )
-        constants["zeta_high"] = 1.0
-    elif mode == "cyclotomic":
-        err = (
-            cval
-            * float(omega) ** (n * n / 4.0)
-            * poly
-            * math.exp(-eps * d * (t - t0))
-        )
-        constants["zeta_high"] = 1.0
     else:
-        s1 = min(t / (2.0 * (m + 1)) - m * (n - m) / math.e for m in range(2, n))
-        zeta_factor, z_lo, z_hi = _composite_zeta(
-            F,
-            [(s1, 1.0), (t / (n * n), n * n / 4.0), (t - 1.0, -1.0)],
-        )
-        constants["zeta_low"] = z_lo
-        constants["zeta_high"] = z_hi
-        err = (
-            cval
-            * float(omega) ** (n * n / 4.0)
-            * poly
-            * math.exp(-eps * d * (t - t0))
-            * z_hi
-        )
+        err = cval * float(omega) ** (n * n / 4.0) * poly * math.exp(-eps * d * (t - t0)) * z_hi
     return MomentReport(
         main_term=main,
         lower=main,

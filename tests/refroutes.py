@@ -12,7 +12,7 @@ must return the same floats.  So are the zeta kernel's prime powers by
 two exponentials and the zeta compositions in mpmath.iv, which the
 package replaced by one exponential per prime and raw libmp intervals
 with equal results.  pytest puts this directory on sys.path, so
-the test modules import it as `reference`.
+the test modules import it as `refroutes`.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from latmoment.oracle import (
     truncated_second_moment_rhs,
     unit_enumeration_check,
 )
-from reference import mc_column_sum_ratio
+from refroutes import mc_column_sum_ratio
 
 Q = make_field("Q")
 QI = make_field("Q(sqrt,-1)")

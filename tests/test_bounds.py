@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -57,7 +58,7 @@ from latmoment import bounds as bounds_module, moments as moments_module
 from latmoment.moments import MomentQuery
 from latmoment.numberfield import abs_norm, cyclotomic_field, fundamental_unit, make_field
 from latmoment.heights import weil_height
-from reference import (
+from refroutes import (
     _EULER_CACHE_SIZE,
     _euler_interval,
     _quadratic_ideal_counts,
@@ -311,6 +312,14 @@ def test_best_k_at_small_height_floors():
     assert t0_threshold(1, math.ceil(t0), hyp) > t0
 
 
+def test_best_k_with_an_overflowing_rank_entry_raises():
+    # the rank entry's numerator overflows to inf; best_k_threshold once
+    # doubled k about 1,000 times and then raised OverflowError
+    with pytest.raises(ThresholdError) as exc:
+        best_k_threshold(3, HeightHypothesis(0.24, 0.24), rank_ratio=1e308)
+    assert exc.value.t0 == math.inf
+
+
 # ---------------------------------------------------------------------------
 # report validation
 
@@ -327,12 +336,12 @@ def test_zeta_interval_validation():
 
 def test_bound_report_validation():
     with pytest.raises(ValueError):
-        BoundReport(1.0, 0.0, 1.0, None, 1.0)
+        BoundReport(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        BoundReport(1.0, 0.1, 1.0, None, math.inf)
+        BoundReport(1.0, 0.1, 1.0, math.inf)
     with pytest.raises(ValueError):
-        BoundReport(1.0, 0.1, "mystery", None, 1.0)
-    rep = BoundReport(1.0, 0.1, "unresolved", None, 1.0)
+        BoundReport(1.0, 0.1, "mystery", 1.0)
+    rep = BoundReport(1.0, 0.1, "unresolved", 1.0)
     assert rep.C == "unresolved"
 
 
@@ -735,21 +744,20 @@ def test_composed_zeta_factors_round_outward():
     for F in (Q, QI, Q5, Z5, make_field("Q(zeta,7)")):
         for t in range(27, 67, 2):
             parts = [(t * 0.5, 1.0), (t / 9.0, 2.25), (0.75 * t, -1.0), (t / 13.0, 3.0)]
-            z, lo, hi = _composite_zeta(F, parts)
+            lo, hi = _composite_zeta(F, parts)
             factors = []
             for s_i, e_i in parts:
                 zi = dedekind_zeta_field(F, s_i)
                 factors.append((zi.value_low, zi.value_high, e_i))
             want_lo, want_hi = _factor_products(factors)
             assert lo <= want_lo and want_hi <= hi, (F.descriptor, t)
-            assert (z.value_low, z.value_high) == (lo, hi)
 
 
 def test_composed_zeta_factors_equal_the_iv_route():
     for F in (Q, QI, Q5, Z5, make_field("Q(zeta,7)")):
         for t in range(27, 67, 2):
             parts = [(t * 0.5, 1.0), (t / 9.0, 2.25), (0.75 * t, -1.0), (t / 13.0, 3.0)]
-            assert _composite_zeta(F, parts)[1:] == composite_zeta_iv(F, parts), (F, t)
+            assert _composite_zeta(F, parts) == composite_zeta_iv(F, parts), (F, t)
             if F.degree >= 2:
                 c = cyclotomic_second_moment_constants(F, float(t))
                 want = cyclotomic_constants_iv(F.degree, float(t), c["zeta1"], c["zeta2"])
@@ -761,8 +769,7 @@ def test_composed_zeta_factors_equal_the_iv_route():
 ])
 def test_composed_zeta_reports_the_factor_conductor(desc, conductor):
     F = make_field(desc)
-    z, _, _ = _composite_zeta(F, [(2.0, 1.0), (3.5, -1.0)])
-    assert z.conductor == dedekind_zeta_field(F, 2.0).conductor == conductor
+    assert dedekind_zeta_field(F, 2.0).conductor == conductor
 
 
 # the eight fields of the benchmark's bracket sweep, and one of degree 46
@@ -1165,7 +1172,7 @@ def test_ideal_sum_rational_example():
     assert rep.t0 == pytest.approx(4.5)
     assert rep.epsilon == pytest.approx(0.0433, abs=1e-3)
     assert 900 < rep.bound_value < 1300
-    assert rep.zeta_factor.value_high > 1
+    assert rep.inputs["zeta_high"] > 1
 
 
 def test_ideal_sum_threshold_error_carries_value():
@@ -1275,6 +1282,67 @@ def test_moment_bounds_rejects_tails_past_the_float_range(desc, n, t, what):
     with pytest.raises(ValueError, match=f"{what} is not a finite float") as exc:
         moment_bounds(MomentQuery(F, t, n, 1), default_hypothesis(F))
     assert not isinstance(exc.value, ThresholdError)
+
+
+def test_sub_bounds_name_the_tail_past_the_float_range():
+    # each once left BoundReport to refuse "bound_value must be finite"
+    # without saying which bound overflowed: zeta(1 + 1/800)^200 past the
+    # float range, and omega^324 (t d)^8.5 at m = 18
+    with pytest.raises(ValueError, match="the ideal-sum tail M=200 is not a finite float"):
+        ideal_sum_bound(Q, default_hypothesis(Q), 801.0, 200, 4)
+    F = make_field("Q(sqrt,-3)")
+    with pytest.raises(ValueError, match="the pair tail m=18 is not a finite float"):
+        a2m_bound(F, default_hypothesis(F), 4122176.0, 36, 18)
+
+
+def test_infinite_rank_ratio_is_rejected_before_any_entry():
+    # once a ValueError from t0_threshold in most cases, but ThresholdError
+    # (inf) from a2m_bound and from a rank entry at tiny floors
+    hyp = default_hypothesis(Z5)
+    calls = [partial(a2m_bound, Z5, hyp, 4000.0, 3, 2, rank_ratio=math.inf)]
+    for floors in (hyp, HeightHypothesis(1e-9, 1e-9)):
+        for mode in ("general", "fixed-field", "cyclotomic"):
+            opts = {"mode": mode, "rank_ratio": math.inf}
+            calls.append(partial(moment_bounds, MomentQuery(Z5, 4000, 3, 1), floors, opts))
+    for call in calls:
+        with pytest.raises(ValueError, match="rank_ratio must be nonnegative and finite") as exc:
+            call()
+        assert not isinstance(exc.value, ThresholdError)
+
+
+def test_pair_tail_base_stops_at_64_27_instead_of_overflowing():
+    # min(64/27, e^(c1/3), cosh(c1)^3) is 64/27 from c1 = 3 on, so c1 = 400
+    # gives the thresholds of c1 = 3; cosh(400)^3 once raised OverflowError
+    for F in (Q5, Z5):
+        for n in (3, 4, 6):
+            t0 = []
+            for c1 in (3.0, 400.0):
+                with pytest.raises(ThresholdError) as exc:
+                    moment_bounds(MomentQuery(F, n + 1, n, 1), HeightHypothesis(400.0, c1))
+                t0.append(exc.value.t0)
+            assert t0[0] == t0[1] < math.inf, (F.descriptor, n)
+
+
+@pytest.mark.parametrize("desc", MEMO_FIELDS[:8])
+def test_effective_threshold_is_the_max_of_the_sub_bound_thresholds(desc):
+    # at the default rank ratio, the bracket's precondition is exactly its
+    # own entries and those its rank-one and pair tails report; at k = 10
+    # the rank-one tail's counting entry binds over rank-free fields
+    F = make_field(desc)
+    hyp = default_hypothesis(F)
+    for n, k in itertools.product(range(3, 7), (4, 10)):
+        with pytest.raises(ThresholdError) as exc:
+            moment_bounds(MomentQuery(F, n + 1, n, 1), hyp, {"k": k})
+        t = math.floor(exc.value.t0) + 1
+        c = moment_bounds(MomentQuery(F, t, n, 1), hyp, {"k": k}).constants
+        want = max(
+            c["t0"],
+            n * n,
+            2,
+            ideal_sum_bound(F, hyp, t, n - 1, k).inputs["t0_effective"],
+            *(a2m_bound(F, hyp, t, n, m).inputs["t0_effective"] for m in range(2, n)),
+        )
+        assert c["t0_effective"] == want == exc.value.t0, (desc, n, k)
 
 
 def test_second_moment_upper_is_never_below_an_exact_lower():

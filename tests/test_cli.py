@@ -220,6 +220,34 @@ def test_t0_table_rank_ratio_that_is_not_finite_exits_2(runner, value):
     assert "rank_ratio must be nonnegative and finite" in r.stderr
 
 
+def test_t0_table_rank_ratio_whose_entry_overflows_exits_2(runner):
+    # the rank entry is inf; math.ceil(inf) once ended in a traceback (exit 1)
+    r = runner.invoke(main, ["t0-table", "--k", "10", "--m", "120", "--c0", "2.0000001",
+                             "--rank-ratio", "1e308", "--shifted"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "precondition violated: requires t > inf (computed t0 = inf)" in r.stderr
+
+
+def test_moment_bounds_with_a_large_c1_exits_0(runner):
+    # cosh(c1)^3 in the pair-tail base once overflowed at c1 = 400 (exit 1);
+    # from c1 = 3 on the base is 64/27
+    r = runner.invoke(main, ["moment-bounds", "Q(sqrt,-3)", "--t", "4000", "--n", "4",
+                             "--volume", "1", "--c0", "400"])
+    assert r.exit_code == 0, r.stderr
+    assert r.stderr == "moment 4 of Q(sqrt,-3) at t=4000: [505.0, 505.0]\n"
+    assert "constant:t0_effective,24.0," in r.stdout
+
+
+def test_moment_bounds_names_the_pair_tail_past_the_float_range(runner):
+    # exited 2 with BoundReport's "bound_value must be finite and nonnegative"
+    r = runner.invoke(main, ["moment-bounds", "Q(sqrt,-3)", "--t", "4122176", "--n", "36",
+                             "--volume", "1", "--mode", "cyclotomic"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "invalid configuration: the pair tail m=18 is not a finite float" in r.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["t0-table", "--c0", "1e-9"],
     ["second-moment", "Q(sqrt,5)", "--t", "400", "--volume", "1", "--c0", "1e-9"],
@@ -577,7 +605,7 @@ def test_package_exports_the_concatenated_module_lists():
     layers = (numberfield, heights, moments, bounds, oracle)
     assert latmoment.__all__ == [name for mod in layers for name in mod.__all__]
     assert len(set(latmoment.__all__)) == len(latmoment.__all__)
-    # the test-only references live in tests/reference.py, not in the package
+    # the test-only references live in tests/refroutes.py, not in the package
     moved = ("euler_zeta", "_euler_interval", "_EULER_CACHE_SIZE", "_primes_upto",
              "_mult_order", "_cyclotomic_splitting", "_splitting", "_quadratic_ideal_counts",
              "_euler_phi", "FracIdeal", "ideal_from_generators", "hnf_rows",

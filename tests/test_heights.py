@@ -26,7 +26,7 @@ from latmoment import (
     weil_height,
 )
 from latmoment.numberfield import frak_D, trace_pairing_exact
-from reference import ideal_from_generators
+from refroutes import ideal_from_generators
 
 ALL_FIELDS = [
     "Q",

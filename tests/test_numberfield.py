@@ -40,7 +40,7 @@ from latmoment.numberfield import (
 )
 from latmoment.heights import plucker, rred_matrix
 from latmoment.oracle import _bounded_denominator_elements
-from reference import FracIdeal, _euler_phi, hnf_rows, ideal_from_generators
+from refroutes import FracIdeal, _euler_phi, hnf_rows, ideal_from_generators
 
 ALL_FIELDS = ["Q", "Q(sqrt,-1)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,-3)", "Q(zeta,5)", "Q(zeta,8)"]
 

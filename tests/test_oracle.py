@@ -36,7 +36,7 @@ from latmoment.numberfield import (
     make_field,
 )
 from latmoment.heights import weil_height
-from reference import (
+from refroutes import (
     box_elements,
     lower_bound_terms,
     mc_column_sum_ratio,
