@@ -211,6 +211,14 @@ def _rank_entry(numerator: float, log_base: float) -> float:
     return entry
 
 
+def _positive_epsilon(eps: float, what: str) -> float:
+    """eps, the decay rate of a tail, or ValueError unless it is positive:
+    its log f_M term is of order c1^2 and rounds to 0 below c1 ~ 1e-8."""
+    if not eps > 0:
+        raise ValueError(f"the epsilon of the {what} rounds to 0: the height floors are too small")
+    return eps
+
+
 def _decay_gap(decay: float) -> float:
     """1 - e^(-decay), the denominator of a leading constant C; it rounds
     to 0 once the height floors make decay tiny (c0 ~ 1e-300)."""
@@ -316,13 +324,6 @@ class ZetaInterval:
     def __post_init__(self) -> None:
         if not 0 < self.value_low <= self.value_high:
             raise ValueError("need 0 < value_low <= value_high")
-
-    def contains(self, x: float) -> bool:
-        return self.value_low <= x <= self.value_high
-
-    @property
-    def width(self) -> float:
-        return self.value_high - self.value_low
 
 
 @dataclass(frozen=True)
@@ -751,12 +752,15 @@ def _dirichlet_product(characters, s: float) -> tuple[int, int]:
 def _zeta_endpoints(key: tuple[str, int], s: float) -> tuple[float, float]:
     # rounded as _enclose rounds: the largest float at or below each end,
     # then one float further out.  eps = 2^-s (1 + 2/(s - 1)) >= zeta(s) - 1
-    # and d <= 2 len(characters) give zeta_K(s) - 1 <= e^(d eps) - 1; when
-    # d eps < 2^-60 the upper end stays under 1 + 2^-52 and both round to 1
-    characters = _characters(key)
-    if 2 * len(characters) * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60:
+    # and the degree d give zeta_K(s) - 1 <= zeta(s)^d - 1 <= e^(d eps) - 1;
+    # when d eps < 2^-60 the upper end stays under 1 + 2^-52 and both round
+    # to 1.  d comes from the key (phi(n), or 2), so the character table is
+    # built only when a sum is taken
+    kind, n = key
+    d = 2 if kind == "quadratic" else math.prod((p - 1) * p**(e - 1) for p, e in _factorize(n).items())
+    if d * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60:
         return math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf)
-    lo, hi = _dirichlet_product(characters, s)
+    lo, hi = _dirichlet_product(_characters(key), s)
     return (math.nextafter(_fix_float_floor(lo), -math.inf),
             math.nextafter(_fix_float_floor(hi), math.inf))
 
@@ -1077,9 +1081,11 @@ def ideal_sum_bound(
     if not t > t0_eff:
         raise ThresholdError(t0_eff)
     a = alpha_M(M, c0)
-    eps = 0.5 * min(c1 / 8.0, math.log(f_M(M, 0.75 * c1)), a * c0 * (k - 1) / k)
     decay = a * c0 * d * (t - t0) * (k - 1) / (4.0 * k * k)
     C = (2 * M + 1) * (1.0 + 1.0 / _decay_gap(decay))
+    eps = _positive_epsilon(
+        0.5 * min(c1 / 8.0, math.log(f_M(M, 0.75 * c1)), a * c0 * (k - 1) / k), f"ideal-sum tail M={M}"
+    )
     z_lo, z_hi = _composite_zeta(
         F,
         [(t * (0.75 - 1.0 / k), 1.0), (t / (k * M), float(M)), (0.75 * t, -1.0)],
@@ -1250,10 +1256,11 @@ def _s_base(c1: float) -> float:
 
 def _pair_tail_threshold(
     hyp: HeightHypothesis, n: int, m: int, rank_ratio: float
-) -> tuple[float, float]:
-    """(t0, t0_effective) of a2m_bound: the printed 2(n-m) sup(m^2+m, rank
-    entries), and its maximum with the floors that keep every zeta argument
-    above 1."""
+) -> float:
+    """t0 of a2m_bound: the printed 2(n-m) sup(m^2+m, rank entries).  With
+    w = m(n-m) >= 2 and m >= 2 it exceeds 2(m+1)(1 + w/e) by at least
+    2(m+1)(w(1 - 1/e) - 1) > 0, and 4w >= 2 by at least 2w(m - 1), so every
+    zeta argument of the tail exceeds 1."""
     c0 = hyp.c0
     entries = [float(m * m + m)]
     if rank_ratio > 0:
@@ -1262,8 +1269,7 @@ def _pair_tail_threshold(
             math.log(_s_base(hyp.c1)),
         ))
         entries.append(_rank_entry(rank_ratio * _LOG2, math.log(f_M(n - m, 0.75 * c0))))
-    t0 = 2.0 * (n - m) * max(entries)
-    return t0, max(t0, 2.0 * (m + 1) * (1.0 + m * (n - m) / math.e), 4.0 * m * (n - m), 2.0)
+    return 2.0 * (n - m) * max(entries)
 
 
 def _rank_ratio(F: NumberField, rank_ratio: float | None) -> float:
@@ -1297,8 +1303,8 @@ def a2m_bound(
     """Tail bound for the weight-m pair configurations of the n-th moment.
 
     Valid for 2 <= m <= n-1 and t above the printed threshold
-    2(n-m) sup(m^2+m, rank entries); zeta-argument positivity adds the
-    floors recorded as t0_effective.  bound_value evaluates
+    2(n-m) sup(m^2+m, rank entries), which keeps every zeta argument above
+    1 (so inputs["t0_effective"] is t0).  bound_value evaluates
     C_S omega^{m(n-m)} (td)^{(m-1)/2} Z e^{-eps d (t - t0)} with
     eps = (1/2) log min(4/3, e^{c1/(3(m+1))}, f_{n-m}(3 c1/4)) and
     Z = zeta(t/(2(m+1)) - m(n-m)/e) zeta(t/(4m(n-m)))^{m(n-m)} / zeta(t-1).
@@ -1311,12 +1317,11 @@ def a2m_bound(
     d = F.degree
     c1 = hyp.c1
     rr = _rank_ratio(F, rank_ratio)
-    t0, t0_eff = _pair_tail_threshold(hyp, n, m, rr)
-    if not t > t0_eff:
-        raise ThresholdError(t0_eff)
-    eps = 0.5 * math.log(
-        min(4.0 / 3.0, math.exp(c1 / (3.0 * (m + 1))), f_M(n - m, 0.75 * c1))
-    )
+    t0 = _pair_tail_threshold(hyp, n, m, rr)
+    if not t > t0:
+        raise ThresholdError(t0)
+    eps = _positive_epsilon(0.5 * math.log(min(
+        4.0 / 3.0, math.exp(c1 / (3.0 * (m + 1))), f_M(n - m, 0.75 * c1))), f"pair tail m={m}")
     w = m * (n - m)
     z_lo, z_hi = _composite_zeta(
         F, [(t / (2.0 * (m + 1)) - w / math.e, 1.0), (t / (4.0 * w), float(w)), (t - 1.0, -1.0)]
@@ -1337,7 +1342,7 @@ def a2m_bound(
             "t": t,
             "n": n,
             "m": m,
-            "t0_effective": t0_eff,
+            "t0_effective": t0,
             "rank_ratio": rr,
             "zeta_low": z_lo,
             "zeta_high": z_hi,
@@ -1363,10 +1368,11 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
     default).  Any other key or mode raises ValueError, and so do k < 2
     and, at n = 2, C, mode and rank_ratio.
 
-    The printed threshold formula omits the rank-free entries of the pair
-    tails and the zeta-argument floors, so the effective precondition is
-    their maximum; ThresholdError reports that effective value, while the
-    constants record both.
+    The printed threshold formula omits the thresholds of the rank-one
+    tail and the pair tails, so the effective precondition is their
+    maximum; ThresholdError reports that effective value, while the
+    constants record both.  The pair tail m = n-1 already needs
+    t > 2(n^2 - n) > n^2, so the zeta arguments t/n^2 and t - 1 exceed 1.
     """
     opts = options or {}
     unknown = set(opts) - {"k", "C", "mode", "rank_ratio"}
@@ -1416,10 +1422,8 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         )
     t0_eff = max(
         t0,
-        float(n * n),
-        2.0,
         _ideal_sum_threshold(hyp, n - 1, k, rr)[1],
-        *(_pair_tail_threshold(hyp, n, m, rr)[1] for m in range(2, n)),
+        *(_pair_tail_threshold(hyp, n, m, rr) for m in range(2, n)),
     )
     if not t > t0_eff:
         raise ThresholdError(t0_eff)

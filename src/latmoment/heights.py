@@ -78,9 +78,6 @@ class ProjPoint:
         if not any(self.coords):
             raise ValueError("projective point needs a nonzero coordinate")
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
     @cached_property
     def ideal_norm(self) -> Fraction:
         """Exact norm of the fractional ideal generated by the coordinates.
@@ -122,7 +119,7 @@ class RredMatrix:
         n = len(self.rows[0])
         if any(len(r) != n for r in self.rows):
             raise ValueError("ragged matrix")
-        piv = []
+        last = -1
         for i, row in enumerate(self.rows):
             j = 0
             while j < n and not row[j]:
@@ -131,25 +128,12 @@ class RredMatrix:
                 raise ValueError("zero row; matrix must have full rank")
             if row[j] != F.one:
                 raise ValueError("pivot entries must be exactly 1")
-            if piv and j <= piv[-1]:
+            if j <= last:
                 raise ValueError("pivot columns must strictly increase")
             for k in range(m):
                 if k != i and self.rows[k][j]:
                     raise ValueError("pivot columns must be cleared above and below")
-            piv.append(j)
-        object.__setattr__(self, "_pivots", tuple(piv))
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def pivot_columns(self) -> tuple[int, ...]:
-        return self._pivots
+            last = j
 
 
 def rred_matrix(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> RredMatrix:
@@ -165,9 +149,6 @@ def rred_matrix(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]
 class ValueInterval:
     lo: float
     hi: float
-
-    def __contains__(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
 
 
 # ---------------------------------------------------------------------------

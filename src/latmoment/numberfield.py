@@ -246,9 +246,6 @@ class NumberField:
         self.abs_discriminant = abs(self.disc)
         self.unit_rank = r1 + r2 - 1
 
-    def __repr__(self) -> str:
-        return f"NumberField({self.descriptor!r})"
-
     # -- basic elements
 
     def element(self, coords: Sequence[Rational]) -> FieldElement:
@@ -296,21 +293,6 @@ class NumberField:
         if self.degree == 1:
             return self.zero
         return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
-
-    @cached_property
-    def integral_basis(self) -> tuple[FieldElement, ...]:
-        d = self.degree
-        return tuple(
-            FieldElement(self, tuple(1 if j == k else 0 for j in range(d)), 1) for k in range(d)
-        )
-
-    @cached_property
-    def basis_symbol(self) -> str:
-        if self.kind == "quadratic":
-            return "w" if self.D % 4 == 1 else f"sqrt({self.D})"
-        if self.kind == "cyclotomic":
-            return "z"
-        return ""
 
     # -- multiplication structure
 
@@ -401,10 +383,6 @@ class NumberField:
             p.append(s)
         return tuple(p)
 
-    def trace(self, x: FieldElement) -> Fraction:
-        p = self._power_traces
-        return Fraction(sum(c * p[k] for k, c in enumerate(x.num)), x.den)
-
     @cached_property
     def _invol_rows(self) -> tuple[tuple[int, ...], ...]:
         """Integer coordinates of conj(g)^k, k < d, in a field with complex places."""
@@ -428,13 +406,6 @@ class NumberField:
             if c:
                 out = [x + c * r for x, r in zip(out, row)]
         return out
-
-    def involution(self, x: FieldElement) -> FieldElement:
-        """Identity at real embeddings, complex conjugation at complex ones.
-
-        Every supported field is totally real or CM, so this one
-        automorphism is complex conjugation under every embedding."""
-        return self._reduced(self._conj_int(x.num), x.den)
 
     @cached_property
     def embeddings_mp(self) -> tuple[mpmath.mpc, ...]:
@@ -549,11 +520,6 @@ class FieldElement:
     num: tuple[int, ...]
     den: int
 
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        """The coordinates as exact rationals."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     def floats(self) -> list[float]:
         """The coordinates, each the correctly rounded float of num/den."""
         return [c / self.den for c in self.num]
@@ -586,9 +552,6 @@ class FieldElement:
         a, b = self.den, o.den
         return self.field._reduced([x * b - y * a for x, y in zip(self.num, o.num)], a * b)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -615,12 +578,6 @@ class FieldElement:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, e: int) -> FieldElement:
         if e < 0:
             return self.inverse() ** (-e)
@@ -634,35 +591,9 @@ class FieldElement:
             n >>= 1
         return out
 
-    def conj(self) -> FieldElement:
-        return self.field.involution(self)
-
     @property
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def as_rational(self) -> Fraction:
-        if any(self.num[1:]):
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
-    def __str__(self) -> str:
-        sym = self.field.basis_symbol
-        parts = []
-        for k, c in enumerate(self.coords):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                p = sym if k == 1 else f"{sym}^{k}"
-                parts.append(p if c == 1 else f"-{p}" if c == -1 else f"{c}*{p}")
-        if not parts:
-            return "0"
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"<{self} in {self.field.descriptor}>"
 
 
 ElementTuple = tuple[FieldElement, ...]
@@ -695,8 +626,12 @@ def abs_norm(F: NumberField, x: FieldElement) -> Fraction:
 
 
 def trace_pairing_exact(F: NumberField, x: FieldElement, y: FieldElement) -> Fraction:
-    """Tr(x * conj(y)), without the discriminant normalization."""
-    return F.trace(F.coerce(x) * F.coerce(y).conj())
+    """Tr(x * conj(y)), without the discriminant normalization: the trace
+    form Tr(g^k) = F._power_traces[k] on the integer product of the
+    numerators, over the product of the denominators."""
+    x, y = F.coerce(x), F.coerce(y)
+    prod = F._mul_int(x.num, F._conj_int(y.num))
+    return Fraction(sum(c * p for c, p in zip(prod, F._power_traces)), x.den * y.den)
 
 
 def _scaled_mul_rows(F: NumberField, xs: Sequence[FieldElement], den: int) -> list[list[int]]:
@@ -731,6 +666,8 @@ def row_reduce(rows: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement
     mat = [list(r) for r in rows]
     if not mat:
         raise ValueError("empty matrix")
+    if any(len(r) != len(mat[0]) for r in mat):
+        raise ValueError("ragged matrix")
     rank = 0
     for col in range(len(mat[0])):
         piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)

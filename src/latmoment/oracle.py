@@ -72,9 +72,6 @@ class McEstimate:
     samples: int
     seed: int
 
-    def interval(self, zscore: float = 3.0) -> tuple[float, float]:
-        return (self.mean - zscore * self.std_error, self.mean + zscore * self.std_error)
-
 
 @dataclass(frozen=True)
 class TruncationReport:
@@ -588,7 +585,8 @@ def lower_bound_sum_check(
         rhs = float(D) ** (-float(t)) * _dirichlet_value(F, t, num, den, conj, norm)
         if lhs > rhs * (1.0 + 1e-9):
             raise AssertionError(
-                f"termwise inequality fails at {FieldElement(F, num, den)}: {lhs} > {rhs}"
+                f"termwise inequality fails at num={num}, den={den} in {F.descriptor}: "
+                f"{lhs} > {rhs}"
             )
         min_margin = min(min_margin, rhs - lhs)
         sum_lhs += lhs

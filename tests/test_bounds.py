@@ -325,9 +325,7 @@ def test_best_k_with_an_overflowing_rank_entry_raises():
 
 
 def test_zeta_interval_validation():
-    z = ZetaInterval(2.0, 1, 1.5, 1.7)
-    assert z.contains(1.6) and not z.contains(1.4)
-    assert z.width == pytest.approx(0.2)
+    ZetaInterval(2.0, 1, 1.5, 1.7)
     with pytest.raises(ValueError):
         ZetaInterval(2.0, 1, 1.7, 1.5)
     with pytest.raises(ValueError):
@@ -351,18 +349,18 @@ def test_bound_report_validation():
 
 def test_zeta_rational_contains_basel():
     z = dedekind_zeta(1, 2.0, 10000)
-    assert z.contains(math.pi**2 / 6)
-    assert z.width < 1e-3
+    assert z.value_low <= math.pi**2 / 6 <= z.value_high
+    assert z.value_high - z.value_low < 1e-3
     z3 = dedekind_zeta(1, 3.0, 2000)
-    assert z3.contains(1.2020569031595943)
+    assert z3.value_low <= 1.2020569031595943 <= z3.value_high
 
 
 def test_zeta_gaussian_value():
     z = dedekind_zeta(4, 2.0, 10000)
-    assert z.width < 1e-3
+    assert z.value_high - z.value_low < 1e-3
     # pi^2/6 * Catalan's constant, L(2, chi_4), at 30 digits
     with mpmath.workdps(30):
-        assert z.contains(float(mpmath.zeta(2) * mpmath.catalan))
+        assert z.value_low <= float(mpmath.zeta(2) * mpmath.catalan) <= z.value_high
 
 
 def test_zeta_conductor_normalization():
@@ -378,7 +376,7 @@ def test_zeta_nesting_in_P():
         tight = euler_zeta(n, 1.5, 2000)
         assert wide.value_low - 1e-12 <= tight.value_low
         assert tight.value_high <= wide.value_high + 1e-12
-        assert tight.width < wide.width
+        assert tight.value_high - tight.value_low < wide.value_high - wide.value_low
 
 
 def test_zeta_domain():
@@ -396,7 +394,7 @@ def test_zeta_without_primes_is_the_tail_bound():
     # still contain zeta(s), however close to 1 it is
     for s in (2.0, 40.0):
         z = euler_zeta(1, s, 1)
-        assert z.contains(float(mpmath.zeta(s)))
+        assert z.value_low <= float(mpmath.zeta(s)) <= z.value_high
 
 
 def test_zeta_needs_a_positive_cutoff():
@@ -620,22 +618,61 @@ def test_one_exponential_per_prime_equals_the_two_exponential_route():
         assert _prime_power.cache_info().hits > 0
 
 
+def _skips(d, s):
+    # the skip rule of _zeta_endpoints for a field of degree d
+    return d * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60
+
+
+def _rounded_product(key, s):
+    lo, hi = _dirichlet_product(_characters(key), s)
+    return (math.nextafter(_fix_float_floor(lo), -math.inf),
+            math.nextafter(_fix_float_floor(hi), math.inf))
+
+
+def _key_degree(key):
+    return 2 if key[0] == "quadratic" else cyclotomic_field(key[1]).degree
+
+
 def test_zeta_endpoints_equal_the_rounded_product_across_the_skip():
-    # the skip bound d 2^-s (1 + 2/(s - 1)), d <= 2 len(characters),
-    # crosses 2^-60 inside [55, 80] for every key, so the grid has products
-    # that are taken and products that are skipped; from s = 40 up it also
-    # has endpoints above the floats beside 1, which a skip taken too early
+    # the skip bound d 2^-s (1 + 2/(s - 1)), d the degree, crosses 2^-60
+    # inside [55, 80] for every key, so the grid has products that are
+    # taken and products that are skipped; from s = 40 up it also has
+    # endpoints above the floats beside 1, which a skip taken too early
     # would miss
     targets = list(ZETA_CONDUCTORS) + [make_field(f"Q(sqrt,{D})") for D in ZETA_QUADRATIC_D]
     for key, _ in map(_zeta_key, targets):
         skipped = 0
         for s in (40 + 0.25 * i for i in range(161)):
-            lo, hi = _dirichlet_product(_characters(key), s)
-            want = (math.nextafter(_fix_float_floor(lo), -math.inf),
-                    math.nextafter(_fix_float_floor(hi), math.inf))
-            assert _zeta_endpoints(key, s) == want, (key, s)
-            skipped += 2 * len(_characters(key)) * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60
+            assert _zeta_endpoints(key, s) == _rounded_product(key, s), (key, s)
+            skipped += _skips(_key_degree(key), s)
         assert 0 < skipped < 101, key
+
+
+def test_skip_by_degree_equals_the_product_where_the_table_rule_took_it():
+    # the skip rule once bounded the degree by 2 len(characters), which
+    # skips later; at every s of a 1/64 grid where only the degree rule
+    # skips, the product taken in full rounds to the floats beside 1
+    beside_one = (math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf))
+    targets = [*ZETA_CONDUCTORS, 47, 101,
+               *(make_field(f"Q(sqrt,{D})") for D in ZETA_QUADRATIC_D + (1001,))]
+    band = 0
+    for key, _ in map(_zeta_key, targets):
+        for s in (50 + i / 64 for i in range(64 * 30)):
+            if _skips(_key_degree(key), s) and not _skips(2 * len(_characters(key)), s):
+                assert _rounded_product(key, s) == beside_one == _zeta_endpoints(key, s), (key, s)
+                band += 1
+    assert band > 500, band
+
+
+def test_skip_rule_builds_no_character_table():
+    # far above the cutoff the degree decides, read from the key (the table
+    # of conductor 100000 once took minutes; tests/test_cli.py runs it)
+    _clear_memos()
+    beside_one = (math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf))
+    for z in (dedekind_zeta(5, 1e12), dedekind_zeta(47, 300.0),
+              dedekind_zeta_field(make_field("Q(sqrt,1001)"), 1e12)):
+        assert (z.value_low, z.value_high) == beside_one
+    assert _characters.cache_info().misses == 0
 
 
 def _characters_by_search(n):
@@ -922,7 +959,7 @@ def test_quadratic_zeta_sqrt5():
     chi = {1: 1, 4: 1, 2: -1, 3: -1}
     with mpmath.workdps(30):
         L = mpmath.dirichlet(2, [chi.get(n, 0) for n in range(5)])
-        assert z.contains(float(mpmath.zeta(2) * L))
+        assert z.value_low <= float(mpmath.zeta(2) * L) <= z.value_high
 
 
 def test_quadratic_zeta_sqrt2():
@@ -930,15 +967,15 @@ def test_quadratic_zeta_sqrt2():
     chi = {1: 1, 7: 1, 3: -1, 5: -1}
     with mpmath.workdps(30):
         L = mpmath.dirichlet(2, [chi.get(n, 0) for n in range(8)])
-        assert z.contains(float(mpmath.zeta(2) * L))
+        assert z.value_low <= float(mpmath.zeta(2) * L) <= z.value_high
 
 
 def test_quadratic_zeta_width_near_pole():
     # zeta(s) L(s, (5/.)) close to s = 1, where the tail bound dominates
     z = dedekind_zeta_field(Q5, 1.12, 600)
     L = mpmath.zeta(1.12) * mpmath.dirichlet(1.12, [0, 1, -1, -1, 1])
-    assert z.contains(float(L))
-    assert z.width / z.value_low < 30
+    assert z.value_low <= float(L) <= z.value_high
+    assert (z.value_high - z.value_low) / z.value_low < 30
 
 
 def test_quadratic_dispatch_uses_euler_for_cyclotomic_quadratics():

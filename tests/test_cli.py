@@ -263,6 +263,39 @@ def test_height_floor_too_small_to_resolve_exits_2(runner, args):
     assert "t > inf" in r.stderr or "height floors are too small" in r.stderr
 
 
+def test_moment_bounds_names_the_tail_whose_epsilon_rounds_to_0(runner):
+    # exited 2 with BoundReport's bare "epsilon must be positive"
+    r = runner.invoke(main, ["moment-bounds", "Q(sqrt,-1)", "--t", "40000", "--n", "3",
+                             "--volume", "1", "--c0", "1e-9", "--mode", "cyclotomic"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert ("invalid configuration: the epsilon of the ideal-sum tail M=2 rounds to 0: "
+            "the height floors are too small") in r.stderr
+
+
+@pytest.mark.parametrize("rows", [
+    ["3,0 3", "1 3,-1 1/2,1/2", "0"],  # a short last row, met while clearing a column
+    ["0 1", "1"],  # a short last row, met while looking for a pivot
+])
+def test_gr_height_ragged_rows_exit_2(runner, rows):
+    # row_reduce once ended in an IndexError traceback (exit 1)
+    args = ["gr-height", "Q(sqrt,5)" if len(rows) == 3 else "Q"]
+    for row in rows:
+        args += ["--row", row]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "invalid configuration: ragged matrix" in r.stderr
+
+
+def test_zeta_of_a_large_conductor_far_above_the_cutoff_exits_0(runner):
+    # the character table of conductor 100000 was built before the skip
+    # rule, which needs only the degree; the run took minutes
+    r = runner.invoke(main, ["zeta", "100000", "--s", "1e12"])
+    assert r.exit_code == 0, r.stderr
+    assert lines(r)[-1] == "100000,1000000000000.0,0.9999999999999999,1.0000000000000002"
+
+
 def test_missing_required_parameter_exits_2(runner):
     r = runner.invoke(main, ["second-moment", "Q"])
     assert r.exit_code == 2
@@ -655,6 +688,50 @@ def test_every_public_name_is_reached():
                 used.add(node.attr)
     unreached = {name for name in latmoment.__all__ if name not in used}
     assert unreached == _PENDING
+
+
+# members of the public classes that only unit tests ran, deleted; a class
+# body that defines one again fails the guard below
+_DELETED_MEMBERS = {
+    "NumberField": {"__repr__", "integral_basis", "basis_symbol", "trace", "involution"},
+    "FieldElement": {"__str__", "__repr__", "__rsub__", "__rtruediv__", "coords",
+                     "as_rational", "conj"},
+    "ZetaInterval": {"contains", "width"},
+    "ProjPoint": {"__len__"},
+    "RredMatrix": {"m", "n", "pivot_columns"},
+    "ValueInterval": {"__contains__"},
+    "McEstimate": {"interval"},
+}
+
+# public methods and properties that no caller reaches yet, each with the
+# reason it stays (none today)
+_PENDING_MEMBERS: set[str] = set()
+
+
+def test_every_public_method_is_reached():
+    # every public method, property and class-level alias in the body of a
+    # class in __all__ is read as an attribute somewhere a caller lives
+    import ast
+
+    used = {node.attr for tree in _caller_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    members: dict[str, set] = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "latmoment").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name in latmoment.__all__:
+                names = members.setdefault(node.name, set())
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names.add(item.name)
+                    elif isinstance(item, ast.Assign):
+                        names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+    assert set(_DELETED_MEMBERS) <= set(members)
+    unreached = {f"{cls}.{name}" for cls, names in members.items() for name in names
+                 if not name.startswith("_") and name not in used}
+    assert unreached == _PENDING_MEMBERS
+    returned = {f"{cls}.{name}" for cls, names in _DELETED_MEMBERS.items()
+                for name in names & members[cls]}
+    assert returned == set()
 
 
 def test_every_optional_parameter_is_passed():

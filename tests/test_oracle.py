@@ -66,8 +66,7 @@ def test_mc_matches_exact_scaling():
     est = mc_intersection_ratio(Q, 6, [Q.from_rational(2)], samples=50000, seed=4)
     exact = 2.0**-6
     assert abs(est.mean - exact) <= 4 * est.std_error
-    lo, hi = est.interval()
-    assert lo <= exact <= hi
+    assert est.mean - 3 * est.std_error <= exact <= est.mean + 3 * est.std_error
 
 
 def test_mc_multiple_constraints_shrink():
@@ -286,7 +285,7 @@ def test_dirichlet_closed_forms_every_place_count(descriptor):
 
 def _galois_conjugate(F, a, k):
     # the image of a under zeta -> zeta^k, which permutes the places
-    return sum((c * F.gen ** (j * k) for j, c in enumerate(a.coords)), F.zero)
+    return sum((c * F.gen ** (j * k) for j, c in enumerate(a.num)), F.zero) / a.den
 
 
 def test_dirichlet_three_places_permutation_invariant():
