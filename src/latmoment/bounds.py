@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from mpmath import bernfrac, iv
+from mpmath import bernfrac
 from mpmath.libmp import (
     from_float,
     from_int,
@@ -41,7 +41,9 @@ from mpmath.libmp import (
     to_fixed,
     to_float,
 )
-from mpmath.libmp.libmpi import mpi_add, mpi_cos_sin, mpi_div, mpi_exp, mpi_mul, mpi_pow, mpi_sub
+from mpmath.libmp.libmpi import (
+    mpi_add, mpi_cos_sin, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow, mpi_sub,
+)
 
 from .heights import h_infty
 from .moments import MomentReport, a1m_bound, main_term
@@ -161,8 +163,9 @@ def alpha_M(M: int, c0: float) -> float:
     log f_M is a log-sum-exp of affine functions, so it is convex, and it
     vanishes at 0; hence log f_M(x)/x is nondecreasing on x > 0 and the
     supremum of admissible a is 2 log f_M(c0/2)/c0, attained at the left
-    endpoint.  That value is enclosed in iv at 80 bits, plus the bits that
-    small c0 cancels, and its lower endpoint is returned: rounded down, so
+    endpoint.  That value is enclosed by libmp interval operations at 80
+    bits, plus the bits that small c0 cancels, and its lower endpoint is
+    returned: rounded down, so
     never above the supremum, and clamped at 0, which is always admissible
     since f_M >= 1.  The memo is keyed by the exact float c0, never a
     rounded one, because a c0 rounded up would give a larger a.  A
@@ -183,14 +186,15 @@ def alpha_M(M: int, c0: float) -> float:
 
 @lru_cache(maxsize=None)
 def _alpha_exponent(M: int, c0: float) -> float:
-    def exponent():
-        # f_M(x) is about 1 + x^2/(2M) for small x, so the log loses about
-        # log2(8M/c0^2) bits to the 1; extra precision pays for them
-        iv.prec += 2 * max(0, -math.frexp(c0)[1]) + M.bit_length()
-        x = iv.mpf(c0) / 2
-        return 2 * iv.log((iv.exp(x) + M * iv.exp(-x / M)) / (M + 1)) / c0
-
-    return max(_enclose(exponent)[0], 0.0)
+    # f_M(x) is about 1 + x^2/(2M) for small x, so the log loses about
+    # log2(8M/c0^2) bits to the 1; extra precision pays for them
+    prec = _ZETA_PREC + 2 * max(0, -math.frexp(c0)[1]) + M.bit_length()
+    c, m = _mpi(c0, prec), _mpi(M, prec)
+    x = mpi_div(c, _mpi(2), prec)
+    e_minus = mpi_exp(mpi_div(mpi_neg(x, prec), m, prec), prec)
+    f = mpi_add(mpi_exp(x, prec), mpi_mul(m, e_minus, prec), prec)
+    log_f = mpi_log(mpi_div(f, _mpi(M + 1, prec), prec), prec)
+    return max(_outward(mpi_div(mpi_mul(_mpi(2), log_f, prec), c, prec))[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +213,17 @@ def _rank_entry(numerator: float, log_base: float) -> float:
     if not entry < math.inf:
         raise ThresholdError(math.inf)
     return entry
+
+
+def _log_base(M: int, x: float, base=f_M) -> float:
+    """log base(M, x) for a base >= e^x/(M + 1) (f_M, or cosh at M = 1);
+    where that overflows, its lower bound x - log(M + 1), one float down
+    for the rounding while log(M + 1) < 512.  An entry numerator/log then
+    only grows and an epsilon only shrinks, so each stays a bound."""
+    try:
+        return math.log(base(M, x))
+    except OverflowError:
+        return math.nextafter(x - math.log(M + 1), -math.inf)
 
 
 def _positive_epsilon(eps: float, what: str) -> float:
@@ -252,7 +267,7 @@ def t0_threshold(
     if rank_ratio > 0:
         x = hyp.c0 * (1.0 - 1.0 / k) if shifted else hyp.c0
         entries.append(_rank_entry(
-            2.0 * rank_ratio * M * math.log(2.0 + 1.0 / (2 * k)), math.log(f_M(M, x))
+            2.0 * rank_ratio * M * math.log(2.0 + 1.0 / (2 * k)), _log_base(M, x)
         ))
     return max(entries)
 
@@ -356,9 +371,10 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # Dedekind zeta intervals from Dirichlet L-functions
 
-# the enclosures of _enclose (alpha_M, composed zeta factors, the cyclotomic
-# constants) are computed in mpmath.iv at this precision, whatever the
-# caller's iv.prec, and only their final endpoints are rounded to floats
+# alpha_M (plus the bits small c0 cancels), the composed zeta factors and the
+# cyclotomic constants are enclosed by libmp interval operations at this
+# precision, whatever the caller's mp.prec or iv.prec, and only their final
+# endpoints are rounded to floats
 _ZETA_PREC = 80
 # the zeta kernel encloses each quantity v in a pair of integers (lo, hi)
 # with lo 2^-128 <= v <= hi 2^-128; every operation floors lo and ceils hi,
@@ -395,31 +411,10 @@ def _outward(x: tuple) -> tuple[float, float]:
     return math.nextafter(to_float(x[0]), -math.inf), math.nextafter(to_float(x[1]), math.inf)
 
 
-def _enclose(compute) -> tuple[float, float]:
-    """The iv interval compute() returns at 80 bits, as outward floats."""
-    old_prec = iv.prec
-    iv.prec = _ZETA_PREC
-    try:
-        return _outward(compute()._mpi_)
-    finally:
-        iv.prec = old_prec
-
-
-def _mpi(x: float) -> tuple:
-    # x as iv converts it at 80 bits (floats exactly)
+def _mpi(x: float, prec: int = _ZETA_PREC) -> tuple:
+    # x as an interval at prec bits (floats exactly)
     conv = from_int if isinstance(x, int) else from_float
-    return conv(x, _ZETA_PREC, round_floor), conv(x, _ZETA_PREC, round_ceiling)
-
-
-def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
-    # the Kronecker symbol (disc/p) is 0 (ramified), 1 (split) or -1 (inert)
-    if disc % p == 0:
-        return 1, 1
-    if p == 2:
-        split = disc % 8 == 1
-    else:
-        split = pow(disc, (p - 1) // 2, p) == 1
-    return (1, 2) if split else (2, 1)
+    return conv(x, prec, round_floor), conv(x, prec, round_ceiling)
 
 
 def _precision_cutoff(s: float, P: int) -> int:
@@ -496,17 +491,16 @@ def _primitive_phases(f: int) -> list[tuple[int, tuple]]:
 
 
 def _kronecker_phases(disc: int) -> tuple:
-    """Phases over 2 of the character (disc/.) modulo |disc|, from the
-    splitting rule at each prime, extended multiplicatively."""
+    """Phases over 2 of the character (disc/.) modulo |disc|: the parity of
+    the inert prime factors of a unit, where by Euler's criterion 2 is inert
+    when disc is not 1 mod 8, an odd p when disc^((p-1)/2) is not 1 mod p."""
     q = abs(disc)
-    out = []
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            out.append(None)
-            continue
-        inert = sum(e for p, e in _factorize(a).items() if _quadratic_splitting(disc, p)[0] == 2)
-        out.append(inert % 2)
-    return tuple(out)
+    return tuple(
+        sum(e for p, e in _factorize(a).items()
+            if (disc % 8 != 1 if p == 2 else pow(disc, (p - 1) // 2, p) != 1)) % 2
+        if math.gcd(a, q) == 1 else None
+        for a in range(q)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -750,15 +744,17 @@ def _dirichlet_product(characters, s: float) -> tuple[int, int]:
 
 @lru_cache(maxsize=_ZETA_CACHE_SIZE)
 def _zeta_endpoints(key: tuple[str, int], s: float) -> tuple[float, float]:
-    # rounded as _enclose rounds: the largest float at or below each end,
+    # rounded as _outward rounds: the largest float at or below each end,
     # then one float further out.  eps = 2^-s (1 + 2/(s - 1)) >= zeta(s) - 1
     # and the degree d give zeta_K(s) - 1 <= zeta(s)^d - 1 <= e^(d eps) - 1;
     # when d eps < 2^-60 the upper end stays under 1 + 2^-52 and both round
     # to 1.  d comes from the key (phi(n), or 2), so the character table is
-    # built only when a sum is taken
+    # built only when a sum is taken.  d <= |n| < 2^b goes first, in log2
+    # with a spare bit for rounding: no factoring, no huge n as a float
     kind, n = key
-    d = 2 if kind == "quadratic" else math.prod((p - 1) * p**(e - 1) for p, e in _factorize(n).items())
-    if d * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60:
+    if n.bit_length() + 61 < s - math.log2(1 + 2 / (s - 1)) or (
+        2 if kind == "quadratic" else math.prod((p - 1) * p**(e - 1) for p, e in _factorize(n).items())
+    ) * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60:
         return math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf)
     lo, hi = _dirichlet_product(_characters(key), s)
     return (math.nextafter(_fix_float_floor(lo), -math.inf),
@@ -1017,7 +1013,7 @@ def unit_count_bound(F: NumberField, hyp: HeightHypothesis, B: float) -> float:
 
 @lru_cache(maxsize=_ZETA_CACHE_SIZE)
 def _zeta_power_product(factors: tuple[tuple[float, float, float], ...]) -> tuple[float, float]:
-    # prod [low, high]^e by the libmp interval operations of iv at 80 bits,
+    # prod [low, high]^e by libmp interval operations at 80 bits,
     # rounded outward; the key is every input the product reads
     out = _mpi(1)
     for low, high, e in factors:
@@ -1031,8 +1027,8 @@ def _composite_zeta(F: NumberField, parts: Sequence[tuple[float, float]]) -> tup
 
     Each factor is read from the endpoint memo of dedekind_zeta_field,
     under the same check that 1 < s_i < inf.  The powers (negative
-    exponents divide) are composed by the libmp interval operations of iv
-    at 80 bits and the endpoints rounded outward, so the result contains
+    exponents divide) are composed by libmp interval operations at 80
+    bits and the endpoints rounded outward, so the result contains
     every product of values inside the factors.
 
     The composition is memoized (up to _ZETA_CACHE_SIZE entries) by the
@@ -1084,7 +1080,7 @@ def ideal_sum_bound(
     decay = a * c0 * d * (t - t0) * (k - 1) / (4.0 * k * k)
     C = (2 * M + 1) * (1.0 + 1.0 / _decay_gap(decay))
     eps = _positive_epsilon(
-        0.5 * min(c1 / 8.0, math.log(f_M(M, 0.75 * c1)), a * c0 * (k - 1) / k), f"ideal-sum tail M={M}"
+        0.5 * min(c1 / 8.0, _log_base(M, 0.75 * c1), a * c0 * (k - 1) / k), f"ideal-sum tail M={M}"
     )
     z_lo, z_hi = _composite_zeta(
         F,
@@ -1150,23 +1146,17 @@ def second_moment_bounds(
     if F.unit_rank > 0:
         entries.append(_rank_entry(
             2.0 * F.unit_rank / d * math.log(2.0 + 1.0 / (2 * k)),
-            math.log(math.cosh(c0 * (1.0 - 1.0 / k))),
+            _log_base(1, c0 * (1.0 - 1.0 / k), lambda _, x: math.cosh(x)),
         ))
     t0 = max(entries)
     t0_eff = max(t0, 4.0 * k / (3.0 * k - 4.0))
     if not t > t0_eff:
         raise ThresholdError(t0_eff)
-    eps = 0.5 * min(
-        c1 / 8.0,
-        math.log(math.cosh(0.75 * c1)),
-        0.8 * c0 * (k - 1) / k,
-    )
+    log_cosh = _log_base(1, 0.75 * c1, lambda _, x: math.cosh(x))
+    eps = 0.5 * min(c1 / 8.0, log_cosh, 0.8 * c0 * (k - 1) / k)
     decay = c0 * d * (t - t0) * (k - 1) / (10.0 * k * k)
     C = 3.0 + 3.0 / _decay_gap(decay)
-    z_lo, z_hi = _composite_zeta(
-        F,
-        [(t * (0.75 - 1.0 / k), 1.0), (t / k, 1.0), (0.75 * t, -1.0)],
-    )
+    z_lo, z_hi = _composite_zeta(F, [(t * (0.75 - 1.0 / k), 1.0), (t / k, 1.0), (0.75 * t, -1.0)])
     omega = F.omega_K
     lower = V * V + omega * V
     main = _finite_float(lower, "main term")
@@ -1201,8 +1191,8 @@ def cyclotomic_second_moment_constants(F: NumberField, t: float) -> dict:
     epsilon = 1/400, and C = (3 + 3/(1 - e^(-d(t - 267/10)/1124)))
     zeta(37t/52) zeta(t/25).  The scalar in front of the zeta product stays
     below 5625 and is reported as a float; C_low and C_high are the exact
-    scalar times the two zeta intervals, composed by the libmp interval
-    operations of iv at 80 bits and rounded outward (the float scalar can
+    scalar times the two zeta intervals, composed by libmp interval
+    operations at 80 bits and rounded outward (the float scalar can
     sit 1e-13 off near t = 27, where 1 - e^(-x) cancels).  The general
     second-moment epsilon formula under the family defaults evaluates to
     (1/2) log cosh(3 c1/4) ~ 0.0025253 >= 1/400, which is checked here
@@ -1254,6 +1244,16 @@ def _s_base(c1: float) -> float:
     return min(64.0 / 27.0, math.exp(x / 3.0), math.cosh(x) ** 3)
 
 
+def _pair_epsilon(c1: float, j: float, M: int) -> float:
+    """(1/2) log min(4/3, e^(c1/j), f_M(M, 3 c1/4)), the pair tails' decay
+    rate.  e^1 > 4/3, and f_M(M, x) > e^x/(M+1) >= 4/3 from x = log(4(M+1)/3)
+    on, so both terms are taken at arguments capped there: same minimum,
+    no overflow."""
+    y = min(c1 / j, 1.0)
+    x = min(0.75 * c1, math.log(4.0 * (M + 1) / 3.0))
+    return 0.5 * math.log(min(4.0 / 3.0, math.exp(y), f_M(M, x)))
+
+
 def _pair_tail_threshold(
     hyp: HeightHypothesis, n: int, m: int, rank_ratio: float
 ) -> float:
@@ -1268,7 +1268,7 @@ def _pair_tail_threshold(
             rank_ratio * (m * m + m) * math.log(2.0 + 12.0 / c0 + 2.0 * math.log(n - m) / c0),
             math.log(_s_base(hyp.c1)),
         ))
-        entries.append(_rank_entry(rank_ratio * _LOG2, math.log(f_M(n - m, 0.75 * c0))))
+        entries.append(_rank_entry(rank_ratio * _LOG2, _log_base(n - m, 0.75 * c0)))
     return 2.0 * (n - m) * max(entries)
 
 
@@ -1320,8 +1320,7 @@ def a2m_bound(
     t0 = _pair_tail_threshold(hyp, n, m, rr)
     if not t > t0:
         raise ThresholdError(t0)
-    eps = _positive_epsilon(0.5 * math.log(min(
-        4.0 / 3.0, math.exp(c1 / (3.0 * (m + 1))), f_M(n - m, 0.75 * c1))), f"pair tail m={m}")
+    eps = _positive_epsilon(_pair_epsilon(c1, 3.0 * (m + 1), n - m), f"pair tail m={m}")
     w = m * (n - m)
     z_lo, z_hi = _composite_zeta(
         F, [(t / (2.0 * (m + 1)) - w / math.e, 1.0), (t / (4.0 * w), float(w)), (t - 1.0, -1.0)]
@@ -1404,8 +1403,7 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
             (n - 1) * math.log(17.0 / 8.0) / math.log(f_M(n - 1, 9.0 / 50.0)),
         )
         eps = 0.5 * math.log(
-            min(5.0 ** (1.0 / (36.0 * n + 24.0)), f_M(n - 1, math.log(5.0) / 16.0))
-        )
+            min(5.0 ** (1.0 / (36.0 * n + 24.0)), f_M(n - 1, math.log(5.0) / 16.0)))
     else:
         entries = [0.0]
         if rr > 0:
@@ -1414,12 +1412,10 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
                 math.log(_s_base(c1)),
             ))
             entries.append(_rank_entry(
-                2.0 * rr * (n - 1) * math.log(17.0 / 8.0), math.log(f_M(n - 1, 0.75 * c0))
+                2.0 * rr * (n - 1) * math.log(17.0 / 8.0), _log_base(n - 1, 0.75 * c0)
             ))
         t0 = max(entries)
-        eps = 0.5 * math.log(
-            min(4.0 / 3.0, math.exp(c1 / (3.0 * n + 2.0)), f_M(n - 1, 0.75 * c1))
-        )
+        eps = _pair_epsilon(c1, 3.0 * n + 2.0, n - 1)
     t0_eff = max(
         t0,
         _ideal_sum_threshold(hyp, n - 1, k, rr)[1],
@@ -1456,9 +1452,7 @@ def moment_bounds(q, hyp: HeightHypothesis, options: dict | None = None) -> Mome
         constants["zeta_low"], z_hi = _composite_zeta(F, parts)
     constants["zeta_high"] = z_hi
     if mode == "fixed-field":
-        err = cval * t ** ((n - 2) / 2.0) * math.exp(-eps * (t - t0)) * (V + 1.0) ** (
-            n - 1
-        )
+        err = cval * t ** ((n - 2) / 2.0) * math.exp(-eps * (t - t0)) * (V + 1.0) ** (n - 1)
     else:
         err = cval * float(omega) ** (n * n / 4.0) * poly * math.exp(-eps * d * (t - t0)) * z_hi
     return MomentReport(

@@ -3,7 +3,8 @@
 Stirling numbers, moments of Poisson variables in Touchard form, the
 main-term assembly for the n-th moment of the lattice-point count, ball
 volumes, the classical ZZ-lattice error term, and the normalized two-ball
-intersection volume.
+intersection volume, by the float regularized incomplete beta that the
+Dirichlet oracle shares.
 
 Everything here is pure arithmetic on the query parameters; no lattices
 are touched.  Exact rational inputs give exact rational outputs where the
@@ -16,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -38,6 +39,7 @@ __all__ = [
 _SERIES_TOL = 1e-12  # absolute truncation error of poisson_moment_series
 _SERIES_TERMS = 100000  # poisson_moment_series sums at most this many terms
 _MAIN_TERM_CACHE_SIZE = 1024  # main terms memoized by (omega, n, V)
+_STIRLING_MAX_N = 1000  # Stirling rows stop here (row 1000: 0.3 s, 0.6 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +61,8 @@ class MomentQuery:
             raise ValueError("t must be an integer >= 2")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("moment order n must be an integer >= 1")
+        if self.n > _STIRLING_MAX_N:
+            raise ValueError(f"moment order n must be at most {_STIRLING_MAX_N}, got n = {self.n}")
         if not 0 < self.V < math.inf:
             raise ValueError("ball volume V must be positive and finite")
         if not self.t * self.field.degree > self.n:
@@ -91,22 +95,22 @@ class MomentReport:
 # combinatorics
 
 
-@cache
-def _stirling2_rec(n: int, m: int) -> int:
-    if m > n:
-        return 0
-    if n == 0:
-        return 1
-    if m == 0:
-        return 0
-    return m * _stirling2_rec(n - 1, m) + _stirling2_rec(n - 1, m - 1)
+@lru_cache(maxsize=32)
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    # S(n, 0..n), built up from row 0 by S(j, m) = m S(j-1, m) + S(j-1, m-1)
+    if n > _STIRLING_MAX_N:
+        raise ValueError(f"Stirling rows stop at n = {_STIRLING_MAX_N}, got n = {n}")
+    row = (1,)
+    for j in range(1, n + 1):
+        row = (0, *(m * row[m] + row[m - 1] for m in range(1, j)), 1)
+    return row
 
 
 def stirling2(n: int, m: int) -> int:
-    """Stirling number of the second kind, exact."""
+    """Stirling number of the second kind, exact, for n <= _STIRLING_MAX_N."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return _stirling2_rec(n, m)
+    return _stirling2_row(n)[m]
 
 
 def poisson_moment(n: int, lam: float | Rational):
@@ -120,8 +124,8 @@ def poisson_moment(n: int, lam: float | Rational):
     lam_x = Fraction(lam) if exact else float(lam)
     acc = Fraction(0) if exact else 0.0
     p = lam_x
-    for m in range(1, n + 1):
-        acc += stirling2(n, m) * p
+    for S in _stirling2_row(n)[1:]:
+        acc += S * p
         p *= lam_x
     return acc
 
@@ -183,10 +187,13 @@ def _main_term(w: int, n: int, V):
 
 
 def ball_volume(N: int) -> float:
-    """Volume of the unit ball in R^N."""
+    """Volume of the unit ball in R^N (ValueError from N = 342 on)."""
     if N < 1:
         raise ValueError("dimension must be >= 1")
-    return math.pi ** (N / 2) / math.gamma(N / 2 + 1)
+    try:
+        return math.pi ** (N / 2) / math.gamma(N / 2 + 1)
+    except OverflowError:
+        raise ValueError(f"the unit ball volume in dimension {N} is past the float range") from None
 
 
 def rogers_error(n: int, t: float) -> float:
@@ -204,6 +211,49 @@ def rogers_error(n: int, t: float) -> float:
     return 2 * 3**k * (math.sqrt(3) / 2) ** t + 21 * 5**k * 0.5**t
 
 
+def _beta_cf(a: float, b: float, x: float) -> float:
+    # the continued fraction of DLMF 8.17.22 by the modified Lentz method,
+    # two partial numerators d_2m, d_2m+1 per step
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        a2m = a + 2 * m
+        for num in (m * (b - m) * x / ((a2m - 1.0) * a2m),
+                    -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) <= 1e-15:
+            return h
+    raise RuntimeError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
+
+
+def _betainc(a: float, b: float, x: float, y: float, log_scale: float = 0.0) -> float:
+    """exp(log_scale) I_x(a, b), the regularized incomplete beta function.
+
+    The caller passes y = 1 - x, computed without cancellation.  The
+    continued fraction runs in the tail below the mean, where it converges
+    fast; above it the result is exp(log_scale) (1 - I_y(b, a)).  The scale
+    enters the exponent, so a large factor times a tiny tail stays finite.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return math.exp(log_scale)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_scale) * (1.0 - _betainc(b, a, y, x))
+    log_front = (
+        log_scale + a * math.log(x) + b * math.log(y)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    return math.exp(log_front) * _beta_cf(a, b, x) / a
+
+
 def two_ball_intersection(N: int, delta: float) -> float:
     """Volume of the intersection of two unit balls in R^N at center
     distance delta, normalized by the ball volume:
@@ -213,7 +263,9 @@ def two_ball_intersection(N: int, delta: float) -> float:
 
     the regularized incomplete beta function (two caps of height
     1 - delta/2; S. Li, "Concise formulas for the area and volume of a
-    hyperspherical cap", 2011), evaluated at 30 digits.
+    hyperspherical cap", 2011), evaluated in floats by _betainc.  Against
+    a 30-digit evaluation over N = 2..199 and delta = 2k/401, k = 1..400,
+    the worst relative error is 1.35e-12 (N = 164, delta = 0.264).
     """
     if N < 2:
         raise ValueError("dimension must be >= 2")
@@ -221,9 +273,8 @@ def two_ball_intersection(N: int, delta: float) -> float:
         raise ValueError("center distance must be nonnegative")
     if delta >= 2:
         return 0.0
-    with mp.workdps(30):
-        x = 1 - mp.mpf(delta) ** 2 / 4
-        return float(mp.betainc(mp.mpf(N + 1) / 2, 0.5, 0, x, regularized=True))
+    y = delta * delta / 4
+    return _betainc((N + 1) / 2, 0.5, 1 - y, y)
 
 
 def a1m_bound(F: NumberField, n: int, t: int) -> float:

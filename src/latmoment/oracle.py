@@ -28,7 +28,7 @@ from .bounds import (
     unit_count_bound,
 )
 from .heights import _heights_from_conjugates, weil_height
-from .moments import ball_volume
+from .moments import _betainc, ball_volume
 from .numberfield import (
     FieldElement,
     NumberField,
@@ -107,6 +107,8 @@ def _mc_inputs(F: NumberField, t: int, alphas, samples: int) -> tuple[int, list]
     # the shared preconditions; returns the total real dimension and alphas
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples")
+    if not t >= 1:
+        raise ValueError(f"need t >= 1, got t = {t}")
     N = t * F.degree
     if N > 64:
         raise ValueError(f"total real dimension {N} > 64")
@@ -152,8 +154,8 @@ def mc_intersection_ratio(
 
     Samples uniform points of the unit ball in the t*degree real coordinates
     (one block of t*e reals per place), and tests each scaled-ball membership
-    sum_places |alpha|_place^2 r_place^2 <= 1.  Needs samples >= 10^4 and
-    total dimension t*degree <= 64.
+    sum_places |alpha|_place^2 r_place^2 <= 1.  Needs samples >= 10^4,
+    t >= 1 and total dimension t*degree <= 64.
     """
     N, alphas = _mc_inputs(F, t, alphas, samples)
     import numpy as np
@@ -180,55 +182,6 @@ _GL_HALF = (
     (0.11504866290284765, 0.08003916427167311), (0.2063410228566913, 0.10158371336153296),
     (0.3160842505009099, 0.1167462682691774), (0.43738329574426554, 0.12457352290670139),
 )
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    # the continued fraction of DLMF 8.17.22 by the modified Lentz method,
-    # two partial numerators d_2m, d_2m+1 per step
-    tiny = 1e-300
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 1000):
-        a2m = a + 2 * m
-        num = m * (b - m) * x / ((a2m - 1.0) * a2m)
-        d = 1.0 + num * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = 1.0 + num / c
-        c = c if abs(c) > tiny else tiny
-        h *= c * d
-        num = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
-        d = 1.0 + num * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = 1.0 + num / c
-        c = c if abs(c) > tiny else tiny
-        step = c * d
-        h *= step
-        if abs(step - 1.0) <= 1e-15:
-            return h
-    raise RuntimeError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
-
-
-def _betainc(a: float, b: float, x: float, y: float, log_scale: float = 0.0) -> float:
-    """exp(log_scale) I_x(a, b), the regularized incomplete beta function.
-
-    The caller passes y = 1 - x, computed without cancellation.  The
-    continued fraction runs in the tail below the mean, where it converges
-    fast; above it the result is exp(log_scale) (1 - I_y(b, a)).  The scale
-    enters the exponent, so a large factor times a tiny tail stays finite.
-    """
-    if x <= 0.0:
-        return 0.0
-    if y <= 0.0:
-        return math.exp(log_scale)
-    if x > (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_scale) * (1.0 - _betainc(b, a, y, x))
-    log_front = (
-        log_scale + a * math.log(x) + b * math.log(y)
-        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    )
-    return math.exp(log_front) * _beta_cf(a, b, x) / a
 
 
 def _dirichlet_ratio(w: tuple[float, ...], a: tuple[float, ...]) -> float:

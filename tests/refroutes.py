@@ -9,10 +9,11 @@ them (the column-form height bound), so agreement with these is
 evidence.  The box oracles' term-by-term loops and the one-k-at-a-time
 threshold scan are here too: the package skips terms and bisects, and
 must return the same floats.  So are the zeta kernel's prime powers by
-two exponentials and the zeta compositions in mpmath.iv, which the
-package replaced by one exponential per prime and raw libmp intervals
-with equal results.  pytest puts this directory on sys.path, so
-the test modules import it as `refroutes`.
+two exponentials, and alpha_M and the zeta compositions in mpmath.iv,
+which the package replaced by one exponential per prime and raw libmp
+intervals with equal results.  The Euler product reads the splitting of
+each prime from its own rules here, none from the package.  pytest puts
+this directory on sys.path, so the test modules import it as `refroutes`.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from latmoment.bounds import (
     _EVAL_PREC,
     _FIX_BITS,
     _ONE,
+    _ZETA_PREC,
     HeightHypothesis,
     ZetaInterval,
-    _enclose,
     _fix_mpf,
     _log_bounds,
+    _outward,
     _precision_cutoff,
-    _quadratic_splitting,
     _zeta_key,
     dedekind_zeta_field,
     t0_threshold,
@@ -59,6 +60,32 @@ from latmoment.oracle import (
     _mc_inputs,
     _place_blocks,
 )
+
+
+# ---------------------------------------------------------------------------
+# mpmath.iv enclosures
+
+
+def _enclose(compute) -> tuple[float, float]:
+    """The iv interval compute() returns at 80 bits, as outward floats;
+    the caller's iv.prec is restored."""
+    old_prec = iv.prec
+    iv.prec = _ZETA_PREC
+    try:
+        return _outward(compute()._mpi_)
+    finally:
+        iv.prec = old_prec
+
+
+def alpha_exponent_iv(M: int, c0: float) -> float:
+    """bounds._alpha_exponent in mpmath.iv: 2 log f_M(c0/2)/c0 at 80 bits
+    plus the bits small c0 cancels, its lower end clamped at 0."""
+    def exponent():
+        iv.prec += 2 * max(0, -math.frexp(c0)[1]) + M.bit_length()
+        x = iv.mpf(c0) / 2
+        return 2 * iv.log((iv.exp(x) + M * iv.exp(-x / M)) / (M + 1)) / c0
+
+    return max(_enclose(exponent)[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +158,17 @@ def _cyclotomic_splitting(n: int, p: int) -> tuple[int, int]:
         n_p //= p
     f = _mult_order(p, n_p)
     return f, _euler_phi(n_p) // f
+
+
+def _quadratic_splitting(disc: int, p: int) -> tuple[int, int]:
+    # the Kronecker symbol (disc/p) is 0 (ramified), 1 (split) or -1 (inert)
+    if disc % p == 0:
+        return 1, 1
+    if p == 2:
+        split = disc % 8 == 1
+    else:
+        split = pow(disc, (p - 1) // 2, p) == 1
+    return (1, 2) if split else (2, 1)
 
 
 def _splitting(key: tuple[str, int], p: int) -> tuple[int, int]:

@@ -30,6 +30,9 @@ from latmoment.bounds import (
     _fix_mul_positive,
     _fix_ratio,
     _inverse_powers,
+    _kronecker_phases,
+    _log_base,
+    _pair_epsilon,
     _prime_power,
     _residue_sums,
     _simplex_project,
@@ -62,7 +65,9 @@ from refroutes import (
     _EULER_CACHE_SIZE,
     _euler_interval,
     _quadratic_ideal_counts,
+    _quadratic_splitting,
     _splitting,
+    alpha_exponent_iv,
     best_k_scan,
     composite_zeta_iv,
     cyclotomic_constants_iv,
@@ -175,6 +180,16 @@ def test_alpha_is_the_left_endpoint_supremum_rounded_down():
                 assert (A - a) / A <= 2.0**-45, (M, c0)
 
 
+def test_alpha_equals_the_iv_route():
+    # the libmp enclosure against the same expression in mpmath.iv, with ==
+    c0s = [10 ** (-9 + 11.5 * i / 100) for i in range(101)]
+    c0s += [default_hypothesis(Q).c0, default_hypothesis(Q5).c0, default_hypothesis(Q5).c1,
+            0.24, 1e300, 5e-324]
+    for M in (*range(1, 9), 2**90 + 1):
+        for c0 in c0s:
+            assert alpha_M(M, c0) == alpha_exponent_iv(M, c0), (M, c0)
+
+
 def test_alpha_past_the_old_grid_end():
     assert 0 < alpha_M(1, 200.0) < 1
 
@@ -183,6 +198,46 @@ def test_alpha_rejects_non_finite_c0():
     for c0 in (math.inf, math.nan):
         with pytest.raises(ValueError):
             alpha_M(2, c0)
+
+
+def test_logs_of_bases_past_the_float_range_are_lower_bounds():
+    # where f_M or cosh overflows the stand-in x - log(M + 1), one float
+    # down, is below the true log; below that the value is math.log of the
+    # base itself
+    for M in (1, 2, 5):
+        for x in (709.0, 709.7):
+            assert _log_base(M, x) == math.log(f_M(M, x))
+        for x in (709.8, 1e12, 7.5e299):
+            log_f = _log_base(M, x)
+            assert log_f == math.nextafter(x - math.log(M + 1), -math.inf)
+            with mpmath.workdps(30):
+                y = mpmath.mpf(x)
+                assert log_f <= mpmath.log((mpmath.exp(y) + M * mpmath.exp(-y / M)) / (M + 1))
+    def cosh(_, x):
+        return math.cosh(x)
+
+    assert _log_base(1, 710.0, cosh) == math.log(math.cosh(710.0))
+    assert _log_base(1, 1e12, cosh) < 1e12 - math.log(2)
+
+
+def test_thresholds_at_floors_past_the_float_range_are_the_counting_entries():
+    # a huge floor leaves the rank entries far below the counting entries
+    hyp = HeightHypothesis(1e300, 1e300)
+    for M, k in ((1, 26), (2, 48), (5, 115)):
+        for shifted in (False, True):
+            assert t0_threshold(M, k, hyp, shifted=shifted) == k * M + 0.5
+    rep = second_moment_bounds(Q5, hyp, 4000.0, 1)
+    assert rep.constants["t0"] == 4.5 and rep.upper == 3.0
+
+
+def test_pair_epsilon_caps_leave_the_minimum_unchanged():
+    # below the overflow the capped arguments give the uncapped formula
+    for M in (1, 2, 3, 7, 40):
+        for j in (9.0, 14.0, 3.0 * 41 + 2.0):
+            for c1 in (1e-9, 1e-3, 0.2, 1.0, 2.9, 3.0, 10.0, 40.0, 200.0, 900.0):
+                want = 0.5 * math.log(min(4.0 / 3.0, math.exp(c1 / j), f_M(M, 0.75 * c1)))
+                assert _pair_epsilon(c1, j, M) == want, (M, j, c1)
+            assert _pair_epsilon(1e300, j, M) == 0.5 * math.log(4.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +719,20 @@ def test_skip_by_degree_equals_the_product_where_the_table_rule_took_it():
     assert band > 500, band
 
 
+def test_skip_by_bit_length_needs_no_factoring(monkeypatch):
+    # phi(n) <= n < 2^b decides far above the cutoff before any trial
+    # division, and a conductor past the float range is never converted
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(bounds_module, "_factorize", no_factoring)
+    beside_one = (math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf))
+    for n in (10**18 + 3, 10**400 + 1, 5):
+        assert _zeta_endpoints.__wrapped__(("cyclotomic", n), 1e12) == beside_one, n
+    with pytest.raises(AssertionError, match="factored"):
+        _zeta_endpoints.__wrapped__(("cyclotomic", 10**18 + 3), 100.0)
+
+
 def test_skip_rule_builds_no_character_table():
     # far above the cutoff the degree decides, read from the key (the table
     # of conductor 100000 once took minutes; tests/test_cli.py runs it)
@@ -952,6 +1021,24 @@ def test_quadratic_splitting_matches_ideal_counts():
         for p in primes:
             f, g = _splitting(("quadratic", F.disc), p)
             assert counts[p] == (g if f == 1 else 0), (D, p)
+
+
+def test_kronecker_phases_follow_the_reference_splitting_rule():
+    # phase 1 at a unit a exactly when an odd number of its prime factors
+    # (with multiplicity) stay inert under the reference's splitting rule
+    for D in (2, 3, 5, 6, 7, 13, 1001, -2, -5, -7, -15, -163):
+        disc = make_field(f"Q(sqrt,{D})").disc
+        phases = _kronecker_phases(disc)
+        for a, x in enumerate(phases):
+            if math.gcd(a, disc) != 1:
+                assert x is None, (disc, a)
+                continue
+            inert, rest = 0, a
+            for p in range(2, a + 1):
+                while rest % p == 0:
+                    rest //= p
+                    inert += _quadratic_splitting(disc, p)[0] == 2
+            assert x == inert % 2, (disc, a)
 
 
 def test_quadratic_zeta_sqrt5():

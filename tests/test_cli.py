@@ -296,6 +296,77 @@ def test_zeta_of_a_large_conductor_far_above_the_cutoff_exits_0(runner):
     assert lines(r)[-1] == "100000,1000000000000.0,0.9999999999999999,1.0000000000000002"
 
 
+def test_zeta_of_a_large_prime_conductor_far_above_the_cutoff_exits_0(runner):
+    # phi(n) was read by trial division before the skip rule, so a prime
+    # conductor near 10^18 hung; phi(n) <= n needs no factoring
+    r = runner.invoke(main, ["zeta", "1000000000000000003", "--s", "1e12"])
+    assert r.exit_code == 0, r.stderr
+    assert lines(r)[-1] == (
+        "1000000000000000003,1000000000000.0,0.9999999999999999,1.0000000000000002")
+
+
+def test_t0_table_with_a_height_floor_past_the_float_range_exits_0(runner):
+    # f_M(M, 1e300) overflowed (exit 1); the log's lower bound x - log(M+1)
+    # leaves a rank entry far below the counting entry k M + 1/2
+    r = runner.invoke(main, ["t0-table", "--c0", "1e300"])
+    assert r.exit_code == 0, r.stderr
+    assert [row.split(",")[2] for row in lines(r)[2:]] == [
+        "26.5", "96.5", "210.5", "368.5", "575.5"]
+
+
+def test_moment_bounds_with_a_height_floor_past_the_float_range_exits_0(runner):
+    # the general rank entry's f_M(2, 0.75e300) overflowed (exit 1)
+    r = runner.invoke(main, ["moment-bounds", "Q(zeta,8)", "--t", "4000", "--n", "3",
+                             "--volume", "1", "--c0", "1e300"])
+    assert r.exit_code == 0, r.stderr
+    assert "lower,89.0," in r.stdout
+
+
+def test_moment_bounds_with_a_large_c1_in_the_epsilon_exits_0(runner):
+    # the general epsilon took e^(c1/(3n+2)) at c1 = 1e12 before its min
+    # with 4/3 (exit 1); the exponent is capped at 1, e > 4/3
+    r = runner.invoke(main, ["moment-bounds", "Q(sqrt,-3)", "--t", "4000", "--n", "4",
+                             "--volume", "1", "--c0", "1e12"])
+    assert r.exit_code == 0, r.stderr
+    # (1/2) log(4/3): the capped terms stay above 4/3
+    assert "constant:epsilon,0.14384103622589042," in r.stdout
+
+
+@pytest.mark.parametrize("descriptor", ["Q(sqrt,5)", "Q"])
+def test_second_moment_with_a_height_floor_past_the_float_range_exits_0(runner, descriptor):
+    # cosh(c0 (1 - 1/k)) in the rank entry (Q(sqrt,5)) and cosh(3 c1/4) in
+    # the epsilon (both fields) overflowed at c0 = c1 = 1e12 (exit 1)
+    r = runner.invoke(main, ["second-moment", descriptor, "--t", "4000", "--volume", "1",
+                             "--c0", "1e12"])
+    assert r.exit_code == 0, r.stderr
+    assert ",4000.0,1,4,3,3," in lines(r)[-1]
+
+
+def test_poisson_order_past_the_stirling_cap_exits_2(runner):
+    # the recursive Stirling numbers ended in a RecursionError from n = 500
+    r = runner.invoke(main, ["poisson", "--n", "4000", "--lambda", "1"])
+    assert r.exit_code == 2
+    assert "got n = 4000" in r.stderr
+    r = runner.invoke(main, ["poisson", "--n", "1000", "--lambda", "1"])
+    assert r.exit_code == 0, r.stderr
+
+
+def test_empirical_mc_ratio_with_t_0_exits_2(runner):
+    # t = 0 gave a real dimension of 0 and a ZeroDivisionError (exit 1)
+    r = runner.invoke(main, ["empirical", "Q(sqrt,5)", "--kind", "mc-ratio", "--t", "0",
+                             "--alpha", "2", "--samples", "10000"])
+    assert r.exit_code == 2
+    assert "need t >= 1, got t = 0" in r.stderr
+
+
+def test_empirical_lattice_in_a_dimension_past_the_float_range_exits_2(runner):
+    # the unit ball volume of R^4000 raised OverflowError (exit 1)
+    r = runner.invoke(main, ["empirical", "--kind", "lattice", "--t", "4000", "--n", "2",
+                             "--volume", "4", "--p", "7"])
+    assert r.exit_code == 2
+    assert "dimension 4000 is past the float range" in r.stderr
+
+
 def test_missing_required_parameter_exits_2(runner):
     r = runner.invoke(main, ["second-moment", "Q"])
     assert r.exit_code == 2
@@ -764,3 +835,81 @@ def test_every_optional_parameter_is_passed():
             if prm.default is not prm.empty and not {i, prm.name} & passed.get(name, set()):
                 unpassed.add(f"{name}.{prm.name}")
     assert unpassed == set()
+
+
+# ------------------------------------------------------- exit-code contract
+
+_FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e12", "1e300", "0.24", "2.5", "40", "4000"]
+_INTS = ["0", "-1", "1", "2", "3", "4", "7", "40", "4000", "12345678901234567890"]
+_RATIONALS = ["0", "-1", "1/0", "0/0", "1/2", "1", "4", "nan", "inf", "1e300",
+              "12345678901234567890"]
+_FIELDS = ["Q", "Q(sqrt,5)", "Q(sqrt,-1)", "Q(sqrt,-3)", "Q(sqrt,0)", "Q(zeta,5)",
+           "Q(zeta,8)", "Q(zeta,0)", "Q(bogus)"]
+_ELEMENTS = ["0", "1", "2", "1,1", "1/2,-1", "1/0,1", "nan", "1,2,3,4,5", "", ",",
+             "12345678901234567890"]
+
+
+def _cli_argv():
+    # one invocation of a command other than verify, with arguments drawn
+    # from edge lists: zero, negatives, nan, infinities, huge floats and
+    # integers, zero denominators, ragged rows and unknown fields
+    from hypothesis import strategies as st
+
+    def req(flag, values):
+        return st.sampled_from(values).map(lambda v: [flag, v])
+
+    def opt(flag, values):
+        return st.one_of(st.just([]), req(flag, values))
+
+    def command(*parts):
+        return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
+
+    field = st.sampled_from(_FIELDS).map(lambda f: [f])
+    ints_list = st.lists(st.sampled_from(_INTS), max_size=3).map(",".join)
+    row = st.lists(st.sampled_from(_ELEMENTS), min_size=1, max_size=4).map(" ".join)
+    return st.one_of(
+        command(st.just(["second-moment"]), field, req("--t", _FLOATS),
+                req("--volume", _RATIONALS), opt("--k", _INTS), opt("--c0", _FLOATS),
+                opt("--c1", _FLOATS)),
+        command(st.just(["moment-bounds"]), field, req("--t", _INTS), req("--n", _INTS),
+                req("--volume", _RATIONALS), opt("--k", _INTS), opt("--constant", _FLOATS),
+                opt("--mode", ["general", "fixed-field", "cyclotomic"]),
+                opt("--rank-ratio", _FLOATS), opt("--c0", _FLOATS), opt("--c1", _FLOATS)),
+        command(st.just(["t0-table"]), opt("--k", ["26,48", "0", "2", "-1,3"]),
+                ints_list.map(lambda m: ["--m", m] if m else []), opt("--c0", _FLOATS),
+                opt("--rank-ratio", _FLOATS), st.sampled_from([[], ["--shifted"]])),
+        command(st.just(["zeta"]),
+                st.one_of(st.integers(0, 1000).map(str), st.sampled_from(_FIELDS)).map(
+                    lambda x: [x]),
+                req("--s", _FLOATS)),
+        command(st.just(["poisson"]), req("--n", _INTS), req("--lambda", _RATIONALS)),
+        command(st.just(["height"]), field,
+                st.lists(st.sampled_from(_ELEMENTS), min_size=1, max_size=2),
+                opt("--kind", ["weil", "house"])),
+        command(st.just(["gr-height"]), field,
+                st.lists(row, min_size=1, max_size=3).map(
+                    lambda rows: [x for r in rows for x in ("--row", r)])),
+        command(st.just(["empirical"]), st.one_of(st.just([]), field),
+                req("--kind", ["mc-ratio", "lattice"]), req("--t", _INTS),
+                opt("--n", _INTS), opt("--volume", _RATIONALS), opt("--p", _INTS),
+                st.lists(st.sampled_from(_ELEMENTS), max_size=2).map(
+                    lambda xs: [x for a in xs for x in ("--alpha", a)]),
+                opt("--samples", ["0", "-1", "1", "10000"])),
+    )
+
+
+def test_every_command_exits_0_2_or_3_on_edge_inputs():
+    # the contract: 0 on success, 2 on invalid input, 3 on a failed
+    # verification, never a traceback (exit 1) and no other exception
+    from hypothesis import given, settings
+
+    runner = CliRunner()
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_cli_argv())
+    def check(argv):
+        r = runner.invoke(main, argv)
+        assert r.exception is None or isinstance(r.exception, SystemExit), (argv, r.exc_info)
+        assert r.exit_code in (0, 2, 3), (argv, r.stderr)
+
+    check()

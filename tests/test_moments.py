@@ -8,6 +8,7 @@ from mpmath import mp
 
 import latmoment as lm
 from latmoment.moments import (
+    _STIRLING_MAX_N,
     MomentQuery,
     MomentReport,
     _main_term,
@@ -57,6 +58,31 @@ def test_stirling_range_errors():
         stirling2(3, 4)
     with pytest.raises(ValueError):
         stirling2(3, -1)
+
+
+def test_stirling_rows_equal_the_recurrence_up_to_the_cap():
+    # S(n, m) = m S(n-1, m) + S(n-1, m-1) row by row, against the
+    # closed form sum_j (-1)^j C(m, j) (m - j)^n / m! on sampled entries
+    def closed(n, m):
+        return sum((-1) ** j * math.comb(m, j) * (m - j) ** n for j in range(m + 1)) // math.factorial(m)
+
+    prev = [1]
+    for n in range(1, 120):
+        row = [0] + [m * (prev[m] if m < n else 0) + prev[m - 1] for m in range(1, n + 1)]
+        assert [stirling2(n, m) for m in range(n + 1)] == row, n
+        prev = row
+    for n, m in ((499, 7), (500, 250), (_STIRLING_MAX_N, 3), (_STIRLING_MAX_N, 999)):
+        assert stirling2(n, m) == closed(n, m), (n, m)
+
+
+def test_orders_past_the_stirling_cap_are_refused_by_name():
+    # the recursive rows ended in a RecursionError from n = 500 on
+    assert poisson_moment(_STIRLING_MAX_N, Fraction(1, 3)) > 0
+    for call in (lambda: stirling2(_STIRLING_MAX_N + 1, 1),
+                 lambda: poisson_moment(4000, 1),
+                 lambda: MomentQuery(lm.make_field("Q"), 10**6, 4000, 1)):
+        with pytest.raises(ValueError, match=r"got n = (1001|4000)"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +281,11 @@ def test_ball_volume_examples():
     assert ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-14)
     assert ball_volume(4) == pytest.approx(math.pi**2 / 2, rel=1e-14)
+    # Gamma(172) overflows a float: refused by name, not an OverflowError
+    assert ball_volume(341) > 0
+    for N in (342, 4000):
+        with pytest.raises(ValueError, match=f"dimension {N} is past"):
+            ball_volume(N)
     with pytest.raises(ValueError):
         ball_volume(0)
 
@@ -308,7 +339,8 @@ def test_two_ball_endpoints():
 
 
 def test_two_ball_rejects_a_nan_distance():
-    # nan fails every comparison, and mpmath's betainc does not return on it
+    # nan fails every comparison, and the incomplete beta's continued
+    # fraction would run to its step limit on it
     with pytest.raises(ValueError, match="center distance"):
         two_ball_intersection(6, math.nan)
     assert two_ball_intersection(6, math.inf) == 0.0
@@ -339,6 +371,19 @@ def test_two_ball_matches_quadrature():
             ref = float(_two_ball_quadrature(N, delta))
             got = two_ball_intersection(N, delta)
             assert got == pytest.approx(ref, rel=1e-12, abs=0), (N, delta)
+
+
+def test_two_ball_matches_the_30_digit_beta():
+    # the float incomplete beta against I_(1 - delta^2/4)((N+1)/2, 1/2) at
+    # 30 digits, within the 2e-12 relative that its docstring states
+    for N in range(2, 201, 9):
+        for k in range(1, 400, 13):
+            delta = k / 200
+            got = two_ball_intersection(N, delta)
+            with mp.workdps(30):
+                ref = mp.betainc(mp.mpf(N + 1) / 2, 0.5, 0, 1 - mp.mpf(delta) ** 2 / 4,
+                                 regularized=True)
+                assert abs(got - ref) <= 2e-12 * ref, (N, delta)
 
 
 def test_two_ball_monotone_in_delta():

@@ -88,6 +88,14 @@ def test_mc_preconditions():
         mc_intersection_ratio(Q, 6, [], samples=20000)
 
 
+def test_mc_rejects_t_below_1_by_name():
+    # t = 0 gave a real dimension of 0 and a ZeroDivisionError
+    Q5 = make_field("Q(sqrt,5)")
+    for t in (0, -1):
+        with pytest.raises(ValueError, match=f"got t = {t}"):
+            mc_intersection_ratio(Q5, t, [Q5.from_rational(2)], samples=10_000)
+
+
 # ---------------------------------------------------------------------------
 # Column sum estimates
 

@@ -7,19 +7,25 @@ CliRunner (the README examples and a gr-height run), the three benchmark
 workloads of perfbench/workloads.py (seeds 1 and 2, 3 passes each, the
 cli-runs commands in-process) and the acceptance criteria in
 tests/test_acceptance.py.  The unit tests are not callers, so a function
-that only they run is listed.  A function-level hook (sys.setprofile)
-records every code object of src/latmoment that is entered, from before
-the package is imported; nothing runs in another process or thread.
+or line that only they run is listed.  A trace hook (sys.settrace)
+records every code object of src/latmoment that is entered, and every
+line run inside one, from before the package is imported; nothing runs
+in another process or thread.
 
 Prints, per module, the functions and methods defined (every def,
 nested ones included, found with ast) and how many were entered, then
-each one that was not, as module:line and its qualified name.  Takes
-about 20 s on a 2-core machine.
+each one that was not, as module:line and its qualified name.  Then, per
+module, the body lines of those functions (the lines that carry
+bytecode, def lines excluded) and how many no caller runs, leaving out
+the lines of raise statements, which are input contracts; and each such
+run of lines as module:first-last with its function.  Takes about 30 s
+on a 2-core machine.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -66,6 +72,35 @@ def defined() -> dict[tuple[str, int], tuple[str, str]]:
     return out
 
 
+def body_lines() -> dict[tuple[str, int], str]:
+    """(file, line) -> qualified name of every line that carries bytecode
+    in a function of the package, the def lines and the lines of raise
+    statements left out; a comprehension's or lambda's lines count as the
+    function's around it."""
+    out = {}
+
+    def visit(code, path: str, raises: set[int], owner: str | None) -> None:
+        for const in code.co_consts:
+            if not hasattr(const, "co_lines"):
+                continue
+            if not const.co_flags & inspect.CO_OPTIMIZED:
+                # a class body: its methods are functions, its lines are not
+                visit(const, path, raises, None)
+                continue
+            name = owner if owner and const.co_name.startswith("<") else const.co_qualname
+            for _, _, line in const.co_lines():
+                if line is not None and line > const.co_firstlineno and line not in raises:
+                    out.setdefault((path, line), name)
+            visit(const, path, raises, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        raises = {line for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)
+                  for line in range(node.lineno, node.end_lineno + 1)}
+        visit(compile(text, str(path), "exec"), str(path), raises, None)
+    return out
+
+
 def run_callers() -> None:
     import pytest
     from click.testing import CliRunner
@@ -99,16 +134,24 @@ def run_callers() -> None:
 def main() -> None:
     src = str(SRC)
     entered: set[tuple[str, int]] = set()
+    ran: set[tuple[str, int]] = set()
 
-    def hook(frame, event, arg) -> None:
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def hook(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(src):
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+            return lines
+        return None
 
-    sys.setprofile(hook)
+    sys.settrace(hook)
     try:
         run_callers()
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
 
     functions = defined()
     per_module: dict[str, list[int]] = {}
@@ -129,6 +172,33 @@ def main() -> None:
     print(f"\nnot entered by any caller ({len(missed)}):")
     for line in missed:
         print("  " + line)
+
+    unrun: dict[str, list[tuple[int, str]]] = {}
+    line_counts: dict[str, list[int]] = {}
+    for (path, line), qualname in sorted(body_lines().items()):
+        module = Path(path).stem
+        counts = line_counts.setdefault(module, [0, 0])
+        counts[0] += 1
+        if (path, line) not in ran:
+            counts[1] += 1
+            unrun.setdefault(module, []).append((line, qualname))
+    print(f"\n{'module':<12} {'lines':>8} {'not run':>8}   (raise statements left out)")
+    for module, (total, missing) in sorted(line_counts.items()):
+        print(f"{module:<12} {total:>8} {missing:>8}")
+    total = sum(c[0] for c in line_counts.values())
+    missing = sum(c[1] for c in line_counts.values())
+    print(f"{'all':<12} {total:>8} {missing:>8}")
+    print(f"\nbody lines no caller runs ({missing}):")
+    for module, items in sorted(unrun.items()):
+        runs = []
+        for line, qualname in items:
+            if runs and runs[-1][2] == qualname and runs[-1][1] == line - 1:
+                runs[-1][1] = line
+            else:
+                runs.append([line, line, qualname])
+        for first, last, qualname in runs:
+            where = f"{first}" if first == last else f"{first}-{last}"
+            print(f"  {module}:{where} {qualname}")
 
 
 if __name__ == "__main__":
