@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from mpmath import bernfrac
@@ -385,9 +385,14 @@ _ONE = 1 << _FIX_BITS
 # directed rounding in mpmath.libmp before they are rounded to that grid
 _EVAL_PREC = 160
 # e^(-s log p) is rounded down at this many bits and trusted to within
-# 2^-180 relative; the slack is 2^180 (1 + 2^-180) (see _inverse_powers)
+# 2^-180 relative; the slack is 2^180 (1 + 2^-180) (see _prime_power_exp)
 _EXP_PREC = 192
 _EXP_SLACK = (1 << 180) + 1
+# p^-s at s = N/D with D = 2^k up to this is exact by k integer square
+# roots, the largest D at which they beat the 192-bit exponential: over the
+# primes up to 136 at s in (2, 4) a root takes 1.3-1.5 us at D = 2, 9-10 us
+# at D = 16 and 21-26 us at D = 32, the exponential 11-12 us
+_ROOT_DEN = 16
 # a tail below 2^-100 cannot move a float endpoint
 _CUTOFF_BITS = 100
 # L(s, chi) mod q sums n <= N q directly and the rest by Euler-Maclaurin
@@ -398,11 +403,15 @@ _EM_TERMS = 12
 # one product per tuple of factor endpoints; a bound assembly requests a
 # handful, a sweep over t a few thousand
 _ZETA_CACHE_SIZE = 4096
-# p^-s per (s, p), about 0.3 KB an entry, and the residue sums of conductor
-# q per (s, q, X), phi(q) pairs at about 0.23 KB each; dedekind_zeta gives
-# the worst-case memory of each
-_PRIME_POWER_CACHE_SIZE = 4096
+# the power table of each s (see _power_table), and the residue sums of
+# conductor q per (s, q, X), phi(q) pairs at about 0.23 KB each;
+# dedekind_zeta gives the worst-case memory of each
+_POWER_CACHE_SIZE = 64
 _RESIDUE_CACHE_SIZE = 32
+# a conductor (or quadratic |disc|) above this is refused where a sum would
+# be taken: the character table of a prime conductor near it takes about
+# 2 s, and one of 2003 takes 7 s
+_MAX_CONDUCTOR = 1024
 
 
 def _outward(x: tuple) -> tuple[float, float]:
@@ -582,14 +591,29 @@ def _root_of_unity(x: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return _fix_mpf(*c), _fix_mpf(*d)
 
 
-@lru_cache(maxsize=_PRIME_POWER_CACHE_SIZE)
-def _prime_power(s: float, p: int) -> tuple[int, int]:
-    """The pair enclosing p^-s for a prime p.  With s log p in [a_lo, a_hi]
-    and E = e^-a_hi rounded down at 192 bits (trusted to 2^-180 relative),
-    the ends are floor(2^128 E) and ceil(2^128 E (1 + 2^-180)(1 + 2 delta)),
-    as e^-a_lo = e^-a_hi e^delta <= e^-a_hi (1 + 2 delta) for the exact
-    delta = a_hi - a_lo <= 1 (larger only where p^-s < 2^-128 is below every
-    upper end).  Every field and table at this s shares it."""
+def _prime_power_root(N: int, D: int, p: int) -> tuple[int, int]:
+    """The exact pair enclosing p^-s for a prime p at s = N/D, D = 2^k:
+    floor and ceil of 2^128 p^(-N/D) = (2^(128 D)/p^N)^(1/D), the floor by
+    k nested integer square roots of the floored quotient (isqrt(floor x)
+    = floor(sqrt x)), and (0, 1) with no power taken when p^N >=
+    2^(N (b - 1)) > 2^(128 D), b the bit length of p.  It lies inside
+    every enclosing pair, so it is never wider than the exponential's."""
+    if N * (p.bit_length() - 1) > _FIX_BITS * D:
+        return 0, 1
+    x, r = divmod(1 << (_FIX_BITS * D), p**N)
+    lo = x
+    for _ in range(D.bit_length() - 1):
+        lo = math.isqrt(lo)
+    return lo, lo + (r != 0 or lo**D != x)
+
+
+def _prime_power_exp(s: float, p: int) -> tuple[int, int]:
+    """The pair enclosing p^-s for a prime p by one exponential.  With
+    s log p in [a_lo, a_hi] and E = e^-a_hi rounded down at 192 bits
+    (trusted to 2^-180 relative), the ends are floor(2^128 E) and
+    ceil(2^128 E (1 + 2^-180)(1 + 2 delta)), as e^-a_lo = e^-a_hi e^delta
+    <= e^-a_hi (1 + 2 delta) for the exact delta = a_hi - a_lo <= 1 (larger
+    only where p^-s < 2^-128 is below every upper end)."""
     s = from_float(s)
     prec = _EVAL_PREC
     log_lo, log_hi = _log_bounds(p)
@@ -602,27 +626,25 @@ def _prime_power(s: float, p: int) -> tuple[int, int]:
     return to_fixed(E, _FIX_BITS), -(-num >> (180 + g - e - _FIX_BITS))
 
 
-def _inverse_powers(s: float, size: int) -> tuple[list[int], list[int]]:
-    """The lower and upper ends of n^-s for n = 0..size (entry 0 unused),
-    on the fixed-point grid: _prime_power at a prime, elsewhere the product
-    of two smaller entries.  The sieve gives n its largest prime factor
-    p <= sqrt(n), whatever the size, so entry n is the same in every
-    table at this s."""
-    factor = list(range(size + 1))
-    for p in range(2, math.isqrt(size) + 1):
-        if factor[p] == p:
-            factor[p * p::p] = [p] * len(range(p * p, size + 1, p))
-    low, high = [0, _ONE], [0, _ONE]
-    for n in range(2, size + 1):
-        p = factor[n]
-        if p == n:
-            lo, hi = _prime_power(s, p)
-            low.append(lo)
-            high.append(hi)
-        else:
-            low.append(low[p] * low[n // p] >> _FIX_BITS)
-            high.append(-(-high[p] * high[n // p] >> _FIX_BITS))
-    return low, high
+# the largest prime factor p <= sqrt(n) of each n (n itself at a prime),
+# grown in place and shared by the tables of every s: entry n does not
+# depend on how far the sieve runs
+_LARGEST_FACTOR = [0, 1]
+
+
+def _sieve(size: int) -> list[int]:
+    """_LARGEST_FACTOR grown to cover 0..size; each prime p <= sqrt(size)
+    marks only the multiples from p^2 that are new, in increasing order of
+    p, as a sieve of the whole range would."""
+    factor = _LARGEST_FACTOR
+    old = len(factor) - 1
+    if size > old:
+        factor.extend(range(old + 1, size + 1))
+        for p in range(2, math.isqrt(size) + 1):
+            if factor[p] == p:
+                start = max(p * p, (old // p + 1) * p)
+                factor[start::p] = [p] * len(range(start, size + 1, p))
+    return factor
 
 
 @lru_cache(maxsize=None)
@@ -635,19 +657,66 @@ def _bernoulli_ratios() -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _em_weights(N: int, D: int) -> tuple[tuple[int, int], ...]:
-    """The pairs enclosing w_j = B_2j/(2j)! prod_{i<j} (s+2i-1)(s+2i) at
-    s = N/D, for j = 1..EM_TERMS + 1, the last one times [0, 1]; every
-    conductor of a call shares them."""
-    weights, num, den = [], 1, 1
-    for j, b in enumerate(_bernoulli_ratios()):
-        weights.append(_fix_ratio(b.numerator * num, b.denominator * den))
-        num *= (N + (2 * j + 1) * D) * (N + (2 * j + 2) * D)
-        den *= D * D
-    lo, hi = weights[-1]
-    weights[-1] = (min(lo, 0), max(hi, 0))
-    return tuple(weights)
+class _PowerTable:
+    """n^-s on the fixed-point grid for one s, in lists low and high
+    (entry 0 unused), and the Euler-Maclaurin weights at s.  Entry n is
+    p^-s at a prime, exact at s = N/2^k with 2^k <= 16 and by the
+    exponential otherwise, and elsewhere the product of the entries of
+    its largest prime factor p <= sqrt(n) and n/p, so it is the same
+    however far the table has grown."""
+
+    def __init__(self, s: float) -> None:
+        self.s = s
+        self.low, self.high = [0, _ONE], [0, _ONE]
+
+    def grow(self, size: int) -> tuple[list[int], list[int]]:
+        """low and high, grown to entry size first; they may run past
+        size, and callers read only the entries up to it and never write."""
+        low, high = self.low, self.high
+        factor = _sieve(size)
+        N, D = self.s.as_integer_ratio()
+        for n in range(len(low), size + 1):
+            p = factor[n]
+            if p == n:
+                lo, hi = _prime_power_root(N, D, p) if D <= _ROOT_DEN else _prime_power_exp(self.s, p)
+                low.append(lo)
+                high.append(hi)
+            else:
+                low.append(low[p] * low[n // p] >> _FIX_BITS)
+                high.append(-(-high[p] * high[n // p] >> _FIX_BITS))
+        return low, high
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, int], ...]:
+        """The pairs enclosing w_j = B_2j/(2j)! prod_{i<j} (s+2i-1)(s+2i)
+        for j = 1..EM_TERMS + 1, the last one times [0, 1]."""
+        N, D = self.s.as_integer_ratio()
+        weights, num, den = [], 1, 1
+        for j, b in enumerate(_bernoulli_ratios()):
+            weights.append(_fix_ratio(b.numerator * num, b.denominator * den))
+            num *= (N + (2 * j + 1) * D) * (N + (2 * j + 2) * D)
+            den *= D * D
+        lo, hi = weights[-1]
+        weights[-1] = (min(lo, 0), max(hi, 0))
+        return tuple(weights)
+
+
+@lru_cache(maxsize=_POWER_CACHE_SIZE)
+def _power_table(s: float) -> _PowerTable:
+    """The power table of s, shared by every conductor and field at s.
+
+    A table runs to 17 q for the largest conductor q asked at s (less past
+    the precision cutoff), so to at most 17 * 1024 = 17,408 entries under
+    the conductor bound, about 100 bytes each (two ints of at most 128
+    bits and two list slots): 1.8 MB measured at s = 1 + 1/16.  The memo
+    keeps the last 64 values of s, so it holds at most 114 MB.  Three
+    passes of the benchmark's bracket sweep ask for 72 values of s, 20 to
+    27 new ones a pass, with tables of at most 136 entries (14 KB): at 64
+    entries each table is built once, at 32 seven of 73 are built twice.
+    The shared sieve takes 0.2 MB at 17,408 entries.  Nothing is built at
+    import.
+    """
+    return _PowerTable(s)
 
 
 @lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
@@ -671,7 +740,8 @@ def _residue_sums(s: float, q: int, X: int) -> tuple[dict, tuple[int, int]]:
     T bounds from the upper end of X^-s (about 2^-100).  The memo hands
     every caller the same dict, which callers only read.
     """
-    low, high = _inverse_powers(s, X + q if X == _EM_SHIFT * q else X)
+    table = _power_table(s)
+    low, high = table.grow(X + q if X == _EM_SHIFT * q else X)
     N, D = s.as_integer_ratio()
     units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
     sums = {a: (sum(low[a:X + 1:q]), sum(high[a:X + 1:q])) for a in units}
@@ -680,7 +750,7 @@ def _residue_sums(s: float, q: int, X: int) -> tuple[dict, tuple[int, int]]:
     if X < _EM_SHIFT * q:
         T = -(-X * high[X] * D // (N - D))
         return sums, (-T, T)
-    weights = _em_weights(N, D)
+    weights = table.weights
     for a in units:
         y = X + a
         r = _fix_ratio(q * q, y * y)
@@ -750,12 +820,19 @@ def _zeta_endpoints(key: tuple[str, int], s: float) -> tuple[float, float]:
     # when d eps < 2^-60 the upper end stays under 1 + 2^-52 and both round
     # to 1.  d comes from the key (phi(n), or 2), so the character table is
     # built only when a sum is taken.  d <= |n| < 2^b goes first, in log2
-    # with a spare bit for rounding: no factoring, no huge n as a float
+    # with a spare bit for rounding: no factoring, no huge n as a float.
+    # Past it, a conductor above _MAX_CONDUCTOR is refused before the
+    # trial division that reads phi(n)
     kind, n = key
-    if n.bit_length() + 61 < s - math.log2(1 + 2 / (s - 1)) or (
-        2 if kind == "quadratic" else math.prod((p - 1) * p**(e - 1) for p, e in _factorize(n).items())
-    ) * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60:
-        return math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf)
+    beside_one = math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf)
+    if n.bit_length() + 61 < s - math.log2(1 + 2 / (s - 1)):
+        return beside_one
+    if abs(n) > _MAX_CONDUCTOR:
+        raise ValueError(f"zeta needs a conductor of at most {_MAX_CONDUCTOR} here, "
+                         f"got {abs(n)}")
+    d = 2 if kind == "quadratic" else math.prod((p - 1) * p**(e - 1) for p, e in _factorize(n).items())
+    if d * 2.0**-s * (1 + 2 / (s - 1)) < 2.0**-60:
+        return beside_one
     lo, hi = _dirichlet_product(_characters(key), s)
     return (math.nextafter(_fix_float_floor(lo), -math.inf),
             math.nextafter(_fix_float_floor(hi), math.inf))
@@ -820,26 +897,32 @@ def dedekind_zeta(n: int, s: float, P: int = 1000) -> ZetaInterval:
     first omitted term (all even derivatives of the summand are
     positive; Johansson, arXiv:1309.2877).  Past the cutoff X is the
     cutoff, and the tail is the interval [-T, T], T = X^(1-s)/(s-1)
-    <= 2^-100.  The powers n^-s are computed at primes, by one exponential
-    each, and extended multiplicatively.  Where d 2^-s (1 + 2/(s - 1))
+    <= 2^-100.  The powers n^-s are computed at primes and extended
+    multiplicatively: at s = N/2^k with 2^k <= 16 each p^-s is exact, the
+    floor and ceiling of 2^128 p^-s by k integer square roots, and at any
+    other s it takes one exponential.  Where d 2^-s (1 + 2/(s - 1))
     < 2^-60 bounds zeta_K(s) - 1, the endpoints are the floats on either
-    side of 1 and no sum is taken.
+    side of 1 and no sum is taken.  Past that rule's first test (on the
+    bit length of n alone), a conductor above 1024 raises ValueError: a
+    prime conductor near 1024 takes about 2 s, 2003 takes 7 s, and 10007
+    runs past 20 s.
 
     Every quantity is a pair of Python integers at the fixed scale 2^-128,
-    the lower end floored and the upper ceiled by every operation; p^-s,
-    cos and sin enter as mpmath.libmp values under directed rounding, so
-    neither iv.prec nor mp.prec matters.  The float endpoints are rounded
-    outward, so the width is never 0.
+    the lower end floored and the upper ceiled by every operation; p^-s
+    off those s, cos and sin enter as mpmath.libmp values under directed
+    rounding, so neither iv.prec nor mp.prec matters.  The float endpoints
+    are rounded outward, so the width is never 0.
 
     Three memos hold the results, each bounded by its entry count.  The
     endpoints are memoized per (field, s), the last 4096.  What depends on
     s but not on the field is shared by every field asked for the same s:
-    each p^-s (the last 4096 (s, p), at most 1.3 MB) and each conductor's
-    residue sums (the last 32 (s, q, X): 2 KB an entry for conductors up
-    to 8, and 0.17 MB for conductor 1001 of Q(sqrt,1001) near s = 1, the
-    worst case in the tests, where 32 entries take 5.3 MB).  Every entry
-    is formed from the same integers in the same order however the memos
-    stand, so the endpoints do not depend on the call order.
+    the table of n^-s and the Euler-Maclaurin weights (the last 64 s; see
+    _power_table for the memory) and each conductor's residue sums (the
+    last 32 (s, q, X): 2 KB an entry for conductors up to 8, and 0.17 MB
+    for conductor 1001 of Q(sqrt,1001) near s = 1, the worst case in the
+    tests, where 32 entries take 5.3 MB).  Every entry is formed from the
+    same integers in the same order however the memos stand, so the
+    endpoints do not depend on the call order.
     Conductors 2 mod 4 normalize to their odd part.  P must be at least 1
     and changes nothing: it is kept for the benchmark's call shape until
     the next benchmark change.

@@ -11,7 +11,9 @@ threshold scan are here too: the package skips terms and bisects, and
 must return the same floats.  So are the zeta kernel's prime powers by
 two exponentials, and alpha_M and the zeta compositions in mpmath.iv,
 which the package replaced by one exponential per prime and raw libmp
-intervals with equal results.  The Euler product reads the splitting of
+intervals with equal results, and the exact floor and ceil of 2^128 p^-s
+from 400-bit mpmath, which the package's integer roots at dyadic s
+must equal.  The Euler product reads the splitting of
 each prime from its own rules here, none from the package.  pytest puts
 this directory on sys.path, so the test modules import it as `refroutes`.
 """
@@ -25,6 +27,7 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from typing import Iterable, Sequence
 
+import mpmath
 import numpy as np
 from mpmath import iv
 from mpmath.libmp import from_float, mpf_exp, mpf_mul, mpf_neg, round_ceiling, round_floor
@@ -467,32 +470,59 @@ def best_k_scan(M: int, hyp: HeightHypothesis, rank_ratio: float = 0.5) -> tuple
 # zeta kernel routes the package replaced
 
 
-def inverse_powers_two_exps(s: float, size: int) -> tuple[list[int], list[int]]:
-    """bounds._inverse_powers with two exponentials per prime: e^(-s log p)
-    with the exponent and the exponential rounded down for the lower end
-    and up for the upper, both at 160 bits; elsewhere the product of two
-    smaller entries, split as the package splits them."""
+def largest_factor_sieve(size: int) -> list[int]:
+    """The largest prime factor p <= sqrt(n) of each n = 0..size (n itself
+    at a prime), sieved over the whole range at once."""
     factor = list(range(size + 1))
     for p in range(2, math.isqrt(size) + 1):
         if factor[p] == p:
             factor[p * p::p] = [p] * len(range(p * p, size + 1, p))
-    s = from_float(s)
-    prec = _EVAL_PREC
+    return factor
+
+
+def inverse_powers_by(prime_pair, size: int) -> tuple[list[int], list[int]]:
+    """The table of bounds._power_table up to size, with prime_pair(p) at
+    each prime and elsewhere the product of two smaller entries, split as
+    the package splits them, from a sieve of this size alone."""
+    factor = largest_factor_sieve(size)
     low, high = [0, _ONE], [0, _ONE]
     for n in range(2, size + 1):
         p = factor[n]
         if p == n:
-            log_lo, log_hi = _log_bounds(p)
-            lo, hi = _fix_mpf(
-                mpf_exp(mpf_neg(mpf_mul(s, log_hi, prec, round_ceiling)), prec, round_floor),
-                mpf_exp(mpf_neg(mpf_mul(s, log_lo, prec, round_floor)), prec, round_ceiling),
-            )
+            lo, hi = prime_pair(p)
             low.append(lo)
             high.append(hi)
         else:
             low.append(low[p] * low[n // p] >> _FIX_BITS)
             high.append(-(-high[p] * high[n // p] >> _FIX_BITS))
     return low, high
+
+
+def prime_power_two_exps(s: float, p: int) -> tuple[int, int]:
+    """p^-s with two exponentials: e^(-s log p) with the exponent and the
+    exponential rounded down for the lower end and up for the upper, both
+    at 160 bits."""
+    s = from_float(s)
+    prec = _EVAL_PREC
+    log_lo, log_hi = _log_bounds(p)
+    return _fix_mpf(
+        mpf_exp(mpf_neg(mpf_mul(s, log_hi, prec, round_ceiling)), prec, round_floor),
+        mpf_exp(mpf_neg(mpf_mul(s, log_lo, prec, round_floor)), prec, round_ceiling),
+    )
+
+
+def inverse_powers_two_exps(s: float, size: int) -> tuple[list[int], list[int]]:
+    """The package's table with two exponentials per prime."""
+    return inverse_powers_by(lambda p: prime_power_two_exps(s, p), size)
+
+
+def prime_power_400(s: float, p: int) -> tuple[int, int]:
+    """floor and ceil of 2^128 p^-s from p^-s in 400-bit mpmath, which
+    misses by about 2^-272 (the float s is exact): the exact pair unless
+    2^128 p^-s lies that close to an integer without being one."""
+    with mpmath.workprec(400):
+        v = mpmath.ldexp(mpmath.mpf(p) ** -mpmath.mpf(s), _FIX_BITS)
+        return int(mpmath.floor(v)), int(mpmath.ceil(v))
 
 
 def composite_zeta_iv(F: NumberField, parts: Sequence[tuple[float, float]]) -> tuple[float, float]:

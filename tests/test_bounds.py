@@ -19,7 +19,7 @@ from latmoment.bounds import (
     ZetaInterval,
     _FIX_BITS,
     _ONE as _FIX_ONE,
-    _PRIME_POWER_CACHE_SIZE,
+    _POWER_CACHE_SIZE,
     _RESIDUE_CACHE_SIZE,
     _ZETA_CACHE_SIZE,
     _characters,
@@ -29,11 +29,12 @@ from latmoment.bounds import (
     _fix_mul,
     _fix_mul_positive,
     _fix_ratio,
-    _inverse_powers,
     _kronecker_phases,
     _log_base,
     _pair_epsilon,
-    _prime_power,
+    _power_table,
+    _prime_power_exp,
+    _prime_power_root,
     _residue_sums,
     _simplex_project,
     _zeta_endpoints,
@@ -72,7 +73,10 @@ from refroutes import (
     composite_zeta_iv,
     cyclotomic_constants_iv,
     euler_zeta,
+    inverse_powers_by,
     inverse_powers_two_exps,
+    largest_factor_sieve,
+    prime_power_400,
 )
 
 Q = make_field("Q")
@@ -651,6 +655,12 @@ def test_positive_pair_product_equals_the_four_product_route(a, u, v):
     assert _fix_mul_positive(a, b) == _fix_mul(a, b)
 
 
+def _inverse_powers(s, size):
+    # entries 0..size of s's table from the per-s memo
+    low, high = _power_table(s).grow(size)
+    return low[:size + 1], high[:size + 1]
+
+
 def test_zeta_backend_prime_powers_enclose_50_digit_values():
     with mpmath.workdps(50):
         for s in ZETA_S:
@@ -660,17 +670,55 @@ def test_zeta_backend_prime_powers_enclose_50_digit_values():
                 assert low[n] <= exact <= high[n], (n, s)
 
 
+def _is_dyadic(s):
+    # s = N/2^k with 2^k <= 16: the package's integer-root route
+    return s.as_integer_ratio()[1] <= 16
+
+
 def test_one_exponential_per_prime_equals_the_two_exponential_route():
-    # a prime's entry comes from the memo whatever table first asked for it,
-    # so a table equals a fresh one in either order of sizes and across s
+    # a table grows in place and is shared by every request at its s, so
+    # it equals a fresh one in either order of sizes and across s; at a
+    # dyadic s its primes are the exact pairs of the 400-bit reference
     rng = np.random.default_rng(2801)
     grid = ZETA_S + tuple(float(x) for x in rng.uniform(1, 120, 40))
+    assert sum(map(_is_dyadic, grid)) == 6
     for sizes in ((17, 1000, 136), (136, 1000, 17)):
         _clear_memos()
         for s in grid:
             for size in sizes:
-                assert _inverse_powers(s, size) == inverse_powers_two_exps(s, size), (s, size)
-        assert _prime_power.cache_info().hits > 0
+                want = (inverse_powers_by(partial(prime_power_400, s), size) if _is_dyadic(s)
+                        else inverse_powers_two_exps(s, size))
+                assert _inverse_powers(s, size) == want, (s, size)
+        assert _power_table.cache_info().hits > 0
+
+
+def test_sieve_grown_in_steps_equals_one_sieve(monkeypatch):
+    # the shared sieve grows in place; each size reads the same entries as
+    # a sieve of that size alone, so no table depends on the one before
+    monkeypatch.setattr(bounds_module, "_LARGEST_FACTOR", [0, 1])
+    for size in (17, 136, 135, 1000, 1001, 17 * 1024):
+        assert bounds_module._sieve(size)[:size + 1] == largest_factor_sieve(size), size
+
+
+def test_dyadic_prime_powers_are_exact_and_inside_the_exponential_route():
+    # s = N/2^k, k <= 4, from 1 + 1/16 to 64: every s below 2 and a seeded
+    # sample above, with 64 itself, over the primes up to 2000; at the
+    # large s the bit-length rule answers (0, 1) with no power taken
+    rng = random.Random(3501)
+    grid = [1 + j / 16 for j in range(1, 17)] + [64.0] + [
+        n / 2**k for k in range(5) for n in rng.sample(range(2 * 2**k + 1, 64 * 2**k), 6)]
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    shortcut = 0
+    for s in grid:
+        N, D = s.as_integer_ratio()
+        assert D <= 16 and 1 < s <= 64
+        for p in primes:
+            lo, hi = pair = _prime_power_root(N, D, p)
+            assert pair == prime_power_400(s, p), (s, p)
+            exp_lo, exp_hi = _prime_power_exp(s, p)
+            assert exp_lo <= lo <= hi <= exp_hi, (s, p)
+            shortcut += pair == (0, 1)
+    assert shortcut > 0
 
 
 def _skips(d, s):
@@ -730,7 +778,12 @@ def test_skip_by_bit_length_needs_no_factoring(monkeypatch):
     for n in (10**18 + 3, 10**400 + 1, 5):
         assert _zeta_endpoints.__wrapped__(("cyclotomic", n), 1e12) == beside_one, n
     with pytest.raises(AssertionError, match="factored"):
-        _zeta_endpoints.__wrapped__(("cyclotomic", 10**18 + 3), 100.0)
+        _zeta_endpoints.__wrapped__(("cyclotomic", 1021), 60.0)
+    # past the bit-length rule a conductor above the bound is refused
+    # before the trial division that reads phi(n)
+    for key in (("cyclotomic", 10**18 + 3), ("cyclotomic", 1025), ("quadratic", -1027)):
+        with pytest.raises(ValueError, match="conductor of at most 1024"):
+            _zeta_endpoints.__wrapped__(key, 60.0)
 
 
 def test_skip_rule_builds_no_character_table():
@@ -948,7 +1001,7 @@ def test_zeta_endpoints_do_not_depend_on_the_fields_before_them():
     _clear_memos()
     warm = [dedekind_zeta_field(F, s) for F, s in calls]
     assert _residue_sums.cache_info().hits > 0
-    assert _prime_power.cache_info().hits > 0
+    assert _power_table.cache_info().hits > 0
     for (F, s), z in zip(calls, warm):
         _clear_memos()
         assert dedekind_zeta_field(F, s) == z, (F.descriptor, s)
@@ -967,12 +1020,12 @@ def test_zeta_calls_leave_entry_one_of_every_table_at_one():
 
 def test_shared_kernel_memos_are_bounded_lru_caches():
     dedekind_zeta_field(make_field("Q(zeta,7)"), 2.5)
-    for memo, size in ((_prime_power, _PRIME_POWER_CACHE_SIZE),
+    for memo, size in ((_power_table, _POWER_CACHE_SIZE),
                        (_residue_sums, _RESIDUE_CACHE_SIZE)):
         assert memo.cache_info().currsize > 0
         assert memo.cache_info().maxsize == size
     _clear_memos()
-    assert _prime_power.cache_info().currsize == _residue_sums.cache_info().currsize == 0
+    assert _power_table.cache_info().currsize == _residue_sums.cache_info().currsize == 0
 
 
 def test_fields_and_zeta_share_the_conductor_rule():

@@ -305,6 +305,30 @@ def test_zeta_of_a_large_prime_conductor_far_above_the_cutoff_exits_0(runner):
         "1000000000000000003,1000000000000.0,0.9999999999999999,1.0000000000000002")
 
 
+def _refused_conductor(runner, args, conductor):
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.stderr
+    assert r.stdout == ""
+    assert f"conductor of at most 1024 here, got {conductor}" in r.stderr
+
+
+def test_zeta_of_a_large_prime_conductor_below_the_skip_exits_2(runner):
+    # past the bit-length rule, phi(n) was read by trial division, which
+    # ran past 20 s
+    _refused_conductor(runner, ["zeta", "1000000000000000003", "--s", "100"],
+                       1000000000000000003)
+
+
+def test_zeta_of_a_prime_conductor_past_the_bound_exits_2(runner):
+    # the character table of conductor 10007 ran past 20 s
+    _refused_conductor(runner, ["zeta", "10007", "--s", "3"], 10007)
+
+
+def test_zeta_of_a_quadratic_field_past_the_bound_exits_2(runner):
+    # |disc| = 400012: the table of (disc/.) ran past 20 s
+    _refused_conductor(runner, ["zeta", "Q(sqrt,100003)", "--s", "3"], 400012)
+
+
 def test_t0_table_with_a_height_floor_past_the_float_range_exits_0(runner):
     # f_M(M, 1e300) overflowed (exit 1); the log's lower bound x - log(M+1)
     # leaves a rank entry far below the counting entry k M + 1/2

@@ -8,10 +8,15 @@
 workload of the change's BENCHMARK.json and every seed, perfbench/run.py
 runs once in each checkout (--trace 0, --seconds from BENCHMARK.json), the
 parent first on the 1st, 3rd, ... pair and the change first on the others.
-Each end-to-end metric gets both sides' median and quartiles, the pairs the
-change wins and loses (ties count for neither) and whether a gain could be
-claimed: the change wins at least 9 of 10 pairs and the medians differ by
-more than the parent's interquartile distance.
+Each end-to-end metric gets both sides' runs, median and quartiles, the
+pairs the change wins and loses (ties count for neither) and three flags:
+gain_claimable, when the change wins at least 9 of 10 pairs and the medians
+differ by more than the parent's interquartile distance; within_bound, when
+the change's median is no worse than the parent's by more than the metric's
+bound in BENCHMARK.json (a fraction of the parent's median); and
+unresolved, when the parent's interquartile distance exceeds that bound
+(times its median), so the runs spread too widely to tell, and not every
+run of the change beats every run of the parent.
 
 peak_rss_mb includes compiling the package whenever bytecode is not cached
 (PYTHONDONTWRITEBYTECODE=1, or a fresh checkout), so each in-process
@@ -110,20 +115,26 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
     pairs = len(runs["parent"])
     out = {}
     for m in metrics:
-        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+        name, sign, bound = m["name"], 1.0 if m["better"] == "lower" else -1.0, m["bound"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         better = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         worse = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         parent, change = spread(values["parent"]), spread(values["change"])
         iqr = parent["q3"] - parent["q1"]
+        # every run of the change better than every run of the parent
+        separated = (max(sign * c for c in values["change"])
+                     < min(sign * p for p in values["parent"]))
         out[name] = {
-            "parent": parent,
-            "change": change,
+            "parent": dict(parent, runs=values["parent"]),
+            "change": dict(change, runs=values["change"]),
             "change_better_pairs": better,
             "change_worse_pairs": worse,
             "parent_iqr": iqr,
             "gain_claimable": better >= 0.9 * pairs
             and sign * (change["median"] - parent["median"]) < -iqr,
+            "within_bound": sign * (change["median"] - parent["median"])
+            <= bound * abs(parent["median"]),
+            "unresolved": iqr > bound * abs(parent["median"]) and not separated,
         }
     return out
 
