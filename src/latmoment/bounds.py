@@ -184,8 +184,16 @@ def alpha_M(M: int, c0: float) -> float:
     return _alpha_exponent(M, c0)
 
 
-@lru_cache(maxsize=None)
+# alpha_M exponents kept, by (M, c0)
+_ALPHA_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_ALPHA_CACHE_SIZE)
 def _alpha_exponent(M: int, c0: float) -> float:
+    """alpha_M's exponent, memoized by (M, c0).  Each entry is two small
+    keys and one float, about 0.2 KB with the memo's own links, so the
+    1024 entries kept take at most about 0.2 MB; the benchmark's workloads
+    ask for 6 pairs."""
     # f_M(x) is about 1 + x^2/(2M) for small x, so the log loses about
     # log2(8M/c0^2) bits to the 1; extra precision pays for them
     prec = _ZETA_PREC + 2 * max(0, -math.frexp(c0)[1]) + M.bit_length()
@@ -408,6 +416,10 @@ _ZETA_CACHE_SIZE = 4096
 # dedekind_zeta gives the worst-case memory of each
 _POWER_CACHE_SIZE = 64
 _RESIDUE_CACHE_SIZE = 32
+# character tables and enclosed roots of unity kept (see _characters
+# and _root_of_unity)
+_CHARACTER_CACHE_SIZE = 16
+_ROOT_CACHE_SIZE = 4096
 # a conductor (or quadratic |disc|) above this is refused where a sum would
 # be taken: the character table of a prime conductor near it takes about
 # 2 s, and one of 2003 takes 7 s
@@ -512,11 +524,16 @@ def _kronecker_phases(disc: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CHARACTER_CACHE_SIZE)
 def _characters(key: tuple[str, int]) -> tuple[tuple[int, int, tuple], ...]:
     """(conductor q, m, phases mod q) of the primitive characters whose
     L-functions multiply to the field's zeta function, one per conjugate
     pair; chi(a) = e^(2 pi i phases[a]/m).
+
+    A table holds about phi(n)/2 tuples of up to n phases: 1.6 MB at
+    conductor 401 and 16.7 MB at 1021, the largest under _MAX_CONDUCTOR
+    (tracemalloc).  The memo keeps 16 tables, so at most about 270 MB;
+    the benchmark's workloads use 8 keys, none above 3 KB.
 
     ("cyclotomic", n): every character mod n, reduced to its primitive
     character; these are the primitive characters of each conductor
@@ -570,15 +587,21 @@ def _fix_float_floor(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _log_bounds(p: int) -> tuple:
-    # log p rounded down and up, shared by every s
+    """log p rounded down and up, shared by every s.  Unbounded: p is a
+    prime of a power table, below 17 * _MAX_CONDUCTOR = 17,408, so there
+    are at most 2,000 keys of two 192-bit floats each, under 1 MB."""
     x = from_int(p)
     return mpf_log(x, _EVAL_PREC, round_floor), mpf_log(x, _EVAL_PREC, round_ceiling)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
 def _root_of_unity(x: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The pairs enclosing cos and sin of 2 pi x/m, for 0 <= x < m, exact
-    at quarter turns."""
+    at quarter turns.  m is the exponent of the unit group modulo a
+    conductor f <= _MAX_CONDUCTOR, so one L-product asks for fewer than
+    1024 keys (1,021 at conductor 1021).  The memo keeps 4096, about
+    0.5 KB each (four 128-bit ints and the memo's links), so at most
+    about 2 MB; the benchmark's workloads ask for 13."""
     if 4 * x % m == 0:
         c, d = ((1, 0), (0, 1), (-1, 0), (0, -1))[4 * x // m]
         return (c << _FIX_BITS,) * 2, (d << _FIX_BITS,) * 2
@@ -649,7 +672,7 @@ def _sieve(size: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _bernoulli_ratios() -> tuple[Fraction, ...]:
-    # B_2j/(2j)! for j = 1..EM_TERMS + 1
+    """B_2j/(2j)! for j = 1..EM_TERMS + 1: one key, 13 fractions."""
     out = []
     for j in range(1, _EM_TERMS + 2):
         num, den = bernfrac(2 * j)

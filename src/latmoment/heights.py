@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .numberfield import (
@@ -135,12 +135,25 @@ class RredMatrix:
                     raise ValueError("pivot columns must be cleared above and below")
             last = j
 
+    @cached_property
+    def _ints(self) -> tuple[list[list[tuple[int, ...] | None]], int]:
+        """Each row over the lcm of its denominators: the integer numerator
+        vectors of its entries (None for zero), and the product of those
+        lcms, which is the denominator of every maximal minor."""
+        rows, den = [], 1
+        for row in self.rows:
+            L = math.lcm(*(e.den for e in row))
+            den *= L
+            rows.append([(e.num if e.den == L else tuple([c * (L // e.den) for c in e.num]))
+                         if any(e.num) else None for e in row])
+        return rows, den
+
 
 def rred_matrix(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> RredMatrix:
     """Row-reduce an arbitrary full-rank matrix over F into an RredMatrix."""
-    mat = [[F.coerce(e) for e in r] for r in rows]
-    red = row_reduce(mat)
-    if len(red) < len(mat):
+    rows = list(rows)
+    red = row_reduce(F, rows)
+    if len(red) < len(rows):
         raise ValueError("matrix must have full row rank")
     return RredMatrix(F, tuple(tuple(r) for r in red))
 
@@ -204,40 +217,55 @@ def proj_height_linf(x: ProjPoint) -> float:
     return float(np.prod(np.max(np.abs(mat), axis=1))) / float(x.ideal_norm)
 
 
-def _scaled_rows(D: RredMatrix) -> tuple[list[list[tuple[int, ...] | None]], int]:
-    """Each row of D over the lcm of its denominators: the integer
-    numerator vectors of its entries (None for zero), and the product of
-    those lcms, which is the denominator of every maximal minor."""
-    rows, den = [], 1
-    for row in D.rows:
-        L = math.lcm(*(e.den for e in row))
-        den *= L
-        rows.append([tuple(c * (L // e.den) for c in e.num) if e else None for e in row])
-    return rows, den
+@lru_cache(maxsize=64)
+def _expansion_plan(n: int, m: int) -> tuple[tuple[tuple[tuple[int, bool, int], ...], ...], ...]:
+    """The Laplace expansions behind _minors for an m x n matrix: level s
+    (s = 2..m) lists, per s-subset of the columns in lexicographic order,
+    a triple (column j, negated, position at level s - 1 of the subset
+    less j) per j in the subset; level 1 is the last row itself.  Keyed by
+    the shape; at most 64 shapes, each of at most 2^n subsets, are kept."""
+    plan = []
+    index = {(j,): j for j in range(n)}
+    for size in range(2, m + 1):
+        level, nxt = [], {}
+        for k, subset in enumerate(itertools.combinations(range(n), size)):
+            nxt[subset] = k
+            level.append(tuple((j, t % 2 == 1, index[subset[:t] + subset[t + 1:]])
+                               for t, j in enumerate(subset)))
+        plan.append(tuple(level))
+        index = nxt
+    return tuple(plan)
 
 
-def _minors(F: NumberField, rows: Sequence[Sequence[Sequence[int] | None]]) -> dict:
+def _minors(F: NumberField, rows: Sequence[Sequence[Sequence[int] | None]]) -> list[tuple[int, ...]]:
     """The maximal minors of an m x n matrix of integer coordinate vectors
-    (None for zero), keyed by column subset in lexicographic order.
+    (None for zero), by column subset in lexicographic order.
 
     They are built bottom-up with nothing inverted: the minor of rows i..
     on a column subset S is the Laplace expansion along row i over the
-    minors of rows i+1.. on S less one column, memoized by subset.
+    minors of rows i+1.. on S less one column (_expansion_plan).
     """
-    d, n, mul = F.degree, len(rows[0]), F._mul_int
-    minors = {(): (1,) + (0,) * (d - 1)}
-    for size, ints in enumerate(reversed(rows), 1):
-        below, minors = minors, {}
-        for subset in itertools.combinations(range(n), size):
-            acc = [0] * d
-            for t, j in enumerate(subset):
-                a = ints[j]
-                sub = below[subset[:t] + subset[t + 1:]]
-                if a is not None and any(sub):
-                    sign = -1 if t % 2 else 1
-                    acc = [x + sign * y for x, y in zip(acc, mul(a, sub))]
-            minors[subset] = acc
-    return minors
+    mul = F._mul_int
+    below = list(rows[-1])
+    for ints, level in zip(rows[-2::-1], _expansion_plan(len(rows[0]), len(rows))):
+        minors = []
+        for terms in level:
+            acc = None
+            for j, neg, k in terms:
+                a, sub = ints[j], below[k]
+                if a is None or sub is None:
+                    continue
+                p = mul(a, sub)
+                if acc is None:
+                    acc = [-x for x in p] if neg else p
+                elif neg:
+                    acc = [x - y for x, y in zip(acc, p)]
+                else:
+                    acc = [x + y for x, y in zip(acc, p)]
+            minors.append(acc if acc is not None and any(acc) else None)
+        below = minors
+    zero = (0,) * F.degree
+    return [x if x is not None else zero for x in below]
 
 
 def plucker(D: RredMatrix) -> ProjPoint:
@@ -246,8 +274,8 @@ def plucker(D: RredMatrix) -> ProjPoint:
     with the product of the row denominators divided out at the end.  The
     pivot-column minor is exactly 1."""
     F = D.field
-    rows, den = _scaled_rows(D)
-    return ProjPoint(F, tuple(F._reduced(num, den) for num in _minors(F, rows).values()))
+    rows, den = D._ints
+    return ProjPoint(F, tuple(F._reduced(num, den) for num in _minors(F, rows)))
 
 
 def det_lattice(D: RredMatrix) -> float:
@@ -263,17 +291,18 @@ def det_lattice(D: RredMatrix) -> float:
     """
     F = D.field
     conj, mul = F._conj_int, F._mul_int
-    rows, den = _scaled_rows(D)
+    rows, den = D._ints
     bars = [[conj(a) if a else None for a in row] for row in rows]
     herm = [[None] * len(rows) for _ in rows]
     for i, j in itertools.combinations_with_replacement(range(len(rows)), 2):
-        acc = [0] * F.degree
+        acc = None
         for a, b in zip(rows[i], bars[j]):
             if a and b:
-                acc = [x + y for x, y in zip(acc, mul(a, b))]
-        if any(acc):
+                p = mul(a, b)
+                acc = p if acc is None else [x + y for x, y in zip(acc, p)]
+        if acc is not None and any(acc):
             herm[i][j], herm[j][i] = acc, conj(acc)
-    (det,) = _minors(F, herm).values()
+    (det,) = _minors(F, herm)
     return math.sqrt(abs_norm(F, F._reduced(det, den * den)))
 
 

@@ -11,12 +11,11 @@ layers.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import mpmath
@@ -89,12 +88,14 @@ def _poly_exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return out
 
 
-@cache
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
 
     Computed by exactly dividing x^n - 1 by the polynomials of the proper
-    divisors of n; integer arithmetic throughout.
+    divisors of n; integer arithmetic throughout.  The memo keeps 256
+    polynomials, each phi(n) + 1 small integers: under 2 MB for every
+    n <= 1024.
     """
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
@@ -103,73 +104,84 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _span_size_mod(q: int, rows: Sequence[Sequence[int]], ncols: int) -> int:
+def _span_size_mod(q: int, rows: Sequence[Sequence[int]], ncols: int, block: int) -> int:
     """The number of vectors of (ZZ/q)^ncols in the span of the integer
     rows: q^ncols over the index of q ZZ^ncols + span, which divides it."""
-    size, rem = divmod(q**ncols, _index_mod(q, rows, ncols))
+    size, rem = divmod(q**ncols, _index_mod(q, rows, ncols, block))
     if rem:
         raise RuntimeError("lattice index must divide q^ncols")
     return size
 
 
-def _index_mod(q: int, rows: Sequence[Sequence[int]], ncols: int) -> int:
+def _index_mod(q: int, rows: Sequence[Sequence[int]], ncols: int, block: int) -> int:
     """[ZZ^ncols : q ZZ^ncols + ZZ-span of the integer rows], for q >= 1.
 
-    The index is the gcd of the maximal minors of the rows stacked on q I.
-    In one column that is gcd(q, rows); in two it is the gcd of q times
-    gcd(q, all entries) with the 2 x 2 minors of the rows.  Beyond that it
-    is the product of the echelon pivots, found modulo q because the
-    lattice contains q ZZ^ncols (Cohen, GTM 138, Algorithm 2.4.8).  Column
-    by column, extended gcds merge the rows that meet the column into one
-    pivot row p; the pivot is g = gcd(q, p_0), and (q/g) p, which is 0 in
-    that column modulo q, joins the rows left for the next columns.  Each
-    row drops its leading column once that column is done.
+    The rows are added one at a time to a Hermite basis of the lattice,
+    q ZZ^ncols at first (Cohen, GTM 138, section 2.4.3): row i has zeros
+    before column i and a pivot h_i dividing q there, and the index is the
+    product of the pivots.  Entries are kept modulo q, which the lattice
+    contains.  A new row meets each basis row in turn: a multiple of the
+    pivot is subtracted, or an extended gcd merges the two into a smaller
+    pivot and a remainder that is zero in that column.  In one column the
+    index is gcd(q, rows); in two the basis is (a, b), (0, c).
+
+    The rows come in runs of block rows.  With block = d they are x, x g,
+    .., x g^(d-1) for x in O_K^m, over the power basis of degree d, and
+    the lattice is an O_K-module: once a row changes nothing it lies in
+    the lattice, so its later multiples by g do too, and the rest of its
+    run is skipped.  Rows of any other lattice take block = 1.
     """
-    # 98% of calls have 1 or 2 columns; there the closed forms take about half the echelon's time
+    # 98% of calls have 1 or 2 columns, which take closed forms
     if ncols == 1:
         return math.gcd(q, *(r[0] for r in rows))
     if ncols == 2:
-        g = math.gcd(q, *(c for r in rows for c in r))
-        return math.gcd(q * g, *(a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(rows, 2)))
-    rest = [[c % q for c in r] for r in rows]
-    index = 1
-    for _ in range(ncols):
-        piv = None
-        left = []
-        for r in rest:
-            a = r[0]
-            if not a:
-                left.append(r[1:])
-                continue
-            if piv is None:
-                piv = r
-                continue
-            b = piv[0]
-            if a % b:
-                # u b + v a = g: piv becomes u piv + v r, r becomes (b/g) r - (a/g) piv
-                g = math.gcd(a, b)
-                u = pow(b // g, -1, a // g)
-                v = (g - u * b) // a
-                b, a = b // g, a // g
-                piv, r = [(u * x + v * y) % q for x, y in zip(piv, r)], [
-                    (b * y - a * x) % q for x, y in zip(piv[1:], r[1:])
-                ]
-            else:
-                f = a // b
-                r = [(y - f * x) % q for x, y in zip(piv[1:], r[1:])]
-            if any(r):
-                left.append(r)
-        if piv is None:
-            index *= q
-        else:
-            g = math.gcd(q, piv[0])
-            index *= g
-            s = q // g
-            r = [s * x % q for x in piv[1:]]
-            if any(r):
-                left.append(r)
-        rest = left
-    return index
+        # the Hermite basis (a, b), (0, c) of the lattice, q ZZ^2 at first;
+        # each row (x, y) meets (a, b) by an extended gcd in column 0, and
+        # what is left of the two in column 1 joins c
+        a, b, c = q, 0, q
+        for start in range(0, len(rows), block):
+            for x, y in rows[start:start + block]:
+                k, x = divmod(x, a)
+                y -= k * b
+                if x:
+                    g = math.gcd(a, x)
+                    u = pow(a // g, -1, x // g)
+                    c = math.gcd(c, (a * y - x * b) // g)
+                    b = (u * b + (g - u * a) // x * y) % c
+                    a = g
+                elif y % c:
+                    c = math.gcd(c, y)
+                else:
+                    break
+        return a * c
+    basis = [[q] + [0] * (ncols - 1 - i) for i in range(ncols)]
+    for start in range(0, len(rows), block):
+        for v in rows[start:start + block]:
+            v = [c % q for c in v]
+            merged = False
+            for i, h in enumerate(basis):
+                x = v[0]
+                if x:
+                    a = h[0]
+                    if x % a:
+                        # u a + w x = g: h becomes u h + w v, v becomes (a/g) v - (x/g) h
+                        g = math.gcd(a, x)
+                        u = pow(a // g, -1, x // g)
+                        w = (g - u * a) // x
+                        a, x = a // g, x // g
+                        basis[i] = [g] + [(u * z + w * y) % q for z, y in zip(h[1:], v[1:])]
+                        v = [(a * y - x * z) % q for z, y in zip(h[1:], v[1:])]
+                        merged = True
+                    else:
+                        f = x // a
+                        v = [(y - f * z) % q for z, y in zip(h[1:], v[1:])]
+                else:
+                    v = v[1:]
+                if not any(v):
+                    break
+            if not merged:
+                break
+    return math.prod(h[0] for h in basis)
 
 
 def _field_conductor(n: int) -> int:
@@ -251,12 +263,12 @@ class NumberField:
     def element(self, coords: Sequence[Rational]) -> FieldElement:
         # ints and Fractions are exact as they are; Fraction converts and
         # checks anything else
-        cs = [c if type(c) in _EXACT else Fraction(c) for c in coords]
-        if len(cs) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        den = math.lcm(*(c.denominator for c in cs))
+        pairs = [(c if type(c) in _EXACT else Fraction(c)).as_integer_ratio() for c in coords]
+        if len(pairs) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(pairs)}")
+        den = math.lcm(*[q for _, q in pairs])
         # over the lcm of the reduced denominators the numerators are coprime to it
-        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
+        return FieldElement(self, tuple([p * (den // q) for p, q in pairs]), den)
 
     def from_rational(self, q: Rational) -> FieldElement:
         q = Fraction(q)
@@ -277,7 +289,7 @@ class NumberField:
         if den < 0:
             g = -g
         if g != 1:
-            return FieldElement(self, tuple(c // g for c in num), den // g)
+            return FieldElement(self, tuple([c // g for c in num]), den // g)
         return FieldElement(self, tuple(num), den)
 
     @cached_property
@@ -297,21 +309,42 @@ class NumberField:
     # -- multiplication structure
 
     def _mul_int(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the product of two integer coordinate vectors: a
-        convolution whose powers g^(2d-2) .. g^d are folded down by g^d."""
+        """Coordinates of the product of two integer coordinate vectors.  Up
+        to degree 2 the closed form: (a0 + a1 g)(b0 + b1 g) with
+        g^2 = e g + f.  Above that a convolution whose powers g^d .. g^(2d-2)
+        are folded down by their reduced coordinates (_fold)."""
         d = self.degree
-        top = self._gen_pow_d
+        if d == 2:
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            f, e = self._gen_pow_d
+            return (a0 * b0 + f * t, a0 * b1 + a1 * b0 + e * t)
+        if d == 1:
+            return (a[0] * b[0],)
         conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        for k in range(2 * d - 2, d - 1, -1):
-            ck = conv[k]
+                for k, bj in enumerate(b, i):
+                    conv[k] += ai * bj
+        for ck, row in zip(conv[d:], self._fold):
             if ck:
-                for j, t in enumerate(top):
-                    conv[k - d + j] += ck * t
+                for j, t in row:
+                    conv[j] += ck * t
         return tuple(conv[:d])
+
+    @cached_property
+    def _fold(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero integer coordinates (j, c) of g^k, k = d .. 2d-2,
+        each power the one before times g with the overflow reduced by g^d;
+        sparse for most cyclotomic polynomials (g^k = g^(k-n) for k >= n)."""
+        top = self._gen_pow_d
+        v, out = list(top), []
+        for _ in range(self.degree - 1):
+            out.append(tuple((j, c) for j, c in enumerate(v) if c))
+            over = v[-1]
+            v = [over * top[0]] + [x + over * t for x, t in zip(v, top[1:])]
+        return tuple(out)
 
     def _mul_rows(self, a: Sequence[int]) -> list[list[int]]:
         """Row k holds the integer coordinates of a * g^k: the transpose of
@@ -356,18 +389,32 @@ class NumberField:
             return abs(p * p - self.min_poly[1] * p * q + self.min_poly[0] * q * q)
         return abs(self._charpoly(num)[1][-1])
 
-    def _inverse(self, x: FieldElement) -> FieldElement:
-        """x^-1 by Cayley-Hamilton on the numerator a = den * x:
-        a * sum_{k<d} (-1)^k e_k a^(d-1-k) = (-1)^(d+1) e_d."""
-        if not x:
-            raise ZeroDivisionError("field element is zero")
+    def _adjugate(self, a: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """For a nonzero integer vector a: an integer vector b and a nonzero
+        integer n with a * b = n, so a^-1 = b/n.  Up to degree 2 the closed
+        forms: b = 1, n = a0 over Q; b = a0 + e a1 - a1 g, n = the norm form
+        for the basis {1, g} with g^2 = e g + f.  Above that Cayley-Hamilton:
+        b = sum_{k<d} (-1)^k e_k a^(d-1-k) and n = (-1)^(d+1) e_d."""
         d = self.degree
-        powers, e = self._charpoly(x.num)
+        if d == 2:
+            p, q = a
+            f, e = self._gen_pow_d
+            return (p + e * q, -q), p * p + e * p * q - f * q * q
+        if d == 1:
+            return (1,), a[0]
+        powers, e = self._charpoly(a)
         if not e[d]:
             raise RuntimeError("the norm is zero; minimal polynomial is reducible")
-        coeffs = [(-1) ** k * x.den * e[k] for k in range(d)]
-        num = [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*reversed(powers))]
-        return self._reduced(num, (-1) ** (d + 1) * e[d])
+        coeffs = [(-1) ** k * e[k] for k in range(d)]
+        adj = tuple(sum(c * v for c, v in zip(coeffs, col)) for col in zip(*reversed(powers)))
+        return adj, (-1) ** (d + 1) * e[d]
+
+    def _inverse(self, x: FieldElement) -> FieldElement:
+        """x^-1 = den * b / n for the numerator a = den * x, a * b = n."""
+        if not x:
+            raise ZeroDivisionError("field element is zero")
+        adj, n = self._adjugate(x.num)
+        return self._reduced([x.den * c for c in adj], n)
 
     # -- traces, involution, embeddings
 
@@ -384,8 +431,10 @@ class NumberField:
         return tuple(p)
 
     @cached_property
-    def _invol_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Integer coordinates of conj(g)^k, k < d, in a field with complex places."""
+    def _invol_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero integer coordinates (j, c) of conj(g)^k, k < d, in a
+        field with complex places; sparse in a cyclotomic field, where
+        conj(g)^k = g^(n-k)."""
         if self.kind == "quadratic":
             cg = self.element((1, -1)) if self.D % 4 == 1 else self.element((0, -1))
         else:
@@ -395,7 +444,7 @@ class NumberField:
             rows.append(rows[-1] * cg)
         if any(r.den != 1 for r in rows):
             raise RuntimeError("conjugate powers of the generator must be integral")
-        return tuple(r.num for r in rows)
+        return tuple(tuple((j, c) for j, c in enumerate(r.num) if c) for r in rows)
 
     def _conj_int(self, num: Sequence[int]) -> list[int]:
         """Integer coordinates of the involution of the integer vector num."""
@@ -404,7 +453,8 @@ class NumberField:
         out = [0] * self.degree
         for c, row in zip(num, self._invol_rows):
             if c:
-                out = [x + c * r for x, r in zip(out, row)]
+                for j, r in row:
+                    out[j] += c * r
         return out
 
     @cached_property
@@ -525,7 +575,13 @@ class FieldElement:
         return [c / self.den for c in self.num]
 
     def _coerce(self, other) -> "FieldElement | None":
-        # None leaves other operand types to their own methods
+        # an element is checked by type, not through isinstance's ABC
+        # dispatch for Fraction; None leaves other operand types to their
+        # own methods
+        if type(other) is FieldElement:
+            if other.field is not self.field:
+                raise ValueError("elements belong to different fields")
+            return other
         if isinstance(other, (FieldElement, int, Fraction)):
             return self.field.coerce(other)
         return None
@@ -553,7 +609,7 @@ class FieldElement:
         return self.field._reduced([x * b - y * a for x, y in zip(self.num, o.num)], a * b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not FieldElement and isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return self.field._reduced([a * q.numerator for a in self.num], self.den * q.denominator)
         o = self._coerce(other)
@@ -568,7 +624,7 @@ class FieldElement:
         return self.field._inverse(self)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not FieldElement and isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if not q:
                 raise ZeroDivisionError("division by zero")
@@ -604,8 +660,10 @@ ElementTuple = tuple[FieldElement, ...]
 
 
 def conjugates(F: NumberField, x: FieldElement) -> np.ndarray:
-    """All d complex embedding values of x, conjugate pairs adjacent."""
-    return _embed_rows(F, [F.coerce(x).floats()])[0]
+    """All d complex embedding values of x, conjugate pairs adjacent: the
+    matrix-vector product that _embed_rows runs per row."""
+    import numpy as np
+    return F.embed_matrix @ np.array(F.coerce(x).floats())
 
 
 def _embed_rows(F: NumberField, rows: Sequence[Sequence[float]]) -> np.ndarray:
@@ -657,33 +715,86 @@ def denominator_norm(F: NumberField, alphas: Sequence[FieldElement]) -> int:
     c = math.lcm(*(a.den for a in alphas))
     if c == 1:
         return 1
-    return _span_size_mod(c, _scaled_mul_rows(F, alphas, c), F.degree)
+    return _span_size_mod(c, _scaled_mul_rows(F, alphas, c), F.degree, F.degree)
 
 
-def row_reduce(rows: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
-    """Reduced row echelon form over the field, zero rows dropped: pivots
-    are exactly 1 and every pivot column is cleared above and below."""
-    mat = [list(r) for r in rows]
+def row_reduce(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> list[list[FieldElement]]:
+    """Reduced row echelon form over F, zero rows dropped: pivots are
+    exactly 1 and every pivot column is cleared above and below.
+
+    The rref depends only on the row space, so each row is scaled to
+    integer coordinate vectors and kept free of a common integer factor.
+    A pivot row is multiplied by the adjugate b of its pivot a (a b = n, an
+    integer), so its pivot becomes n; every other row r with entry c in
+    that column becomes n r - c p.  Field elements are built at the end,
+    each entry of a pivot row over its pivot integer.
+    """
+    mat = [[F.coerce(e) for e in r] for r in rows]
     if not mat:
         raise ValueError("empty matrix")
-    if any(len(r) != len(mat[0]) for r in mat):
+    ncols = len(mat[0])
+    if any(len(r) != ncols for r in mat):
         raise ValueError("ragged matrix")
-    rank = 0
-    for col in range(len(mat[0])):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+    mul = F._mul_int
+    ints = []
+    for r in mat:
+        L = math.lcm(*[e.den for e in r])
+        ints.append([(e.num if e.den == L else tuple([c * (L // e.den) for c in e.num]))
+                     if any(e.num) else None for e in r])
+    pivots: list[tuple[int, int]] = []  # (column, pivot integer) of rows 0 .. rank-1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(ints)) if ints[i][col] is not None), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [e * inv for e in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [e - f * p for e, p in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
+        ints[rank], ints[piv] = ints[piv], ints[rank]
+        p = ints[rank]
+        adj, n = F._adjugate(p[col])
+        p[col] = [n] + [0] * (F.degree - 1)
+        for j in range(col + 1, ncols):
+            if p[j] is not None:
+                p[j] = mul(adj, p[j])
+        n = _drop_content(p, col)
+        for i, r in enumerate(ints):
+            c = r[col]
+            if i == rank or c is None:
+                continue
+            for j, (x, y) in enumerate(zip(r, p)):
+                if y is None:
+                    if x is not None:
+                        r[j] = [n * v for v in x]
+                elif x is None:
+                    r[j] = [-u for u in mul(c, y)]
+                else:
+                    w = [n * v - u for v, u in zip(x, mul(c, y))]
+                    r[j] = w if any(w) else None
+            if i < rank:
+                pc = pivots[i][0]
+                pivots[i] = (pc, _drop_content(r, pc))
+            else:
+                _drop_content(r, col)
+        pivots.append((col, n))
+        if len(pivots) == len(ints):
             break
-    return mat[:rank]
+    out = []
+    for (col, n), r in zip(pivots, ints):
+        row = [F._reduced(x, n) if x is not None else F.zero for x in r]
+        row[col] = F.one
+        out.append(row)
+    return out
+
+
+def _drop_content(row: list, col: int) -> int:
+    """Divide the integer vectors of row (None for zero) by the gcd of all
+    their coordinates, in place; returns the new first coordinate of the
+    entry in column col (0 when that entry is zero)."""
+    g = math.gcd(*[c for x in row if x is not None for c in x])
+    if g > 1:
+        for j, x in enumerate(row):
+            if x is not None:
+                row[j] = [c // g for c in x]
+    x = row[col]
+    return x[0] if x is not None else 0
 
 
 def frak_D(F: NumberField, D: RredMatrix) -> int:
@@ -696,21 +807,17 @@ def frak_D(F: NumberField, D: RredMatrix) -> int:
     D is an RredMatrix, whose constructor proved full rank from its pivots.
     """
     rows = [[F.coerce(e) for e in r] for r in D.rows]
-    m = len(rows)
-    n = len(rows[0])
-    d = F.degree
-    cols = [j for j in range(n) if not all(rows[i][j].is_integral for i in range(m))]
+    cols = [j for j in range(len(rows[0])) if not all(r[j].is_integral for r in rows)]
     if not cols:
         return 1
-    q = math.lcm(*(rows[i][j].den for i in range(m) for j in cols))
+    q = math.lcm(*[r[j].den for r in rows for j in cols])
     # rows indexed by the dm coordinates of C, columns by the d coordinates
     # of each constrained product, scaled by q
     big: list[list[int]] = []
-    for i in range(m):
-        blocks = [_scaled_mul_rows(F, [rows[i][j]], q) for j in cols]
-        for k in range(d):
-            big.append([c for block in blocks for c in block[k]])
-    return _span_size_mod(q, big, d * len(cols))
+    for r in rows:
+        blocks = [F._mul_rows([c * (q // r[j].den) for c in r[j].num]) for j in cols]
+        big.extend([c for block in blocks for c in block[k]] for k in range(F.degree))
+    return _span_size_mod(q, big, F.degree * len(cols), F.degree)
 
 
 def enumerate_torsion(F: NumberField) -> list[FieldElement]:
@@ -734,10 +841,12 @@ def _floor_quad_surd(P: int, Q: int, sq: int) -> int:
     return -(n // (-Q) + 1)
 
 
-@cache
+@lru_cache(maxsize=64)
 def fundamental_unit(F: NumberField) -> FieldElement:
     """The unit > 1 generating the units modulo torsion, for real quadratic
-    fields, from the continued fraction of the basis generator."""
+    fields, from the continued fraction of the basis generator.  The memo
+    keeps 64 units, one per field; a unit's coordinates have
+    O(sqrt(D) log D) bits, the length of the continued fraction's period."""
     if F.kind != "quadratic" or F.D < 0:
         raise ValueError("fundamental units are produced for real quadratic fields only")
     D = F.D

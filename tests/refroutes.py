@@ -13,13 +13,21 @@ two exponentials, and alpha_M and the zeta compositions in mpmath.iv,
 which the package replaced by one exponential per prime and raw libmp
 intervals with equal results, and the exact floor and ceil of 2^128 p^-s
 from 400-bit mpmath, which the package's integer roots at dyadic s
-must equal.  The Euler product reads the splitting of
+must equal.  The exact-arithmetic routes the package replaced are here
+too, and its results must equal theirs: the field product as one
+convolution folded by g^d at every degree, the inverse by Cayley-Hamilton
+at every degree, row reduction in field-element arithmetic, the
+two-column lattice index from every 2 x 2 minor, the wider ones from a
+column-by-column echelon, the maximal minors
+keyed by column subset, and one element's embedding as a row of the
+stacked product.  The Euler product reads the splitting of
 each prime from its own rules here, none from the package.  pytest puts
 this directory on sys.path, so the test modules import it as `refroutes`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,6 +58,7 @@ from latmoment.bounds import (
 from latmoment.numberfield import (
     FieldElement,
     NumberField,
+    _embed_rows,
     _factorize,
     _scaled_mul_rows,
     conjugates,
@@ -548,3 +557,140 @@ def cyclotomic_constants_iv(
         * iv.mpf([z1.value_low, z1.value_high])
         * iv.mpf([z2.value_low, z2.value_high])
     )
+
+
+# ---------------------------------------------------------------------------
+# exact-arithmetic routes the package replaced
+
+
+def mul_int_convolution(F: NumberField, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The product of two integer coordinate vectors at every degree: the
+    convolution, its powers g^(2d-2) .. g^d folded down one at a time by
+    the coordinates of g^d."""
+    d = F.degree
+    top = F._gen_pow_d
+    conv = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    for k in range(2 * d - 2, d - 1, -1):
+        ck = conv[k]
+        if ck:
+            for j, t in enumerate(top):
+                conv[k - d + j] += ck * t
+    return tuple(conv[:d])
+
+
+def inverse_charpoly(F: NumberField, x: FieldElement) -> FieldElement:
+    """x^-1 by Cayley-Hamilton at every degree, on the numerator
+    a = den * x: a * sum_{k<d} (-1)^k e_k a^(d-1-k) = (-1)^(d+1) e_d."""
+    if not x:
+        raise ZeroDivisionError("field element is zero")
+    d = F.degree
+    powers, e = F._charpoly(x.num)
+    coeffs = [(-1) ** k * x.den * e[k] for k in range(d)]
+    num = [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*reversed(powers))]
+    return F._reduced(num, (-1) ** (d + 1) * e[d])
+
+
+def row_reduce_elements(rows: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
+    """Reduced row echelon form in field-element arithmetic, zero rows
+    dropped: each pivot row divided by its pivot, each other row less its
+    entry times the pivot row."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col].inverse()
+        mat[rank] = [e * inv for e in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [e - f * p for e, p in zip(mat[i], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return mat[:rank]
+
+
+def index_mod_two_minors(q: int, rows: Sequence[Sequence[int]]) -> int:
+    """[ZZ^2 : q ZZ^2 + span of the rows]: the gcd of q times gcd(q, all
+    entries) with every 2 x 2 minor of the rows."""
+    g = math.gcd(q, *(c for r in rows for c in r))
+    return math.gcd(q * g, *(a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(rows, 2)))
+
+
+def index_mod_echelon(q: int, rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """[ZZ^ncols : q ZZ^ncols + span of the rows] as the product of the
+    echelon pivots modulo q, column by column: extended gcds merge the rows
+    that meet the column into one pivot row p, the pivot is gcd(q, p_0),
+    and (q/g) p joins the rows left for the next columns."""
+    rest = [[c % q for c in r] for r in rows]
+    index = 1
+    for _ in range(ncols):
+        piv = None
+        left = []
+        for r in rest:
+            a = r[0]
+            if not a:
+                left.append(r[1:])
+                continue
+            if piv is None:
+                piv = r
+                continue
+            b = piv[0]
+            if a % b:
+                # u b + v a = g: piv becomes u piv + v r, r becomes (b/g) r - (a/g) piv
+                g = math.gcd(a, b)
+                u = pow(b // g, -1, a // g)
+                v = (g - u * b) // a
+                b, a = b // g, a // g
+                piv, r = [(u * x + v * y) % q for x, y in zip(piv, r)], [
+                    (b * y - a * x) % q for x, y in zip(piv[1:], r[1:])
+                ]
+            else:
+                f = a // b
+                r = [(y - f * x) % q for x, y in zip(piv[1:], r[1:])]
+            if any(r):
+                left.append(r)
+        if piv is None:
+            index *= q
+        else:
+            g = math.gcd(q, piv[0])
+            index *= g
+            s = q // g
+            r = [s * x % q for x in piv[1:]]
+            if any(r):
+                left.append(r)
+        rest = left
+    return index
+
+
+def minors_by_subset(F: NumberField, rows) -> dict:
+    """The maximal minors of an m x n matrix of integer coordinate vectors
+    (None for zero), keyed by column subset in lexicographic order, each
+    the Laplace expansion along its top row over the subsets one smaller."""
+    d, n, mul = F.degree, len(rows[0]), F._mul_int
+    minors = {(): (1,) + (0,) * (d - 1)}
+    for size, ints in enumerate(reversed(rows), 1):
+        below, minors = minors, {}
+        for subset in itertools.combinations(range(n), size):
+            acc = [0] * d
+            for t, j in enumerate(subset):
+                a = ints[j]
+                sub = below[subset[:t] + subset[t + 1:]]
+                if a is not None and any(sub):
+                    sign = -1 if t % 2 else 1
+                    acc = [x + sign * y for x, y in zip(acc, mul(a, sub))]
+            minors[subset] = acc
+    return minors
+
+
+def conjugates_stacked(F: NumberField, x: FieldElement) -> np.ndarray:
+    """The embedding values of one element as the one row of the stacked
+    product of _embed_rows."""
+    return _embed_rows(F, [F.coerce(x).floats()])[0]

@@ -1018,6 +1018,29 @@ def test_zeta_calls_leave_entry_one_of_every_table_at_one():
                 assert low[1] == high[1] == _FIX_ONE, (desc, s, size)
 
 
+# the package's memos that keep every key, each with its key set: the
+# field constructors, since field identity is field equality, and two
+# memos whose key sets are finite
+_UNBOUNDED_MEMOS = {
+    "numberfield.rational_field": "one key: the field Q",
+    "numberfield.quadratic_field": "one field per squarefree D asked for",
+    "numberfield._cyclotomic_field_cached": "one field per conductor asked for",
+    "bounds._log_bounds": "the primes of a power table, below 17 * _MAX_CONDUCTOR",
+    "bounds._bernoulli_ratios": "one key: no arguments",
+}
+
+
+def _package_memos():
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(lm.__path__):
+        module = importlib.import_module(f"latmoment.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+                yield f"{info.name}.{name}", obj
+
+
 def test_shared_kernel_memos_are_bounded_lru_caches():
     dedekind_zeta_field(make_field("Q(zeta,7)"), 2.5)
     for memo, size in ((_power_table, _POWER_CACHE_SIZE),
@@ -1026,6 +1049,18 @@ def test_shared_kernel_memos_are_bounded_lru_caches():
         assert memo.cache_info().maxsize == size
     _clear_memos()
     assert _power_table.cache_info().currsize == _residue_sums.cache_info().currsize == 0
+    # every memo in the package, found by introspection, has a bound
+    # unless it is listed with its finite key set
+    memos = dict(_package_memos())
+    assert len(memos) >= 15
+    assert set(_UNBOUNDED_MEMOS) <= set(memos)
+    for name, memo in memos.items():
+        if name in _UNBOUNDED_MEMOS:
+            assert memo.cache_info().maxsize is None, name
+        else:
+            assert memo.cache_info().maxsize is not None, name
+    assert memos["bounds._characters"].cache_info().maxsize == 16
+    assert memos["bounds._alpha_exponent"].cache_info().maxsize == 1024
 
 
 def test_fields_and_zeta_share_the_conductor_rule():

@@ -40,7 +40,19 @@ from latmoment.numberfield import (
 )
 from latmoment.heights import plucker, rred_matrix
 from latmoment.oracle import _bounded_denominator_elements
-from refroutes import FracIdeal, _euler_phi, hnf_rows, ideal_from_generators
+from refroutes import (
+    FracIdeal,
+    _euler_phi,
+    conjugates_stacked,
+    hnf_rows,
+    ideal_from_generators,
+    index_mod_echelon,
+    index_mod_two_minors,
+    inverse_charpoly,
+    minors_by_subset,
+    mul_int_convolution,
+    row_reduce_elements,
+)
 
 ALL_FIELDS = ["Q", "Q(sqrt,-1)", "Q(sqrt,2)", "Q(sqrt,5)", "Q(sqrt,-3)", "Q(zeta,5)", "Q(zeta,8)"]
 
@@ -803,7 +815,7 @@ def test_hnf_membership_consistency():
 def _index_mod_case(draw):
     """q, rows and ncols for _index_mod: q up to 10^6 or a prime power, rows
     with entries around +-2q, zero rows and repeated rows."""
-    ncols = draw(st.integers(min_value=3, max_value=9))
+    ncols = draw(st.integers(min_value=1, max_value=9))
     q = draw(st.one_of(
         st.integers(min_value=1, max_value=10**6),
         st.builds(pow, st.sampled_from([2, 3, 5, 7, 11]), st.integers(min_value=1, max_value=5)),
@@ -824,7 +836,9 @@ def test_index_mod_matches_the_stacked_hnf(case):
     q, rows, ncols = case
     scaled = [[q if j == k else 0 for j in range(ncols)] for k in range(ncols)]
     hnf = hnf_rows([*rows, *scaled], ncols)
-    assert _index_mod(q, rows, ncols) == math.prod(hnf[i][i] for i in range(ncols))
+    assert _index_mod(q, rows, ncols, 1) == math.prod(hnf[i][i] for i in range(ncols))
+    if ncols >= 3:
+        assert _index_mod(q, rows, ncols, 1) == index_mod_echelon(q, rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -893,5 +907,144 @@ def test_row_reduce_drops_zero_rows():
     F = make_field("Q(sqrt,-1)")
     i = F.gen
     rows = [[F.one, i, F.zero], [i, -F.one, F.zero], [F.zero, F.one, i]]  # row 2 = i * row 1
-    red = row_reduce(rows)
+    red = row_reduce(F, rows)
     assert red == [[F.one, F.zero, F.one], [F.zero, F.one, i]]
+
+
+# ---------------------------------------------------------------------------
+# the replaced routes as references: equal results on seeded grids
+
+# every field of the grids, the degree aspect's Q(zeta,47) included
+REFERENCE_FIELDS = ALL_FIELDS + ["Q(zeta,7)", "Q(zeta,47)"]
+
+
+def _reference_elements(F, rng, count):
+    """Nonzero elements with small and large coordinates, integral and not,
+    rational ones included; no large ones in the degree aspect, where the
+    reference routes are slow."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        if kind == 3:
+            coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))] + [0] * (F.degree - 1)
+        else:
+            scale = 10**12 if kind == 2 and F.degree < 40 else 5
+            coords = [Fraction(rng.randint(-scale, scale), rng.choice((1, 1, 2, 3, 7)))
+                      for _ in range(F.degree)]
+        x = F.element(coords)
+        if x:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS)
+def test_product_and_inverse_equal_the_reference_routes(desc):
+    # the degree <= 2 closed forms and the sparse fold against the dense
+    # convolution, the adjugate inverse against Cayley-Hamilton
+    F = make_field(desc)
+    rng = random.Random(f"reference-arithmetic/{desc}")
+    xs = _reference_elements(F, rng, 8 if F.degree > 40 else 60)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert F._mul_int(x.num, y.num) == mul_int_convolution(F, x.num, y.num)
+        assert x.inverse() == inverse_charpoly(F, x)
+        adj, n = F._adjugate(x.num)
+        assert n and F._mul_int(x.num, adj) == (n,) + (0,) * (F.degree - 1)
+        assert x * y == F._reduced(mul_int_convolution(F, x.num, y.num), x.den * y.den)
+        assert x / y == F._reduced(mul_int_convolution(F, x.num, inverse_charpoly(F, y).num),
+                                   x.den * inverse_charpoly(F, y).den)
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+
+
+def _reference_matrix(F, rng, m, n, rank):
+    """An m x n matrix of rank <= rank over F: some columns zero, pivots
+    often non-integral, the last m - rank rows combinations of the others."""
+    zero_cols = {j for j in range(n) if rng.random() < 0.2}
+    els = _reference_elements(F, rng, 2 * m * n)
+    rows = [[F.zero if j in zero_cols else rng.choice(els + [F.zero]) for j in range(n)]
+            for _ in range(rank)]
+    for _ in range(m - rank):
+        a, b = rng.choice(els), rng.choice(els)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS)
+def test_row_reduce_equals_the_element_route(desc):
+    F = make_field(desc)
+    rng = random.Random(f"reference-rref/{desc}")
+    # in the degree aspect a rank-3 reduction takes seconds on either route
+    shapes = [(1, 3), (2, 4), (3, 5), (3, 3), (4, 5), (2, 2)] if F.degree < 40 else [(2, 4)]
+    ranks = set()
+    for m, n in shapes:
+        for rank in range(1, min(m, 3) + 1):
+            for _ in range(6 if F.degree < 40 else 1):
+                rows = _reference_matrix(F, rng, m, n, rank)
+                red = row_reduce(F, rows)
+                assert red == row_reduce_elements(rows), (m, n, rank)
+                ranks.add(len(red))
+    assert ({1, 2, 3} if F.degree < 40 else {1, 2}) <= ranks
+    # ints and Fractions are taken into the field as rred_matrix takes them
+    assert row_reduce(F, [[2, Fraction(1, 3)], [0, 1]]) == [[F.one, F.zero], [F.zero, F.one]]
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS)
+def test_minors_equal_the_subset_route(desc):
+    from latmoment.heights import _minors
+
+    F = make_field(desc)
+    rng = random.Random(f"reference-minors/{desc}")
+    for m, n in ([(1, 3), (2, 4), (3, 5), (3, 3)] if F.degree < 40 else [(2, 4)]):
+        for _ in range(5 if F.degree < 40 else 1):
+            els = _reference_elements(F, rng, m * n)
+            rows = [[x.num if rng.random() < 0.8 else None for x in els[i * n:(i + 1) * n]]
+                    for i in range(m)]
+            want = [tuple(v) for v in minors_by_subset(F, rows).values()]
+            assert [tuple(v) for v in _minors(F, rows)] == want, (m, n)
+
+
+def test_two_column_index_equals_the_minor_route():
+    rng = random.Random("reference-index")
+    for _ in range(2000):
+        q = rng.choice([1, 2, 12, 97, 360, 2**20, rng.randint(1, 10**9)])
+        size = rng.choice([0, 1, 2, 2, 3, 18])
+        rows = [[rng.randint(-3 * q, 3 * q) if rng.random() < 0.8 else 0 for _ in range(2)]
+                for _ in range(size)]
+        assert _index_mod(q, rows, 2, 1) == index_mod_two_minors(q, rows), (q, rows)
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS)
+def test_conjugates_equal_the_stacked_embedding(desc):
+    # bit for bit: the matrix-vector product is the stacked product's row
+    F = make_field(desc)
+    rng = random.Random(f"reference-conjugates/{desc}")
+    for x in _reference_elements(F, rng, 12 if F.degree > 40 else 100):
+        assert np.array_equal(conjugates(F, x), conjugates_stacked(F, x))
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS[:-1])
+def test_module_index_skips_runs_inside_the_lattice(desc):
+    # rows x g^k of generators x in O_K^m: skipping the rest of a run once
+    # a row lies in the lattice gives the index of every row
+    F = make_field(desc)
+    d = F.degree
+    rng = random.Random(f"reference-module-index/{desc}")
+    for trial in range(40):
+        m = 1 + trial % 3
+        q = rng.choice([2, 6, 12, 45, 360, rng.randint(2, 10**6)])
+        gens = [[[rng.randint(-q, q) if rng.random() < 0.7 else 0 for _ in range(d)]
+                 for _ in range(m)] for _ in range(rng.randint(1, 6))]
+        if trial % 4 == 0:
+            gens.append([[q * c for c in x] for x in gens[0]])  # a run inside the lattice
+        rows = []
+        for x in gens:
+            blocks = [F._mul_rows(c) for c in x]
+            rows.extend([c for block in blocks for c in block[k]] for k in range(d))
+        ncols = m * d
+        want = _index_mod(q, rows, ncols, 1)
+        assert _index_mod(q, rows, ncols, d) == want, (q, gens)
+        if ncols >= 3:
+            assert want == index_mod_echelon(q, rows, ncols)
+        else:
+            assert want == (index_mod_two_minors(q, rows) if ncols == 2 else math.gcd(q, *(r[0] for r in rows)))

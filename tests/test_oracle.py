@@ -361,6 +361,19 @@ def test_dirichlet_preconditions():
         dirichlet_intersection(QI, math.nan, QI.gen + QI.one)
 
 
+def test_dirichlet_three_places_refuse_t_above_8():
+    # one 12-point rule per kink piece is verified to 3.5e-15 at t = 8 and
+    # misses by 1.9e-6 at t = 10, so t = 9 is refused, not answered
+    for F in (Z7, make_field("Q(zeta,9)")):
+        a = F.one + F.gen
+        assert 0.0 < dirichlet_intersection(F, 8, a) <= 1.0
+        with pytest.raises(ValueError, match="three places need t <= 8"):
+            dirichlet_intersection(F, 9, a)
+    # one and two places keep every t
+    assert dirichlet_intersection(QI, 9, QI.gen + QI.one) > 0.0
+    assert dirichlet_intersection(make_field("Q(zeta,5)"), 9, make_field("Q(zeta,5)").gen + 1) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # truncated off-diagonal sums
 

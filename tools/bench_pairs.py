@@ -30,6 +30,11 @@ digits collapsed to '#', each duration divided by its run's operation
 speed factor, so the file shows which operations moved the tail.  The
 same medians of the raw durations, with no speed factor, sit beside them
 (op_kind_median_ms_raw), to tell a moved operation from a moved factor.
+The quartiles of each kind's raw durations are recorded and printed too
+(op_kind_quartiles_ms_raw), and a kind whose parent q3 exceeds twice its
+q1 is listed as mixed (op_kind_mixed): such a kind mixes fast and slow
+operations, memo hits and misses for one, so its median shows where the
+split fell, not a change in either.
 op_kind_tail_counts counts, per side, the operations of each kind that
 lie beyond their run's tail percentile (the one op_tail_ms reads, chosen
 by perfbench/stats.py), summed over the side's runs, so the file shows
@@ -107,8 +112,15 @@ def op_durations(root: Path, workload: str,
 
 
 def spread(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def mixed_kinds(parent: dict[str, dict]) -> list[str]:
+    """The kinds whose parent q3 exceeds twice their q1."""
+    return sorted(kind for kind, q in parent.items() if q["q3"] > 2 * q["q1"])
 
 
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
@@ -162,8 +174,17 @@ def workload_pairs(roots: dict[str, Path], workload: str, seeds: list[int],
         return {side: {kind: statistics.median(ms) for kind, ms in sorted(k.items())}
                 for side, k in by_side.items()}
 
+    quartiles = {side: {kind: spread(ms) for kind, ms in sorted(k.items())}
+                 for side, k in raw.items()}
+    mixed = mixed_kinds(quartiles["parent"])
+    for kind in quartiles["parent"]:
+        print(f"{workload} {kind}: raw ms q1/median/q3 "
+              + "  ".join(f"{side} " + "/".join(f"{q[kind][k]:.4g}" for k in ("q1", "median", "q3"))
+                          for side, q in quartiles.items() if kind in q)
+              + ("  mixed" if kind in mixed else ""), file=sys.stderr)
     out = {"seeds": seeds, "pairs": len(seeds), "metrics": summarize(metrics, runs),
            "op_kind_median_ms": medians(kinds), "op_kind_median_ms_raw": medians(raw),
+           "op_kind_quartiles_ms_raw": quartiles, "op_kind_mixed": mixed,
            "op_kind_tail_counts": {side: dict(sorted(t.items())) for side, t in tails.items()}}
     for side in runs:
         out[f"{side}_attempted"] = runs[side][0]["attempted"]
