@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from mpmath import bernfrac
 from mpmath.libmp import (
     from_float,
     from_int,
@@ -672,11 +671,17 @@ def _sieve(size: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _bernoulli_ratios() -> tuple[Fraction, ...]:
-    """B_2j/(2j)! for j = 1..EM_TERMS + 1: one key, 13 fractions."""
-    out = []
-    for j in range(1, _EM_TERMS + 2):
-        num, den = bernfrac(2 * j)
-        out.append(Fraction(num, den * math.factorial(2 * j)))
+    """B_2j/(2j)! for j = 1..EM_TERMS + 1: one key, 13 fractions, from the
+    Akiyama-Tanigawa recurrence in integers over L: row m ends with B_m L."""
+    top = 2 * _EM_TERMS + 2
+    L = math.lcm(*range(1, top + 2))
+    a, out = [], []
+    for m in range(top + 1):
+        a.append(L // (m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        if m and m % 2 == 0:
+            out.append(Fraction(a[0], L * math.factorial(m)))
     return tuple(out)
 
 

@@ -1,15 +1,11 @@
-"""Heights of field elements, tuples, projective points and row spaces.
+"""Heights of field elements, tuples, projective points and row spaces:
+the logarithmic and sup heights, l2 and l-infinity projective heights,
+the Pluecker subspace height, the covolume of the row lattice O_K^m D
+(times the integrality index, a second route to the subspace height),
+the integrality defect M(x), and truncated height zeta sums over Q.
 
-Covers the logarithmic height of a single element, the sup-height of a
-tuple, l2 and l-infinity projective heights, the Pluecker embedding with
-its induced subspace height, the covolume of the row lattice O_K^m D as
-the norm of one Hermitian determinant over K (with the integrality
-index, the second route to the subspace height), the integrality defect
-M(x), and truncated height zeta sums over rational projective space.
-
-Real-valued heights here are floats built from 100-bit embeddings; their
-relative error is a few ulp, far below every tolerance used downstream.
-All rational subfactors (ideal norms, lattice indices) are exact.
+Real heights are floats from 100-bit embeddings, a few ulp off; ideal
+norms and lattice indices are exact.
 """
 
 from __future__ import annotations
@@ -22,17 +18,20 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .numberfield import (
+    Echelon,
     ElementTuple,
     FieldElement,
     NumberField,
     Rational,
+    _denominator_norm_int,
+    _echelon,
+    _echelon_rows,
     _embed_rows,
     abs_norm,
     conjugates,
     denominator_norm,
     enumerate_torsion,
     frak_D,
-    row_reduce,
 )
 
 if TYPE_CHECKING:
@@ -80,13 +79,9 @@ class ProjPoint:
 
     @cached_property
     def ideal_norm(self) -> Fraction:
-        """Exact norm of the fractional ideal generated by the coordinates.
-
-        With x_k a nonzero coordinate, <x> = x_k <1, x / x_k>, so
-        N(<x>) = |N(x_k)| / D(x / x_k).  x_k is a coordinate equal to 1 when
-        there is one (every Pluecker point has one), so nothing is
-        inverted; otherwise it is the first nonzero coordinate.
-        """
+        """Exact norm of the ideal the coordinates generate: <x> =
+        x_k <1, x / x_k>, so N(<x>) = |N(x_k)| / D(x / x_k), at a coordinate
+        x_k = 1 if there is one (nothing inverted), else the first nonzero."""
         F = self.field
         rest = [c for c in self.coords if c]
         if F.one in rest:
@@ -104,58 +99,50 @@ class ProjPoint:
         return _embed_rows(self.field, [c.floats() for c in self.coords]).T
 
 
-@dataclass(frozen=True)
 class RredMatrix:
-    """A full-rank m x n matrix over the field in row-reduced echelon form."""
+    """A full-rank m x n matrix over the field in reduced row echelon form,
+    held as its integer echelon `_ints` (numberfield._echelon), which the
+    heights read; `rows`, its elements, are built when first read.
+    RredMatrix(F, rows) checks that rows are their own rref; rred_matrix
+    passes on the echelon its reduction holds."""
 
-    field: NumberField
-    rows: tuple[ElementTuple, ...]
+    def __init__(self, field: NumberField, rows: Sequence[Sequence[FieldElement]]) -> None:
+        rows = tuple(map(tuple, rows))
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if type(e) is not FieldElement or e.field is not field:
+                    raise ValueError(f"entry ({i}, {j}) = {e!r} is not an element of {field.descriptor}")
+        self.field, self._ints = field, _echelon(field, rows)
+        if self.rows != rows:
+            raise ValueError("rows must be a full-rank matrix in reduced row echelon form")
 
-    def __post_init__(self) -> None:
-        F = self.field
-        m = len(self.rows)
-        if not m:
-            raise ValueError("empty matrix")
-        n = len(self.rows[0])
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("ragged matrix")
-        last = -1
-        for i, row in enumerate(self.rows):
-            j = 0
-            while j < n and not row[j]:
-                j += 1
-            if j == n:
-                raise ValueError("zero row; matrix must have full rank")
-            if row[j] != F.one:
-                raise ValueError("pivot entries must be exactly 1")
-            if j <= last:
-                raise ValueError("pivot columns must strictly increase")
-            for k in range(m):
-                if k != i and self.rows[k][j]:
-                    raise ValueError("pivot columns must be cleared above and below")
-            last = j
+    @classmethod
+    def _of_echelon(cls, field: NumberField, echelon: Echelon) -> RredMatrix:
+        D = cls.__new__(cls)
+        D.field, D._ints = field, echelon
+        return D
 
     @cached_property
-    def _ints(self) -> tuple[list[list[tuple[int, ...] | None]], int]:
-        """Each row over the lcm of its denominators: the integer numerator
-        vectors of its entries (None for zero), and the product of those
-        lcms, which is the denominator of every maximal minor."""
-        rows, den = [], 1
-        for row in self.rows:
-            L = math.lcm(*(e.den for e in row))
-            den *= L
-            rows.append([(e.num if e.den == L else tuple([c * (L // e.den) for c in e.num]))
-                         if any(e.num) else None for e in row])
-        return rows, den
+    def rows(self) -> tuple[ElementTuple, ...]:
+        return tuple(map(tuple, _echelon_rows(self.field, self._ints)))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RredMatrix and (self.field, self.rows) == (other.field, other.rows)
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"RredMatrix({self.field!r}, {self.rows!r})"
 
 
 def rred_matrix(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> RredMatrix:
     """Row-reduce an arbitrary full-rank matrix over F into an RredMatrix."""
     rows = list(rows)
-    red = row_reduce(F, rows)
-    if len(red) < len(rows):
+    echelon = _echelon(F, rows)
+    if len(echelon[0]) < len(rows):
         raise ValueError("matrix must have full row rank")
-    return RredMatrix(F, tuple(tuple(r) for r in red))
+    return RredMatrix._of_echelon(F, echelon)
 
 
 @dataclass(frozen=True)
@@ -204,10 +191,14 @@ def h_infty(F: NumberField, alphas: Sequence[FieldElement]) -> float:
 
 def proj_height_l2(x: ProjPoint) -> float:
     """l2 projective height: prod_sigma sqrt(sum_j |sigma x_j|^2) / N(<x>)."""
+    return _height_l2(x.conj_matrix, float(x.ideal_norm))
+
+
+def _height_l2(conj: np.ndarray, norm: float) -> float:
+    # the l2 height from the (d, N) embedding values and the ideal norm
     import numpy as np
-    mat = x.conj_matrix
-    sums = np.sum(np.abs(mat) ** 2, axis=1)
-    return float(np.prod(np.sqrt(sums))) / float(x.ideal_norm)
+    sums = np.sum(np.abs(conj) ** 2, axis=1)
+    return float(np.prod(np.sqrt(sums))) / norm
 
 
 def proj_height_linf(x: ProjPoint) -> float:
@@ -221,9 +212,8 @@ def proj_height_linf(x: ProjPoint) -> float:
 def _expansion_plan(n: int, m: int) -> tuple[tuple[tuple[tuple[int, bool, int], ...], ...], ...]:
     """The Laplace expansions behind _minors for an m x n matrix: level s
     (s = 2..m) lists, per s-subset of the columns in lexicographic order,
-    a triple (column j, negated, position at level s - 1 of the subset
-    less j) per j in the subset; level 1 is the last row itself.  Keyed by
-    the shape; at most 64 shapes, each of at most 2^n subsets, are kept."""
+    (column j, negated, position at level s - 1 of the subset less j) per
+    j in it.  At most 64 shapes are kept, each of at most 2^n subsets."""
     plan = []
     index = {(j,): j for j in range(n)}
     for size in range(2, m + 1):
@@ -239,12 +229,9 @@ def _expansion_plan(n: int, m: int) -> tuple[tuple[tuple[tuple[int, bool, int], 
 
 def _minors(F: NumberField, rows: Sequence[Sequence[Sequence[int] | None]]) -> list[tuple[int, ...]]:
     """The maximal minors of an m x n matrix of integer coordinate vectors
-    (None for zero), by column subset in lexicographic order.
-
-    They are built bottom-up with nothing inverted: the minor of rows i..
-    on a column subset S is the Laplace expansion along row i over the
-    minors of rows i+1.. on S less one column (_expansion_plan).
-    """
+    (None for zero), by column subset in lexicographic order, bottom-up:
+    the minor of rows i.. on S expands along row i over the minors of rows
+    i+1.. on S less one column (_expansion_plan)."""
     mul = F._mul_int
     below = list(rows[-1])
     for ints, level in zip(rows[-2::-1], _expansion_plan(len(rows[0]), len(rows))):
@@ -269,30 +256,28 @@ def _minors(F: NumberField, rows: Sequence[Sequence[Sequence[int] | None]]) -> l
 
 
 def plucker(D: RredMatrix) -> ProjPoint:
-    """Pluecker coordinates: the m x m minors over column subsets in
-    lexicographic order, expanded on the rows scaled to integer numerators,
-    with the product of the row denominators divided out at the end.  The
-    pivot-column minor is exactly 1."""
+    """Pluecker coordinates: the m x m minors by column subset in
+    lexicographic order, of the integer rows over the product of their
+    denominators; the pivot-column minor is exactly 1."""
     F = D.field
-    rows, den = D._ints
+    rows, dens = D._ints
+    den = math.prod(dens)
     return ProjPoint(F, tuple(F._reduced(num, den) for num in _minors(F, rows)))
 
 
 def det_lattice(D: RredMatrix) -> float:
     """Covolume of O_K^(1 x m) D inside K_R^(1 x n), O_K of unit covolume.
 
-    Every supported field is totally real or CM, so complex conjugation
-    commutes with every embedding, and the covolume is
-    sqrt |N_K/Q(det(D conj(D)^T))|: one m x m Hermitian determinant over K
-    and one norm.  D conj(D)^T comes from the rows of D scaled as in
-    plucker (its determinant gains den^2), not from the Pluecker point, so
-    covolume times integrality index is a second route to the subspace
-    height.  The t-copy covolume is this value to the power t.
+    Every supported field is totally real or CM, so conjugation commutes
+    with every embedding and the covolume is sqrt |N(det(D conj(D)^T))|.
+    D conj(D)^T comes from the integer rows of D (its determinant gains
+    den^2), not from the Pluecker point, so covolume times integrality
+    index is a second route to the subspace height.
     """
     F = D.field
     conj, mul = F._conj_int, F._mul_int
-    rows, den = D._ints
-    bars = [[conj(a) if a else None for a in row] for row in rows]
+    rows, dens = D._ints
+    bars = [[conj(a) if a else None for a in row] for row in rows] if F.signature[1] else rows
     herm = [[None] * len(rows) for _ in rows]
     for i, j in itertools.combinations_with_replacement(range(len(rows)), 2):
         acc = None
@@ -303,7 +288,8 @@ def det_lattice(D: RredMatrix) -> float:
         if acc is not None and any(acc):
             herm[i][j], herm[j][i] = acc, conj(acc)
     (det,) = _minors(F, herm)
-    return math.sqrt(abs_norm(F, F._reduced(det, den * den)))
+    # an int over an int divides correctly rounded, as float(Fraction) does
+    return math.sqrt(F._abs_norm_int(det) / math.prod(dens) ** (2 * F.degree))
 
 
 @dataclass(frozen=True)
@@ -320,16 +306,23 @@ class GrHeightFactors:
 
 
 def gr_height_factors(D: RredMatrix) -> GrHeightFactors:
-    p = plucker(D)
-    h = proj_height_l2(p)
+    """Both routes from the integer rows of D.  The Pluecker coordinates are
+    the integer minors over den, the product of the row denominators: their
+    floats are minor/den, correctly rounded as x.floats() is, and their
+    ideal has norm 1 / D(minors/den), as one is den/den = 1."""
+    F = D.field
+    rows, dens = D._ints
+    den = math.prod(dens)
+    minors = _minors(F, rows)
+    inverse_norm = _denominator_norm_int(F, minors, den)
     cov = det_lattice(D)
-    idx = frak_D(D.field, D)
+    idx = frak_D(F, D)
     return GrHeightFactors(
-        height=h,
+        height=_height_l2(_embed_rows(F, [c / den for x in minors for c in x]).T, 1 / inverse_norm),
         covolume=cov,
         index=idx,
         product=cov * idx,
-        norm_index_product=p.ideal_norm * idx,
+        norm_index_product=Fraction(idx, inverse_norm),
     )
 
 
@@ -416,14 +409,11 @@ def _primitive_sum(n: int, T2: float, t: float) -> tuple[float, int]:
 def height_zeta_truncated(
     F: NumberField, n: int, t: float, T: float, C2: float
 ) -> ValueInterval:
-    """Partial height zeta sum over the rational projective (n-1)-space up to
-    height T, with the Abel-summation tail window attached.
-
-    The tail constant C2 is caller supplied (the counting constants are not
-    pinned down by the source material); the returned interval is
-    [partial, partial + C2 T^(n-t) + t C2 T^(n-t)/(t-n)], rigorous given a
-    valid C2.  Supported over the rationals with one-dimensional spaces
-    (projective points) only.
+    """Partial height zeta sum over rational projective (n-1)-space up to
+    height T, with the Abel-summation tail window: the interval [partial,
+    partial + C2 T^(n-t) + t C2 T^(n-t)/(t-n)], rigorous for a valid
+    caller-supplied C2 (the source does not pin the counting constants).
+    Over Q, for projective points only.
     """
     if F.kind != "rational":
         raise ValueError("truncated height zeta sums are enumerated over Q only")

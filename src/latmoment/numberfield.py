@@ -90,12 +90,9 @@ def _poly_exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial.
-
-    Computed by exactly dividing x^n - 1 by the polynomials of the proper
-    divisors of n; integer arithmetic throughout.  The memo keeps 256
-    polynomials, each phi(n) + 1 small integers: under 2 MB for every
-    n <= 1024.
+    """Coefficients (ascending) of the n-th cyclotomic polynomial: x^n - 1
+    divided exactly by those of the proper divisors of n.  The memo keeps
+    256 polynomials of phi(n) + 1 small integers: under 2 MB for n <= 1024.
     """
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
@@ -116,20 +113,17 @@ def _span_size_mod(q: int, rows: Sequence[Sequence[int]], ncols: int, block: int
 def _index_mod(q: int, rows: Sequence[Sequence[int]], ncols: int, block: int) -> int:
     """[ZZ^ncols : q ZZ^ncols + ZZ-span of the integer rows], for q >= 1.
 
-    The rows are added one at a time to a Hermite basis of the lattice,
-    q ZZ^ncols at first (Cohen, GTM 138, section 2.4.3): row i has zeros
-    before column i and a pivot h_i dividing q there, and the index is the
-    product of the pivots.  Entries are kept modulo q, which the lattice
-    contains.  A new row meets each basis row in turn: a multiple of the
-    pivot is subtracted, or an extended gcd merges the two into a smaller
-    pivot and a remainder that is zero in that column.  In one column the
-    index is gcd(q, rows); in two the basis is (a, b), (0, c).
+    The rows join a Hermite basis of the lattice one at a time, q ZZ^ncols
+    at first (Cohen, GTM 138, 2.4.3): basis row i is zero before column i
+    with a pivot dividing q there, and the index is the product of the
+    pivots.  Entries are kept modulo q.  A new row meets each basis row in
+    turn: a multiple of the pivot is subtracted, or an extended gcd merges
+    the two.  One column gives gcd(q, rows), two the basis (a, b), (0, c).
 
     The rows come in runs of block rows.  With block = d they are x, x g,
-    .., x g^(d-1) for x in O_K^m, over the power basis of degree d, and
-    the lattice is an O_K-module: once a row changes nothing it lies in
-    the lattice, so its later multiples by g do too, and the rest of its
-    run is skipped.  Rows of any other lattice take block = 1.
+    .., x g^(d-1) for x in O_K^m, and the lattice is an O_K-module: a row
+    that changes nothing lies in it, so do its later multiples by g, and
+    the rest of its run is skipped.  Other lattices take block = 1.
     """
     # 98% of calls have 1 or 2 columns, which take closed forms
     if ncols == 1:
@@ -154,34 +148,42 @@ def _index_mod(q: int, rows: Sequence[Sequence[int]], ncols: int, block: int) ->
                 else:
                     break
         return a * c
-    basis = [[q] + [0] * (ncols - 1 - i) for i in range(ncols)]
+    # basis row i: pivot piv[i] and the tail after it, None while zero
+    piv, tails = [q] * ncols, [None] * ncols
     for start in range(0, len(rows), block):
         for v in rows[start:start + block]:
             v = [c % q for c in v]
             merged = False
-            for i, h in enumerate(basis):
+            for i, h in enumerate(tails):
                 x = v[0]
                 if x:
-                    a = h[0]
+                    a = piv[i]
                     if x % a:
-                        # u a + w x = g: h becomes u h + w v, v becomes (a/g) v - (x/g) h
+                        # u a + w x = g: row i becomes u row_i + w v, v becomes (a/g) v - (x/g) row_i
                         g = math.gcd(a, x)
                         u = pow(a // g, -1, x // g)
                         w = (g - u * a) // x
                         a, x = a // g, x // g
-                        basis[i] = [g] + [(u * z + w * y) % q for z, y in zip(h[1:], v[1:])]
-                        v = [(a * y - x * z) % q for z, y in zip(h[1:], v[1:])]
+                        piv[i] = g
+                        if h is None:
+                            tails[i] = [w * y % q for y in v[1:]]
+                            v = [a * y % q for y in v[1:]]
+                        else:
+                            tails[i] = [(u * z + w * y) % q for z, y in zip(h, v[1:])]
+                            v = [(a * y - x * z) % q for z, y in zip(h, v[1:])]
                         merged = True
+                    elif h is None:
+                        v = v[1:]
                     else:
                         f = x // a
-                        v = [(y - f * z) % q for z, y in zip(h[1:], v[1:])]
+                        v = [(y - f * z) % q for z, y in zip(h, v[1:])]
                 else:
                     v = v[1:]
                 if not any(v):
                     break
             if not merged:
                 break
-    return math.prod(h[0] for h in basis)
+    return math.prod(piv)
 
 
 def _field_conductor(n: int) -> int:
@@ -199,17 +201,14 @@ def _field_conductor(n: int) -> int:
 
 
 class NumberField:
-    """One field of the supported family, with its integral power basis.
-
-    The basis is 1 for the rationals; {1, g} with g = sqrt(D) (or
-    g = (1+sqrt(D))/2 when D = 1 mod 4) for quadratic fields; and
-    {1, g, ..., g^(d-1)} with g = zeta_n for cyclotomic fields.  In every
-    case g is an algebraic integer whose monic minimal polynomial has
-    integer coefficients, so products of basis elements have integer
-    coordinates.  Instances are immutable and cached; identity comparison
-    is field equality.  The construction invariants (degree, signature,
-    discriminant against the trace forms, torsion order, embeddings) are
-    checked by the test suite for every field it and the benchmark build.
+    """One field of the supported family, with its integral power basis:
+    1 for Q, {1, g} with g = sqrt(D) (or (1+sqrt(D))/2 when D = 1 mod 4)
+    for quadratic fields, {1, g, ..., g^(d-1)} with g = zeta_n for
+    cyclotomic fields.  g is an algebraic integer with a monic integer
+    minimal polynomial, so basis products have integer coordinates.
+    Instances are immutable and cached: identity is field equality.  The
+    tests check the invariants (degree, signature, discriminant, torsion
+    order, embeddings) of every field they and the benchmark build.
     """
 
     def __init__(self, kind: str, *, D: int | None = None, conductor: int | None = None) -> None:
@@ -309,10 +308,9 @@ class NumberField:
     # -- multiplication structure
 
     def _mul_int(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the product of two integer coordinate vectors.  Up
-        to degree 2 the closed form: (a0 + a1 g)(b0 + b1 g) with
-        g^2 = e g + f.  Above that a convolution whose powers g^d .. g^(2d-2)
-        are folded down by their reduced coordinates (_fold)."""
+        """The product of two integer coordinate vectors: up to degree 2
+        (a0 + a1 g)(b0 + b1 g) with g^2 = e g + f, above that a convolution
+        with g^d .. g^(2d-2) folded down by their coordinates (_fold)."""
         d = self.degree
         if d == 2:
             a0, a1 = a
@@ -335,22 +333,18 @@ class NumberField:
 
     @cached_property
     def _fold(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero integer coordinates (j, c) of g^k, k = d .. 2d-2,
-        each power the one before times g with the overflow reduced by g^d;
-        sparse for most cyclotomic polynomials (g^k = g^(k-n) for k >= n)."""
-        top = self._gen_pow_d
-        v, out = list(top), []
-        for _ in range(self.degree - 1):
-            out.append(tuple((j, c) for j, c in enumerate(v) if c))
-            over = v[-1]
-            v = [over * top[0]] + [x + over * t for x, t in zip(v, top[1:])]
-        return tuple(out)
+        """The nonzero coordinates (j, c) of g^k, k = d .. 2d-2: sparse for
+        most cyclotomic polynomials (g^k = g^(k-n) for k >= n)."""
+        return tuple(tuple((j, c) for j, c in enumerate(v) if c)
+                     for v in self._mul_rows(self._gen_pow_d)[:-1])
 
-    def _mul_rows(self, a: Sequence[int]) -> list[list[int]]:
-        """Row k holds the integer coordinates of a * g^k: the transpose of
-        the matrix of multiplication by a.  Each row is the one before times
-        g, a shift with the overflow reduced by g^d."""
+    def _mul_rows(self, a: Sequence[int]) -> list[Sequence[int]]:
+        """Row k holds the coordinates of a * g^k, k < d: each row the one
+        before times g, a shift with the overflow reduced by g^d."""
         top = self._gen_pow_d
+        if self.degree == 2:
+            a0, a1 = a
+            return [a, [top[0] * a1, a0 + top[1] * a1]]
         v = list(a)
         rows = [v]
         for _ in range(1, self.degree):
@@ -360,12 +354,10 @@ class NumberField:
         return rows
 
     def _charpoly(self, a: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-        """For an integer vector a: the powers a^0 .. a^(d-1) and the
-        elementary symmetric functions e_0 .. e_d of its conjugates, so the
-        characteristic polynomial is sum_k (-1)^k e_k X^(d-k) and e_d = N(a).
-        The e_k come from the power sums Tr(a^k), k <= d, by Newton's
-        identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) Tr(a^i); every
-        division is exact because a is an algebraic integer."""
+        """The powers a^0 .. a^(d-1) of an integer vector a and the
+        elementary symmetric functions e_0 .. e_d of its conjugates (e_d =
+        N(a)), from the power sums Tr(a^i) by Newton's identities
+        k e_k = sum_{i<=k} (-1)^(i-1) e_(k-i) Tr(a^i), each division exact."""
         d = self.degree
         powers = [(1,) + (0,) * (d - 1), tuple(a)]
         while len(powers) <= d:
@@ -390,11 +382,10 @@ class NumberField:
         return abs(self._charpoly(num)[1][-1])
 
     def _adjugate(self, a: Sequence[int]) -> tuple[tuple[int, ...], int]:
-        """For a nonzero integer vector a: an integer vector b and a nonzero
-        integer n with a * b = n, so a^-1 = b/n.  Up to degree 2 the closed
-        forms: b = 1, n = a0 over Q; b = a0 + e a1 - a1 g, n = the norm form
-        for the basis {1, g} with g^2 = e g + f.  Above that Cayley-Hamilton:
-        b = sum_{k<d} (-1)^k e_k a^(d-1-k) and n = (-1)^(d+1) e_d."""
+        """An integer vector b and a nonzero integer n with a * b = n, for a
+        nonzero integer vector a: b = 1, n = a0 over Q; b = a0 + e a1 - a1 g
+        and n the norm form at degree 2 (g^2 = e g + f); above that
+        Cayley-Hamilton, b = sum_{k<d} (-1)^k e_k a^(d-1-k), n = (-1)^(d+1) e_d."""
         d = self.degree
         if d == 2:
             p, q = a
@@ -442,7 +433,7 @@ class NumberField:
         rows = [self.one]
         for _ in range(1, self.degree):
             rows.append(rows[-1] * cg)
-        if any(r.den != 1 for r in rows):
+        if not all(r.is_integral for r in rows):
             raise RuntimeError("conjugate powers of the generator must be integral")
         return tuple(tuple((j, c) for j, c in enumerate(r.num) if c) for r in rows)
 
@@ -668,9 +659,12 @@ def conjugates(F: NumberField, x: FieldElement) -> np.ndarray:
 
 def _embed_rows(F: NumberField, rows: Sequence[Sequence[float]]) -> np.ndarray:
     """(N, d) embedding values of N elements, given as rows of float
-    coordinates (x.floats()).  The stacked product runs one matrix-vector
-    product per row, so row i is bit for bit F.embed_matrix @ rows[i]; the
-    plain product X @ F.embed_matrix.T can differ in the last bit."""
+    coordinates (x.floats()) or those rows joined.  The stacked product runs
+    one matrix-vector product per row, so row i is bit for bit
+    F.embed_matrix @ rows[i]; X @ F.embed_matrix.T can differ in the last
+    bit.  From degree 4 the bits are numpy's kernel's: rows summed in plain
+    order move the last bit of about 70% of Q(zeta,5) and Q(zeta,8)
+    elements (no quadratic one) and 3 of the 8 degree-4 golden heights."""
     import numpy as np
     X = np.array(rows, dtype=float).reshape(-1, F.degree)
     return (F.embed_matrix @ X[:, :, None])[:, :, 0]
@@ -692,42 +686,36 @@ def trace_pairing_exact(F: NumberField, x: FieldElement, y: FieldElement) -> Fra
     return Fraction(sum(c * p for c, p in zip(prod, F._power_traces)), x.den * y.den)
 
 
-def _scaled_mul_rows(F: NumberField, xs: Sequence[FieldElement], den: int) -> list[list[int]]:
-    """The rows of den * (x * g^k) for every x and k; den must be a common
-    denominator of the xs."""
-    out = []
-    for x in xs:
-        s = den // x.den
-        out.extend(F._mul_rows([c * s for c in x.num] if s != 1 else x.num))
-    return out
+def _denominator_norm_int(F: NumberField, nums: Sequence[Sequence[int]], c: int) -> int:
+    """D of the elements x/c, integer vectors x over any positive common
+    denominator c: c^d / [O_K : (c, x_1, ...)], the ideal (1, x/c) times c."""
+    if c == 1:
+        return 1
+    return _span_size_mod(c, [v for x in nums if any(x) for v in F._mul_rows(x)], F.degree, F.degree)
 
 
 def denominator_norm(F: NumberField, alphas: Sequence[FieldElement]) -> int:
     """D(alpha): the index of O_K inside the ideal generated by 1 and the
-    alpha_i; equals 1 exactly when every alpha_i is integral.
-
-    With c a common denominator the ideal is (1/c)(c, c alpha_1, ...), so
-    D = c^d / [O_K : (c, c alpha_1, ...)], an index of integer lattices.
-    """
+    alpha_i, 1 exactly when every alpha_i is integral."""
     alphas = [F.coerce(a) for a in alphas]
     if not any(alphas):
         raise ValueError("need at least one nonzero coordinate")
     c = math.lcm(*(a.den for a in alphas))
-    if c == 1:
-        return 1
-    return _span_size_mod(c, _scaled_mul_rows(F, alphas, c), F.degree, F.degree)
+    return _denominator_norm_int(F, [[x * (c // a.den) for x in a.num] for a in alphas], c)
 
 
-def row_reduce(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> list[list[FieldElement]]:
-    """Reduced row echelon form over F, zero rows dropped: pivots are
-    exactly 1 and every pivot column is cleared above and below.
+Echelon = tuple[list[list], list[int]]  # integer rows (None for zero), denominators
 
-    The rref depends only on the row space, so each row is scaled to
-    integer coordinate vectors and kept free of a common integer factor.
-    A pivot row is multiplied by the adjugate b of its pivot a (a b = n, an
-    integer), so its pivot becomes n; every other row r with entry c in
-    that column becomes n r - c p.  Field elements are built at the end,
-    each entry of a pivot row over its pivot integer.
+
+def _echelon(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> Echelon:
+    """The reduced row echelon form over F, zero rows dropped, as integer
+    rows and their denominators: row i of the rref is the integer vectors
+    of row i (None for zero) over dens[i], its pivot entry (dens[i], 0, ..),
+    no integer divides all its coordinates, so dens[i] is the lcm of the
+    row's denominators.  The rref depends only on the row space, so rows
+    are scaled to integer vectors free of a common factor.  A pivot row is
+    multiplied by the adjugate b of its pivot a (a b = n, an integer);
+    every other row r with entry c in that column becomes n r - c p.
     """
     mat = [[F.coerce(e) for e in r] for r in rows]
     if not mat:
@@ -739,13 +727,15 @@ def row_reduce(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]
     ints = []
     for r in mat:
         L = math.lcm(*[e.den for e in r])
-        ints.append([(e.num if e.den == L else tuple([c * (L // e.den) for c in e.num]))
+        ints.append([(e.num if e.den == L else [c * (L // e.den) for c in e.num])
                      if any(e.num) else None for e in r])
     pivots: list[tuple[int, int]] = []  # (column, pivot integer) of rows 0 .. rank-1
     for col in range(ncols):
         rank = len(pivots)
-        piv = next((i for i in range(rank, len(ints)) if ints[i][col] is not None), None)
-        if piv is None:
+        for piv in range(rank, len(ints)):
+            if ints[piv][col] is not None:
+                break
+        else:
             continue
         ints[rank], ints[piv] = ints[piv], ints[rank]
         p = ints[rank]
@@ -757,17 +747,18 @@ def row_reduce(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]
         n = _drop_content(p, col)
         for i, r in enumerate(ints):
             c = r[col]
-            if i == rank or c is None:
+            if c is None or i == rank:
                 continue
             for j, (x, y) in enumerate(zip(r, p)):
                 if y is None:
-                    if x is not None:
+                    if x is not None and n != 1:
                         r[j] = [n * v for v in x]
                 elif x is None:
                     r[j] = [-u for u in mul(c, y)]
-                else:
+                elif j != col:
                     w = [n * v - u for v, u in zip(x, mul(c, y))]
                     r[j] = w if any(w) else None
+            r[col] = None
             if i < rank:
                 pc = pivots[i][0]
                 pivots[i] = (pc, _drop_content(r, pc))
@@ -776,48 +767,60 @@ def row_reduce(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]
         pivots.append((col, n))
         if len(pivots) == len(ints):
             break
-    out = []
-    for (col, n), r in zip(pivots, ints):
-        row = [F._reduced(x, n) if x is not None else F.zero for x in r]
-        row[col] = F.one
-        out.append(row)
-    return out
+    return ints[:len(pivots)], [n for _, n in pivots]
 
 
 def _drop_content(row: list, col: int) -> int:
-    """Divide the integer vectors of row (None for zero) by the gcd of all
-    their coordinates, in place; returns the new first coordinate of the
-    entry in column col (0 when that entry is zero)."""
-    g = math.gcd(*[c for x in row if x is not None for c in x])
-    if g > 1:
-        for j, x in enumerate(row):
-            if x is not None:
-                row[j] = [c // g for c in x]
+    """Divide the integer vectors of row (None for zero) in place by the gcd
+    of their coordinates, signed so that the entry in column col starts
+    with a positive coordinate; returns it (0 when that entry is zero)."""
     x = row[col]
-    return x[0] if x is not None else 0
+    g = math.gcd(*[c for y in row if y is not None for c in y])
+    if x is not None and x[0] < 0:
+        g = -g
+    if g != 1:
+        for j, y in enumerate(row):
+            if y is not None:
+                row[j] = [c // g for c in y]
+    return row[col][0] if x is not None else 0
+
+
+def _echelon_rows(F: NumberField, echelon: Echelon) -> list[list[FieldElement]]:
+    """The rref's field elements: each integer vector over its row's denominator."""
+    return [[F._reduced(x, n) if x is not None else F.zero for x in r] for r, n in zip(*echelon)]
+
+
+def row_reduce(F: NumberField, rows: Sequence[Sequence[FieldElement | Rational]]) -> list[list[FieldElement]]:
+    """Reduced row echelon form over F, zero rows dropped: pivots exactly 1
+    and pivot columns cleared; the elements of _echelon's integer rows."""
+    return _echelon_rows(F, _echelon(F, rows))
 
 
 def frak_D(F: NumberField, D: RredMatrix) -> int:
-    """Index of {C in O_K^(1 x m) : C D is integral} inside O_K^(1 x m).
-
-    Computed exactly as an index of (d*m)-dimensional ZZ-lattices: the
-    integrality constraints from the non-integral columns are reduced
-    modulo their common denominator q and the image size is read off an
-    integer lattice index.  Equals 1 when all entries are integral.
-    D is an RredMatrix, whose constructor proved full rank from its pivots.
-    """
-    rows = [[F.coerce(e) for e in r] for r in D.rows]
-    cols = [j for j in range(len(rows[0])) if not all(r[j].is_integral for r in rows)]
-    if not cols:
+    """Index of {C in O_K^(1 x m) : C D is integral} inside O_K^(1 x m): an
+    index of ZZ-lattices, from the constraints of the non-pivot columns of
+    the integer rows D._ints (row x over its n) scaled by q = lcm(n) and
+    reduced modulo q.  Rows over 1 and integral columns add nothing."""
+    if D.field is not F:
+        raise ValueError("elements belong to different fields")
+    rows, dens = D._ints
+    q, d = math.lcm(*dens), F.degree
+    if q == 1:
         return 1
-    q = math.lcm(*[r[j].den for r in rows for j in cols])
+    pivots = {next(j for j, x in enumerate(r) if x is not None) for r in rows}
+    cols = [j for j in range(len(rows[0])) if j not in pivots]
     # rows indexed by the dm coordinates of C, columns by the d coordinates
-    # of each constrained product, scaled by q
+    # of each constrained product
     big: list[list[int]] = []
-    for r in rows:
-        blocks = [F._mul_rows([c * (q // r[j].den) for c in r[j].num]) for j in cols]
-        big.extend([c for block in blocks for c in block[k]] for k in range(F.degree))
-    return _span_size_mod(q, big, F.degree * len(cols), F.degree)
+    for r, n in zip(rows, dens):
+        if n > 1:
+            out = [[] for _ in range(d)]
+            for j in cols:
+                x = r[j]
+                for row, v in zip(out, F._mul_rows([c * (q // n) for c in x]) if x else [[0] * d] * d):
+                    row.extend(v)
+            big.extend(out)
+    return _span_size_mod(q, big, d * len(cols), d)
 
 
 def enumerate_torsion(F: NumberField) -> list[FieldElement]:
@@ -843,10 +846,9 @@ def _floor_quad_surd(P: int, Q: int, sq: int) -> int:
 
 @lru_cache(maxsize=64)
 def fundamental_unit(F: NumberField) -> FieldElement:
-    """The unit > 1 generating the units modulo torsion, for real quadratic
-    fields, from the continued fraction of the basis generator.  The memo
-    keeps 64 units, one per field; a unit's coordinates have
-    O(sqrt(D) log D) bits, the length of the continued fraction's period."""
+    """The unit > 1 generating the units modulo torsion of a real quadratic
+    field, from the continued fraction of the basis generator.  The memo
+    keeps 64 units, of O(sqrt(D) log D) bits each (the period's length)."""
     if F.kind != "quadratic" or F.D < 0:
         raise ValueError("fundamental units are produced for real quadratic fields only")
     D = F.D

@@ -20,7 +20,11 @@ at every degree, row reduction in field-element arithmetic, the
 two-column lattice index from every 2 x 2 minor, the wider ones from a
 column-by-column echelon, the maximal minors
 keyed by column subset, and one element's embedding as a row of the
-stacked product.  The Euler product reads the splitting of
+stacked product.  So are the routes through field elements that the
+integer echelon of an RredMatrix replaced: its integer rows rebuilt from
+its elements, the multiplication rows by repeated shifts at degree 2,
+the subspace height and ideal norm through the Pluecker ProjPoint, and
+frak_D from the elements of D.rows.  The Euler product reads the splitting of
 each prime from its own rules here, none from the package.  pytest puts
 this directory on sys.path, so the test modules import it as `refroutes`.
 """
@@ -55,13 +59,15 @@ from latmoment.bounds import (
     dedekind_zeta_field,
     t0_threshold,
 )
+from latmoment.heights import GrHeightFactors, det_lattice, plucker, proj_height_l2
 from latmoment.numberfield import (
     FieldElement,
     NumberField,
     _embed_rows,
     _factorize,
-    _scaled_mul_rows,
+    _span_size_mod,
     conjugates,
+    frak_D,
 )
 from latmoment.oracle import (
     McEstimate,
@@ -355,7 +361,7 @@ def ideal_from_generators(F: NumberField, xs: Sequence[FieldElement]) -> FracIde
         raise ValueError("the zero ideal has no HNF representation here")
     d = F.degree
     den = math.lcm(*(x.den for x in xs))
-    rows = hnf_rows(_scaled_mul_rows(F, xs, den), d)
+    rows = hnf_rows([v for x in xs for v in mul_rows_by_shift(F, [c * (den // x.den) for c in x.num])], d)
     if len(rows) != d:
         raise RuntimeError("ideal lattice is not full rank")
     # the least common denominator makes the form canonical
@@ -694,3 +700,54 @@ def conjugates_stacked(F: NumberField, x: FieldElement) -> np.ndarray:
     """The embedding values of one element as the one row of the stacked
     product of _embed_rows."""
     return _embed_rows(F, [F.coerce(x).floats()])[0]
+
+
+def ints_from_elements(D) -> tuple[list, list[int]]:
+    """The integer rows of an RredMatrix rebuilt from its field elements:
+    each row over the lcm of its denominators, the integer vectors of its
+    entries (None for zero), and those lcms."""
+    rows, dens = [], []
+    for row in D.rows:
+        L = math.lcm(*(e.den for e in row))
+        dens.append(L)
+        rows.append([(e.num if e.den == L else tuple([c * (L // e.den) for c in e.num]))
+                     if any(e.num) else None for e in row])
+    return rows, dens
+
+
+def mul_rows_by_shift(F: NumberField, a: Sequence[int]) -> list[list[int]]:
+    """The integer coordinates of a * g^k, k < d, at every degree: each row
+    the one before times g, a shift with the overflow reduced by g^d."""
+    top = F._gen_pow_d
+    v = list(a)
+    rows = [v]
+    for _ in range(1, F.degree):
+        over = v[-1]
+        v = [over * top[0]] + [x + over * t for x, t in zip(v, top[1:])]
+        rows.append(v)
+    return rows
+
+
+def gr_height_factors_by_projpoint(D) -> GrHeightFactors:
+    """The subspace height factors with the height and the ideal norm of
+    the Pluecker ProjPoint: its l2 height over its coordinates' floats, and
+    N(<x>) from its field-element coordinates."""
+    p = plucker(D)
+    cov, idx = det_lattice(D), frak_D(D.field, D)
+    return GrHeightFactors(height=proj_height_l2(p), covolume=cov, index=idx,
+                           product=cov * idx, norm_index_product=p.ideal_norm * idx)
+
+
+def frak_D_from_rows(F: NumberField, D) -> int:
+    """frak_D from the field elements of D.rows: the columns with a
+    non-integral entry, over the lcm q of those entries' denominators."""
+    rows = [[F.coerce(e) for e in r] for r in D.rows]
+    cols = [j for j in range(len(rows[0])) if not all(r[j].is_integral for r in rows)]
+    if not cols:
+        return 1
+    q = math.lcm(*[r[j].den for r in rows for j in cols])
+    big: list[list[int]] = []
+    for r in rows:
+        blocks = [mul_rows_by_shift(F, [c * (q // r[j].den) for c in r[j].num]) for j in cols]
+        big.extend([c for block in blocks for c in block[k]] for k in range(F.degree))
+    return _span_size_mod(q, big, F.degree * len(cols), F.degree)

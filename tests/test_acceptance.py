@@ -28,6 +28,7 @@ from latmoment.heights import (
     gr_height_factors,
     h_infty,
     height_gap_rhs,
+    plucker,
     proj_height_l2,
     rred_matrix,
     weil_height,
@@ -88,6 +89,8 @@ def test_criterion_01_poisson_moment_identities():
 def test_criterion_02_subspace_height_two_routes():
     # The Pluecker-point height and the covolume-times-index product must
     # agree on row-reduced inputs, with the rational factor exactly 1.
+    # gr_height_factors reads the height off the integer minors; the
+    # Pluecker ProjPoint's l2 height and ideal norm must equal it exactly.
     start = time.perf_counter()
     rng = random.Random(42)
     fields = [make_field(s) for s in ("Q", "Q(sqrt,-1)", "Q(sqrt,5)", "Q(zeta,5)")]
@@ -96,8 +99,11 @@ def test_criterion_02_subspace_height_two_routes():
         for _ in range(200):
             m = rng.randint(1, 3)
             n = rng.randint(m, 5)
-            fac = gr_height_factors(_rand_rred(F, rng, m, n))
-            assert fac.norm_index_product == 1
+            D = _rand_rred(F, rng, m, n)
+            fac = gr_height_factors(D)
+            point = plucker(D)
+            assert proj_height_l2(point) == fac.height
+            assert point.ideal_norm * fac.index == fac.norm_index_product == 1
             worst = max(worst, abs(fac.height - fac.product) / fac.product)
     assert worst < 1e-9
     elapsed = time.perf_counter() - start

@@ -17,11 +17,13 @@ from latmoment.bounds import (
     HeightHypothesis,
     ThresholdError,
     ZetaInterval,
+    _EM_TERMS,
     _FIX_BITS,
     _ONE as _FIX_ONE,
     _POWER_CACHE_SIZE,
     _RESIDUE_CACHE_SIZE,
     _ZETA_CACHE_SIZE,
+    _bernoulli_ratios,
     _characters,
     _composite_zeta,
     _dirichlet_product,
@@ -698,6 +700,13 @@ def test_sieve_grown_in_steps_equals_one_sieve(monkeypatch):
     monkeypatch.setattr(bounds_module, "_LARGEST_FACTOR", [0, 1])
     for size in (17, 136, 135, 1000, 1001, 17 * 1024):
         assert bounds_module._sieve(size)[:size + 1] == largest_factor_sieve(size), size
+
+
+def test_bernoulli_ratios_equal_mpmath_bernfrac():
+    # the Akiyama-Tanigawa recurrence against mpmath's Bernoulli fractions
+    want = tuple(Fraction(*mpmath.bernfrac(2 * j)) / math.factorial(2 * j)
+                 for j in range(1, _EM_TERMS + 2))
+    assert len(want) == 13 and _bernoulli_ratios() == want
 
 
 def test_dyadic_prime_powers_are_exact_and_inside_the_exponential_route():

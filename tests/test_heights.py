@@ -322,6 +322,13 @@ def test_rred_validation():
         )  # not cleared above
     with pytest.raises(ValueError):
         lm.RredMatrix(Q, ((Q.one, Q.zero), (Q.zero, Q.zero)))  # zero row
+    # entries must be elements of the field itself: a rational or an
+    # element of another field is named, not failed on later
+    F, G = make_field("Q(sqrt,5)"), make_field("Q(zeta,5)")
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) = 0 is not an element of Q\(sqrt,5\)"):
+        lm.RredMatrix(F, ((F.one, 0, 2),))
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) = FieldElement\(.*\) is not an element"):
+        lm.RredMatrix(F, ((F.one, G.gen),))
 
 
 def test_empty_matrices_raise_value_error():

@@ -38,19 +38,23 @@ from latmoment.numberfield import (
     row_reduce,
     trace_pairing_exact,
 )
-from latmoment.heights import plucker, rred_matrix
+from latmoment.heights import RredMatrix, gr_height_factors, plucker, rred_matrix
 from latmoment.oracle import _bounded_denominator_elements
 from refroutes import (
     FracIdeal,
     _euler_phi,
     conjugates_stacked,
+    frak_D_from_rows,
+    gr_height_factors_by_projpoint,
     hnf_rows,
     ideal_from_generators,
     index_mod_echelon,
     index_mod_two_minors,
+    ints_from_elements,
     inverse_charpoly,
     minors_by_subset,
     mul_int_convolution,
+    mul_rows_by_shift,
     row_reduce_elements,
 )
 
@@ -987,6 +991,55 @@ def test_row_reduce_equals_the_element_route(desc):
     assert ({1, 2, 3} if F.degree < 40 else {1, 2}) <= ranks
     # ints and Fractions are taken into the field as rred_matrix takes them
     assert row_reduce(F, [[2, Fraction(1, 3)], [0, 1]]) == [[F.one, F.zero], [F.zero, F.one]]
+
+
+def _tuples(rows):
+    return [[tuple(x) if x is not None else None for x in r] for r in rows]
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS)
+def test_integer_echelon_equals_the_element_routes(desc):
+    # rred_matrix's integer echelon against the integer rows rebuilt from
+    # its elements, and the heights read from it against the Pluecker
+    # ProjPoint and the frak_D of D.rows, equal with ==
+    F = make_field(desc)
+    rng = random.Random(f"reference-echelon/{desc}")
+    # in the degree aspect the covolume's norm of a 2 x 4 matrix can take
+    # seconds on either route (the characteristic polynomial of its
+    # determinant), so Q(zeta,47) keeps ranks 1 and 2 and three columns
+    shapes = ([(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 4), (4, 6)] if F.degree < 40
+              else [(1, 1), (1, 3), (2, 2), (2, 3)])
+    seen = set()
+    for m, n in shapes:
+        for _ in range(3 if F.degree < 40 else 1):
+            for _ in range(50):  # a zero column can leave the rank below m
+                rows = _reference_matrix(F, rng, m, n, m)
+                try:
+                    D = rred_matrix(F, rows)
+                    break
+                except ValueError:
+                    pass
+            else:
+                pytest.fail(f"no full-rank {m} x {n} matrix in 50 draws")
+            ints, dens = D._ints
+            assert (_tuples(ints), dens) == ints_from_elements(D), (m, n)
+            assert D.rows == tuple(map(tuple, row_reduce_elements(rows)))
+            direct = RredMatrix(F, D.rows)
+            assert direct == D and (_tuples(direct._ints[0]), direct._ints[1]) == ints_from_elements(D)
+            assert frak_D(F, D) == frak_D_from_rows(F, D)
+            assert gr_height_factors(D) == gr_height_factors_by_projpoint(D), (m, n)
+            seen.update(("non-integral lead" if F.coerce(r[0]).den > 1 else "integral lead")
+                        for r in rows if r[0])
+            seen.update("zero column" for j in range(n) if not any(r[j] for r in rows))
+    assert {"non-integral lead", "zero column"} <= seen
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS)
+def test_multiplication_rows_equal_the_shift_route(desc):
+    F = make_field(desc)
+    rng = random.Random(f"reference-mul-rows/{desc}")
+    for x in _reference_elements(F, rng, 8 if F.degree > 40 else 60):
+        assert [list(r) for r in F._mul_rows(x.num)] == mul_rows_by_shift(F, x.num)
 
 
 @pytest.mark.parametrize("desc", REFERENCE_FIELDS)
